@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .circuit import compose, composed_wavelets, decompose, to_lattice_symplectic
+from .circuit import compose, decompose, to_lattice_symplectic
 from .continuum import (cascade, descendant_spectrum, scaling_function,
                         superoperator_spectrum, wavelet_function)
 from .design import DesignParams, design_pair, epsilon_of
@@ -143,7 +143,6 @@ def cmd_circuit(args) -> int:
             hi = max(orig.support[1], new.support[1])
             res = max(res, max(abs(orig[n] - new[n])
                                for n in range(lo, hi + 1)))
-        g_w, h_w = composed_wavelets(circ)
         A, B = to_lattice_symplectic(circ, max(64, 4 * circ.depth))
         sym = float(np.max(np.abs(A.matrix @ B.matrix.T
                                   - np.eye(A.matrix.shape[0]))))
@@ -277,8 +276,6 @@ def build_parser() -> _Parser:
     common.add_argument("--quad-points", type=int, default=1 << 16,
                         dest="quad_points",
                         help="base quadrature points (one Richardson doubling)")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads for compiled kernels")
     common.add_argument("--json-errors", action="store_true",
                         help="emit usage errors as JSON on stderr too")
 
@@ -345,23 +342,12 @@ def build_parser() -> _Parser:
     return top
 
 
-def _set_threads(n: int | None):
-    if n is None:
-        return
-    try:
-        import numba
-        numba.set_num_threads(n)
-    except ImportError:
-        pass
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_EXIT
-    _set_threads(args.threads)
     try:
         return args.func(args)
     except UsageError as err:

@@ -10,11 +10,11 @@ discretization of smeared continuum fields onto the lattice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import refine_once
 from .design import stability_spectrum
 from .errors import (NoUnitEigenvalue, NotAdmissible, NotDivisible,
                      UnstableFilter)
@@ -110,6 +110,31 @@ def inner_product(f: SampledFunction, g: SampledFunction) -> float:
 # ---------------------------------------------------------------------------
 # cascade
 # ---------------------------------------------------------------------------
+
+def refine_once(values: np.ndarray, taps: np.ndarray, tap_offset: int,
+                x0: int, level: int) -> np.ndarray:
+    """One dyadic refinement sweep of phi(x) = sqrt(2) sum_n a[n] phi(2x - n).
+
+    ``values`` samples phi at x0 + i/2^level over the support; the result
+    samples the half-spacing grid.  Even slots copy; for odd slot i the point
+    2x - n lands back on the input grid at index i + (x0 - n) * 2^level.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    taps = np.ascontiguousarray(taps, dtype=np.float64)
+    step = 1 << level
+    shift0 = (x0 - tap_offset) * step
+    npts = 2 * (values.size - 1) + 1
+    out = np.zeros(npts)
+    out[0::2] = values
+    idx = np.arange(1, npts, 2)
+    acc = np.zeros(idx.size)
+    for t in range(taps.size):
+        src = idx + shift0 - t * step
+        ok = (src >= 0) & (src < values.size)
+        acc[ok] += taps[t] * values[src[ok]]
+    out[1::2] = math.sqrt(2.0) * acc
+    return out
+
 
 def _integer_samples(a_s: FirFilter) -> tuple[int, np.ndarray]:
     """Samples of the scaling function on its integer support.

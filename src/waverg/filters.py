@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import LatticeTooSmall
 
@@ -251,12 +252,15 @@ class LatticeMap:
 
 
 def _place_rows(filt: FirFilter, N: int, rows: int) -> np.ndarray:
-    """rows x N block with row n = filter placed at position 2n, circularly."""
-    out = np.zeros((rows, N))
-    idx = filt.indices()
-    for n in range(rows):
-        out[n, (2 * n + idx) % N] += filt.coeffs
-    return out
+    """rows x N block with row n = filter placed at position 2n, circularly.
+
+    Taps that alias onto the same site of Z_N are summed first, so a filter
+    longer than N still gives a circulant block.
+    """
+    folded = np.bincount(filt.indices() % N, weights=filt.coeffs, minlength=N)
+    # window s of the doubled sequence is folded rolled right by N - s
+    windows = sliding_window_view(np.tile(folded, 2), N)
+    return windows[N - 2 * np.arange(rows)]
 
 
 def decomposition_map(pair: FilterPair, channel: str, N: int) -> LatticeMap:
@@ -277,21 +281,21 @@ def decomposition_map(pair: FilterPair, channel: str, N: int) -> LatticeMap:
 def _decomposition_matrix(pair: FilterPair, channel: str, N: int) -> np.ndarray:
     """Circulant analysis block without the size guard.
 
-    Wrap-around keeps lattice biorthogonality exact (the time-domain
-    perfect-reconstruction delta aliases only onto multiples of N), so deep
-    layers of a multi-layer stack may use lattices smaller than the support.
+    Deep layers of a multi-layer stack may use lattices smaller than the
+    support: the taps fold onto Z_N (see _place_rows), the block stays
+    circulant, and lattice biorthogonality stays exact because the
+    time-domain perfect-reconstruction delta aliases only onto multiples of N.
     """
     a_s, a_w = (pair.g_s, pair.g_w) if channel == "g" else (pair.h_s, pair.h_w)
     return np.vstack([_place_rows(a_s, N, N // 2), _place_rows(a_w, N, N // 2)])
 
 
-def multi_layer_map(stack, channel: str, N: int,
-                    scales: list[float] | None = None) -> LatticeMap:
-    """Compose analysis layers, halving the lattice each time.
+def layer_chain(stack, channel: str, N: int,
+                scales: list[float] | None = None):
+    """Yield the composed analysis map after each layer of ``stack``.
 
-    Output block ordering: (scaling at the deepest level, wavelet at the
-    deepest level, ..., wavelet at level 1).  ``scales`` optionally multiplies
-    each layer map by a scalar (squeeze factors).
+    The k-th yielded matrix is multi_layer_map of the first k layers.  The
+    same array is updated in place between yields; copy it to keep it.
     """
     stack = list(stack)
     L = len(stack)
@@ -304,7 +308,7 @@ def multi_layer_map(stack, channel: str, N: int,
     support = max(p.support_length() for p in stack)
     if N < 2 * support:
         raise LatticeTooSmall(N, support)
-    total = np.eye(N)
+    total = None
     size = N
     for l, pair in enumerate(stack):
         # size guard applies at the finest lattice only; coarser layers may
@@ -312,7 +316,23 @@ def multi_layer_map(stack, channel: str, N: int,
         w = _decomposition_matrix(pair, channel, size)
         if scales is not None:
             w = scales[l] * w
-        # the layer acts as w ⊕ identity on the already-produced wavelet rows
-        total[:size, :] = w @ total[:size, :]
+        if total is None:
+            total = w
+        else:
+            # the layer acts as w ⊕ identity on the already-produced wavelet rows
+            total[:size, :] = w @ total[:size, :]
         size //= 2
+        yield total
+
+
+def multi_layer_map(stack, channel: str, N: int,
+                    scales: list[float] | None = None) -> LatticeMap:
+    """Compose analysis layers, halving the lattice each time.
+
+    Output block ordering: (scaling at the deepest level, wavelet at the
+    deepest level, ..., wavelet at level 1).  ``scales`` optionally multiplies
+    each layer map by a scalar (squeeze factors).
+    """
+    for total in layer_chain(stack, channel, N, scales):
+        pass
     return LatticeMap(N, total)

@@ -24,11 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ._kernels import quadrature_profile
 from .design import DesignParams, DesignReport, design_pair, epsilon_of
 from .dispersion import Dispersion, fitted_mass, flow, flow_report
 from .errors import GaplessUnregulated, OutOfHypothesis, WavergError
-from .filters import FilterPair, decomposition_map, multi_layer_map
+from .filters import FilterPair, decomposition_map, layer_chain, multi_layer_map
 from .continuum import cascade
 
 REDESIGN = "redesign"
@@ -157,19 +156,35 @@ def mera_covariance(stack: LayerStack, N: int) -> CovariancePair:
 
 
 def _profile(integrand_of_k, offsets: np.ndarray, quad_points: int,
-             drop_k0: bool = False) -> tuple[np.ndarray, float]:
+             drop_k0: bool = False,
+             regulated: bool = False) -> tuple[np.ndarray, float]:
     """Richardson-extrapolated (1/2pi) integral of f(k) cos(k d) per offset.
 
-    Returns (values, certified error estimate).  ``drop_k0`` zeroes the k = 0
-    sample, used for combinations whose true integrand vanishes there.
+    Returns (values, certified error estimate).  On the grid
+    k_j = -pi + 2 pi j/n the Riemann sum is a DFT,
+    sum_j f_j cos(k_j d) / n = (-1)^d Re rfft(f)[d'] / n with
+    d' = min(d mod n, n - d mod n), so one rfft per level serves every
+    integer offset.  ``drop_k0`` zeroes the k = 0 sample, used for
+    combinations whose true integrand vanishes there.  ``regulated`` returns
+    the differences value(d) - value(0), and certifies those.
     """
+    offsets = np.asarray(offsets)
+    if not np.all(np.isfinite(offsets)) or np.any(offsets != np.rint(offsets)):
+        raise ValueError("profile offsets must be integers")
+    offsets = offsets.astype(np.int64)
+    sign = np.where(offsets % 2 == 0, 1.0, -1.0)
     results = []
     for n in (quad_points, 2 * quad_points):
         k = -np.pi + 2.0 * np.pi * np.arange(n) / n
         f = np.asarray(integrand_of_k(k), dtype=np.float64)
         if drop_k0:
             f[np.abs(k) < 1e-15] = 0.0
-        results.append(quadrature_profile(f, k, offsets.astype(np.float64)))
+        spectrum = np.fft.rfft(f).real / n
+        folded = offsets % n
+        values = sign * spectrum[np.minimum(folded, n - folded)]
+        if regulated:
+            values = values - spectrum[0]
+        results.append(values)
     coarse, fine = results
     extrapolated = fine + (fine - coarse) / 3.0  # cancel the h^2 term
     return extrapolated, float(np.max(np.abs(fine - coarse)) / 3.0)
@@ -199,9 +214,8 @@ def exact_q_profile(d: Dispersion, offsets: np.ndarray,
 
     if not regulated:
         return _profile(inv2w, offsets, quad_points)
-    vals, err = _profile(inv2w, np.concatenate(([0.0], offsets)),
-                         quad_points, drop_k0=True)
-    return vals[1:] - vals[0], 2.0 * err
+    # the offset-0 term diverges; its differences converge, so certify those
+    return _profile(inv2w, offsets, quad_points, drop_k0=True, regulated=True)
 
 
 def exact_covariance(d: Dispersion, N: int, quad_points: int = 1 << 16,
@@ -252,10 +266,10 @@ def ring_covariance(d: Dispersion, N: int) -> CovariancePair:
             "periodic-chain covariance requires a gapped dispersion")
     k = 2.0 * np.pi * np.arange(N) / N
     w = np.asarray(d(k))
+    # sum_j f(k_j) cos(k_j d) / N is Re fft(f)[d] / N
+    q_prof = np.fft.fft(1.0 / (2.0 * w)).real / N
+    p_prof = np.fft.fft(w / 2.0).real / N
     delta = np.arange(N)
-    cosmat = np.cos(np.outer(delta, k))
-    q_prof = cosmat @ (1.0 / (2.0 * w)) / N
-    p_prof = cosmat @ (w / 2.0) / N
     idx = np.abs(np.subtract.outer(delta, delta))
     idx = np.minimum(idx, N - idx)
     return CovariancePair(N, q_prof[idx], p_prof[idx])
@@ -320,23 +334,40 @@ def theorem_bound(B: float, D: float, M: int, Omega: float, eps: float,
     return float(bound_p), float(2.0 * bound_p)
 
 
+def _shift_invariant_norm(R: np.ndarray, P: int) -> float:
+    """Spectral norm of an N x N map that commutes with input shifts by P.
+
+    R S^P = Pi R for a row permutation Pi, so G = R^T R commutes with S^P and
+    is block-circulant with P x P blocks.  ||R||^2 is the largest eigenvalue
+    of its N/P Hermitian symbols, the DFT over the block index of the first
+    block row.
+    """
+    N = R.shape[1]
+    block_row = (R[:, :P].T @ R).reshape(P, N // P, P).swapaxes(0, 1)
+    symbols = np.fft.fft(block_row, axis=0)
+    return float(np.sqrt(max(np.linalg.eigvalsh(symbols).max(), 0.0)))
+
+
 def stack_operator_bound(stack: LayerStack, N: int = 512) -> float:
     """Max spectral norm over contiguous sub-stacks, both channels.
 
     Computed at a moderate lattice size: the maps are circulant up to the
     layer structure, so the norm is essentially size-independent once the
     lattice exceeds the filter support.  This is an estimate of the theorem's
-    sub-stack constant, not an exact evaluation at the working size.
+    sub-stack constant, not an exact evaluation at the working size.  One
+    composed chain per (start layer, channel) yields every sub-stack that
+    starts there; a depth-d sub-stack commutes with input shifts by 2^d,
+    which gives its norm from P x P Gram symbols (see _shift_invariant_norm).
     """
     worst = 0.0
     for l0 in range(stack.depth):
-        for l1 in range(l0 + 1, stack.depth + 1):
-            pairs = stack.pairs[l0:l1]
-            sg = list(stack.squeezes[l0:l1])
-            sh = [1.0 / s for s in sg]
-            for channel, scales in (("g", sg), ("h", sh)):
-                m = multi_layer_map(pairs, channel, N, scales=scales)
-                worst = max(worst, m.norm())
+        pairs = stack.pairs[l0:]
+        sg = list(stack.squeezes[l0:])
+        sh = [1.0 / s for s in sg]
+        for channel, scales in (("g", sg), ("h", sh)):
+            chain = layer_chain(pairs, channel, N, scales=scales)
+            for depth, R in enumerate(chain, start=1):
+                worst = max(worst, _shift_invariant_norm(R, 1 << depth))
     return worst
 
 
@@ -366,6 +397,7 @@ class ErrorReport:
     bound_q_entries: dict
     q_norms: dict
     constants: dict
+    quad_error: float
 
     def dominated(self) -> bool:
         """True when every measured deviation sits below its bound."""
@@ -389,6 +421,7 @@ class ErrorReport:
             "q_difference_norms": {f"{n},{m}": v for (n, m), v
                                    in self.q_norms.items()},
             "constants": self.constants,
+            "quad_error": self.quad_error,
             "dominated": self.dominated(),
         }
 
@@ -402,12 +435,13 @@ def error_report(stack: LayerStack, N: int, quad_points: int = 1 << 16,
 
     delta_p is the max entrywise deviation over the centered window
     |n|, |m| <= N/4; regulated q deviations are evaluated at the requested
-    (n, m) pairs.  The window keeps its own ends apart on the ring, but it
-    does not keep wrap-around out of deep stacks: the MERA covariance is
-    built on Z_N, and a composed top filter longer than N wraps.  For the
-    20-tap K=2/L=4 massless pair the top filter spans 2414 sites at depth 7
-    and 4846 at depth 8, both more than N = 2048, which moves depth-8
-    delta_p from 1.1945e-3 (infinite lattice, and N = 4096) to 1.2068e-3.
+    (n, m) pairs.  The window keeps its own ends apart on the ring.  The
+    MERA covariance is built on Z_N, where a composed top filter longer than
+    N folds onto the ring (the 20-tap K=2/L=4 massless pair spans 4846 sites
+    at depth 8); the folded layers stay circulant and biorthogonal, and
+    depth-8 delta_p at N = 2048 is the infinite-lattice value 1.1945e-3.
+    ``quad_error`` is the largest certified error of the oracle profiles.
+    The operator bound uses the lattice min(N, max(512, 2^depth)).
     """
     d = stack.base_dispersion
     L = stack.depth
@@ -416,7 +450,7 @@ def error_report(stack: LayerStack, N: int, quad_points: int = 1 << 16,
     window = np.arange(-half, half + 1)
     rows = window % N
     offsets = np.arange(2 * half + 1)
-    p_prof, _ = exact_p_profile(d, offsets, quad_points)
+    p_prof, quad_error = exact_p_profile(d, offsets, quad_points)
     dist = np.abs(np.subtract.outer(window, window))
     exact_p_win = p_prof[dist]
     mera_p_win = mera.p_block[np.ix_(rows, rows)]
@@ -425,7 +459,9 @@ def error_report(stack: LayerStack, N: int, quad_points: int = 1 << 16,
     delta_q = None
     gapless = d.gapless
     if not gapless:
-        q_prof, _ = exact_q_profile(d, offsets, quad_points, regulated=False)
+        q_prof, q_err = exact_q_profile(d, offsets, quad_points,
+                                        regulated=False)
+        quad_error = max(quad_error, q_err)
         exact_q_win = q_prof[dist]
         mera_q_win = mera.q_block[np.ix_(rows, rows)]
         delta_q = float(np.max(np.abs(exact_q_win - mera_q_win)))
@@ -433,8 +469,9 @@ def error_report(stack: LayerStack, N: int, quad_points: int = 1 << 16,
     deltas = sorted({abs(n - m) for n, m in pairs_to_check if n != m})
     reg_prof = {}
     if deltas:
-        vals, _ = exact_q_profile(d, np.array(deltas, dtype=float),
-                                  quad_points, regulated=True)
+        vals, reg_err = exact_q_profile(d, np.array(deltas), quad_points,
+                                        regulated=True)
+        quad_error = max(quad_error, reg_err)
         reg_prof = dict(zip(deltas, vals))
     delta_q_reg = {}
     for n, m in pairs_to_check:
@@ -444,7 +481,7 @@ def error_report(stack: LayerStack, N: int, quad_points: int = 1 << 16,
         delta_q_reg[(n, m)] = float(abs(reg_prof[abs(n - m)] - mera_reg))
 
     B = stack_amplitude_bound(stack)
-    D = stack_operator_bound(stack, N=min(N, 512))
+    D = stack_operator_bound(stack, N=min(N, max(512, 2 ** L)))
     M = stack.max_support
     Omega = flow_report(d, L - 1).omega_bound
     eps = max(stack.epsilons) if stack.epsilons else max(
@@ -458,4 +495,4 @@ def error_report(stack: LayerStack, N: int, quad_points: int = 1 << 16,
     constants = {"B": B, "D": D, "M": M, "Omega": Omega, "epsilon": eps,
                  "C": 4.0 * B ** 2 * M ** 1.5 * Omega, "L_layers": L, "N": N}
     return ErrorReport(delta_p, delta_q, delta_q_reg, bound_p, bound_q,
-                       bound_q_entries, q_norms, constants)
+                       bound_q_entries, q_norms, constants, quad_error)

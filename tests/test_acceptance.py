@@ -6,15 +6,15 @@ two parts of the approximation theorem
     delta_p <= D^2 (C 2^{-L/2} + 3 eps D log2(C/eps))
 
 separately.  Every depth's report must be dominated by its bound; the bound
-is not tight (log10(bound_p/delta_p) = 5.41, 6.50, 6.60 at depths 4, 6, 8,
-with bound_p = 1.17e3, 3.30e3, 4.81e3, above 1 and so vacuous entry by
+is not tight (log10(bound_p/delta_p) = 5.41, 6.36, 6.66 at depths 4, 6, 8,
+with bound_p = 1.17e3, 2.41e3, 5.44e3, above 1 and so vacuous entry by
 entry).  The depth term C 2^{-L/2} controls the truncation deviation, the
 error of leaving the top scaling channel in I/2, and that must fall at least
 at the theorem's rate.  The total delta_p need not fall: the truncation part
 is positive on the diagonal while the filter-defect part (epsilon = 8.4e-3,
 about 1.2e-3 at every depth) is negative at its extreme diagonal entries, so
 the shrinking truncation first cancels part of the defect and then stops
-cancelling it (delta_p = 4.56e-3, 1.04e-3, 1.21e-3 at depths 4, 6, 8).
+cancelling it (delta_p = 4.56e-3, 1.04e-3, 1.19e-3 at depths 4, 6, 8).
 """
 
 import numpy as np
@@ -175,10 +175,7 @@ def test_criterion_08_theorem_dominance(massless, dominance_stacks,
                                         dominance_reports):
     deltas = {L: rep.delta_p for L, rep in dominance_reports.items()}
     dominated = all(rep.dominated() for rep in dominance_reports.values())
-    # 2^13 quadrature points certify the profile to ~1e-9, four orders below
-    # the smallest truncation deviation; the default 2^16 costs 4 s more
-    p_prof, cert = exact_p_profile(massless, np.arange(DOMINANCE_N // 2 + 1),
-                                   quad_points=1 << 13)
+    p_prof, cert = exact_p_profile(massless, np.arange(DOMINANCE_N // 2 + 1))
     trunc = {L: truncation_deviation(stack, DOMINANCE_N, p_prof)
              for L, stack in dominance_stacks.items()}
     # the depth term C 2^{-L/2} halves every two layers

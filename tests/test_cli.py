@@ -101,6 +101,20 @@ def test_simulate_outputs(tmp_path, pair_file):
     assert abs(float(row[6]) - abs(float(row[2]) - float(row[3]))) < 1e-15
 
 
+def test_simulate_ten_layers_is_dominated(tmp_path, capsys):
+    # the operator bound's lattice grows to 2^layers past depth 9
+    pair = tmp_path / "k1l1.json"
+    rep = tmp_path / "err.json"
+    assert main(["design", "--K", "1", "--L", "1", "--out", str(pair)]) == 0
+    code = main(["simulate", "--pair", str(pair), "--layers", "10",
+                 "--N", "1024", "--report", str(rep)])
+    assert code == 0, capsys.readouterr().err
+    d = json.loads(rep.read_text())
+    assert d["dominated"] is True
+    assert d["constants"]["L_layers"] == 10
+    assert 0 <= d["quad_error"] < 1e-6
+
+
 def test_simulate_deterministic(tmp_path, pair_file):
     outs = []
     for name in ("a.csv", "b.csv"):

@@ -117,6 +117,19 @@ def test_decomposition_biorthogonality(pair_k2l4):
     np.testing.assert_allclose(Wg @ Wh.T, np.eye(N), atol=1e-10)
 
 
+@pytest.mark.parametrize("N", [8, 16, 64])
+def test_coarse_layer_folds_aliased_taps(pair_k2l4, N):
+    # reference: place one tap at a time, so taps landing on one site add
+    from waverg.filters import _decomposition_matrix
+    want = np.zeros((N, N))
+    for block, filt in enumerate((pair_k2l4.g_s, pair_k2l4.g_w)):
+        for n in range(N // 2):
+            for i, c in zip(filt.indices(), filt.coeffs):
+                want[block * N // 2 + n, (2 * n + i) % N] += c
+    np.testing.assert_array_equal(_decomposition_matrix(pair_k2l4, "g", N),
+                                  want)
+
+
 def test_decomposition_size_guard(pair_k2l4):
     with pytest.raises(LatticeTooSmall):
         decomposition_map(pair_k2l4, "g", 16)

@@ -7,8 +7,9 @@ from waverg import (DesignParams, Flat, GaplessUnregulated, Harmonic,
                     LayerStack, NotNonnegative, OutOfHypothesis, build_stack,
                     error_report, exact_covariance, exact_p_profile,
                     exact_q_profile, fixed_after, haar_pair, mass_flow,
-                    mera_covariance, q_difference_norm, ring_covariance,
-                    theorem_bound, wavelet_channel_deviation)
+                    mera_covariance, multi_layer_map, q_difference_norm,
+                    ring_covariance, stack_operator_bound, theorem_bound,
+                    wavelet_channel_deviation)
 from waverg.mera import REDESIGN, _parse_strategy
 
 
@@ -65,6 +66,22 @@ def test_massless_p00_is_inv_pi(massless):
     assert vals[0] == pytest.approx(1.0 / np.pi, abs=1e-9)
 
 
+def test_massless_p_profile_closed_form(massless):
+    # (1/2pi) int |sin(k/2)| cos(k d) dk = -1 / (pi (4 d^2 - 1))
+    d = np.arange(1025)
+    vals, _ = exact_p_profile(massless, d)
+    np.testing.assert_allclose(vals, -1.0 / (np.pi * (4.0 * d ** 2 - 1.0)),
+                               rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("offsets", [[0.5], [1.0, 2.25], [np.nan], [np.inf]])
+def test_profile_rejects_non_integer_offsets(massless, offsets):
+    with pytest.raises(ValueError):
+        exact_p_profile(massless, np.array(offsets))
+    with pytest.raises(ValueError):
+        exact_q_profile(massless, np.array(offsets))
+
+
 def test_massive_q00_against_independent_quadrature():
     import mpmath as mp
     vals, err = exact_q_profile(Harmonic(1.0), np.array([0.0]),
@@ -90,6 +107,16 @@ def test_regulated_q_massless_known_value(massless):
     assert vals[0] == pytest.approx(-2.0 / np.pi, abs=1e-6)
 
 
+def test_regulated_q_certified_error_is_finite(massless):
+    # the offset-0 term diverges, its differences converge: the certificate
+    # covers the differences, so it shrinks with the quadrature size
+    _, err_small = exact_q_profile(massless, np.array([1, 4, 16]),
+                                   quad_points=1 << 12)
+    _, err = exact_q_profile(massless, np.array([1, 4, 16]))
+    assert err < 1e-7
+    assert err < err_small
+
+
 def test_q_difference_norm_massless_unit(massless):
     # (1 - cos k) / (2 sin^2(k/2)) = 1, so the norm is 1 at delta = 1 up to
     # the zeroed k = 0 quadrature node (a 1/quad_points bias in norm^2)
@@ -105,6 +132,20 @@ def test_ring_matches_infinite_chain_when_gapped():
     # agreement up to exponentially small finite-size corrections
     assert np.max(np.abs(ring.q_block[:8, :8] - toep.q_block[:8, :8])) < 1e-10
     assert np.max(np.abs(ring.p_block[:8, :8] - toep.p_block[:8, :8])) < 1e-10
+
+
+def test_ring_covariance_matches_dense_cosine_sum():
+    d, N = Harmonic(0.7), 64
+    k = 2.0 * np.pi * np.arange(N) / N
+    w = np.asarray(d(k))
+    cosmat = np.cos(np.outer(np.arange(N), k))
+    dist = np.abs(np.subtract.outer(np.arange(N), np.arange(N)))
+    dist = np.minimum(dist, N - dist)
+    ring = ring_covariance(d, N)
+    np.testing.assert_allclose(ring.q_block, (cosmat @ (0.5 / w) / N)[dist],
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(ring.p_block, (cosmat @ (0.5 * w) / N)[dist],
+                               rtol=0, atol=1e-14)
 
 
 def test_exact_covariance_is_valid_state():
@@ -130,6 +171,15 @@ def test_mera_symplectic_product(designs, massless):
                                atol=1e-9)
 
 
+def test_mera_symplectic_product_folded_taps(massless):
+    # the 20-tap K=2/L=4 pair is longer than the third layer's 16-site
+    # lattice; its taps must fold onto the ring for the layer to stay exact
+    stack = build_stack(massless, DesignParams(2, 4), 3)
+    cov = mera_covariance(stack, 64)
+    np.testing.assert_allclose(cov.q_block @ cov.p_block, np.eye(64) / 4,
+                               atol=1e-9)
+
+
 def test_regulated_uncertainty_raises():
     from waverg import CovariancePair
     cov = CovariancePair(4, np.zeros((4, 4)), np.eye(4), regulated=True)
@@ -148,6 +198,26 @@ def test_theorem_bound_regression():
     assert bound_p == pytest.approx(want, rel=1e-12)
     assert bound_p == pytest.approx(71.34310270261183, rel=1e-10)
     assert bound_q == pytest.approx(2 * bound_p, rel=1e-12)
+
+
+def _dense_operator_bound(stack, N):
+    worst = 0.0
+    for l0 in range(stack.depth):
+        for l1 in range(l0 + 1, stack.depth + 1):
+            sg = list(stack.squeezes[l0:l1])
+            for channel, scales in (("g", sg), ("h", [1.0 / s for s in sg])):
+                m = multi_layer_map(stack.pairs[l0:l1], channel, N,
+                                    scales=scales)
+                worst = max(worst, m.norm())
+    return worst
+
+
+@pytest.mark.parametrize("which, N", [("massless", 256), ("massive", 128)])
+def test_operator_bound_matches_dense_svd(which, N, massless, massive_stack):
+    stack = (build_stack(massless, DesignParams(2, 4), 8)
+             if which == "massless" else massive_stack)
+    want = _dense_operator_bound(stack, N)
+    assert stack_operator_bound(stack, N) == pytest.approx(want, rel=1e-12)
 
 
 def test_theorem_bound_eps_zero_limit():
