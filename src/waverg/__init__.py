@@ -1,7 +1,7 @@
 """Dispersion-matched biorthogonal wavelets and Gaussian renormalization circuits."""
 
 from .dispersion import (Dispersion, Flat, Harmonic, Renormalized, Tabulated,
-                         fitted_mass, flow, flow_report, harmonic, mass_flow,
+                         fitted_mass, flow, flow_report, mass_flow,
                          parse_dispersion, renormalize)
 from .errors import (DegenerateFactorization, GaplessUnregulated,
                      LatticeTooSmall, NegativeMass, NoSolution,
@@ -9,8 +9,8 @@ from .errors import (DegenerateFactorization, GaplessUnregulated,
                      NoUnitEigenvalue, NormalizationFailure, OutOfHypothesis,
                      UnstableFilter, WavergError)
 from .filters import (HAAR_SCALING, FilterPair, FirFilter, LatticeMap,
-                      decomposition_map, derive_wavelet, fourier_eval,
-                      haar_pair, kgrid, multi_layer_map, pr_residual,
+                      decomposition_map, derive_wavelet, haar_pair, kgrid,
+                      level_filters, multi_layer_map, pr_residual,
                       wavelet_from_scaling)
 from .design import (DesignParams, DesignReport, design_pair, epsilon_of,
                      halfband_solve, rational_approx_fit,

@@ -30,8 +30,7 @@ from .design import DesignParams, design_pair, epsilon_of
 from .dispersion import flow, flow_report, parse_dispersion
 from .errors import WavergError
 from .filters import FilterPair
-from .mera import (LayerStack, error_report, exact_p_profile, exact_q_profile,
-                   mera_covariance)
+from .mera import LayerStack, error_report, exact_p_profile, exact_q_profile
 
 USAGE_EXIT = 1
 NUMERICAL_EXIT = 2
@@ -171,7 +170,7 @@ def cmd_simulate(args) -> int:
             json.dump(rep.to_json(), fh, indent=2, sort_keys=True)
             fh.write("\n")
     if args.csv:
-        mera = mera_covariance(stack, N)
+        mera = rep.covariance
         ms = np.arange(1, min(args.csv_range, N // 4) + 1)
         p_prof, _ = exact_p_profile(d, ms.astype(float), quad)
         q_prof, _ = exact_q_profile(d, ms.astype(float), quad, regulated=True)

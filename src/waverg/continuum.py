@@ -18,7 +18,7 @@ import numpy as np
 from .design import stability_spectrum
 from .errors import (NoUnitEigenvalue, NotAdmissible, NotDivisible,
                      UnstableFilter)
-from .filters import ROOT2, FirFilter, FilterPair
+from .filters import ROOT2, FirFilter, FilterPair, level_filters
 
 #: default dyadic quadrature depth for inner products
 DEFAULT_J = 12
@@ -388,35 +388,25 @@ def translate_gram(pair: FilterPair, half: int | None = None) -> FirFilter:
     return FirFilter(-half, vec / s)
 
 
-def _upsample(f: FirFilter) -> FirFilter:
-    """Insert a zero between consecutive taps: a(k) -> a(2k)."""
-    c = np.zeros(2 * len(f.coeffs) - 1)
-    c[::2] = f.coeffs
-    return FirFilter(2 * f.offset, c)
-
-
 def dual_wavelet_pairing(pair: FilterPair, l: int, n: int, lp: int, m: int,
                          gram: FirFilter | None = None) -> float:
     """<psi^g_{l,n}, psi^h_{l',m}> with psi_{l,n}(x) = 2^{-l/2} psi(2^{-l}x - n).
 
     Both wavelets are expanded over scaling-function translates at a common
-    dyadic scale by exact filter algebra (psi_{l,n} = sum_p a_w[p]
-    phi_{l-1, 2n+p}, then repeated refinement), and the resulting double sum
-    contracts against the translate cross-Gram.  No quadrature is involved.
+    dyadic scale t by exact filter algebra: the coefficients of psi_{l,n}
+    over phi_{t,.} are the level-k wavelet filter of a k-layer stack of the
+    pair (k = l - t, see filters.level_filters) shifted by 2^k n.  The
+    resulting double sum contracts against the translate cross-Gram.  No
+    quadrature is involved.
     """
     if gram is None:
         gram = translate_gram(pair)
     target = min(l, lp) - 1
     coeffs = {}
     for channel, lev, shift in (("g", l, n), ("h", lp, m)):
-        a_s = getattr(pair, f"{channel}_s")
-        a_w = getattr(pair, f"{channel}_w")
-        u = a_w.shift(2 * shift)
-        scale = lev - 1
-        while scale > target:
-            u = _upsample(u).convolve(a_s)
-            scale -= 1
-        coeffs[channel] = u
+        k = lev - target
+        _, wavelets = level_filters([pair] * k, channel)
+        coeffs[channel] = wavelets[-1].shift((1 << k) * shift)
     w = coeffs["g"].correlate(coeffs["h"])
     return float(sum(w[d] * gram[d]
                      for d in range(gram.support[0], gram.support[1] + 1)))

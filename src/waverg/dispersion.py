@@ -49,8 +49,9 @@ class Harmonic(Dispersion):
     m: float = 0.0
 
     def __post_init__(self):
-        if self.m < 0:
-            raise NegativeMass(f"mass must be nonnegative, got {self.m}")
+        if not 0 <= self.m < np.inf:
+            raise NegativeMass(f"mass must be finite and nonnegative, "
+                               f"got {self.m}")
 
     def __call__(self, k):
         k = np.asarray(k, dtype=np.float64)
@@ -134,10 +135,6 @@ class Renormalized(Dispersion):
         return f"renormalized({self.base.describe()})"
 
 
-def harmonic(m: float) -> Harmonic:
-    return Harmonic(m)
-
-
 def renormalize(d: Dispersion) -> Dispersion:
     return Renormalized(d)
 
@@ -211,13 +208,15 @@ def flow_report(d: Dispersion, levels: int, grid: int = _FLOW_GRID) -> FlowRepor
 
 
 def parse_dispersion(spec: str) -> Dispersion:
-    """CLI specifier: 'harmonic:m=<real>', 'flat:<real>', 'tabulated:<csv path>'."""
+    """CLI specifier: 'harmonic:m=<real>', 'flat:c=<real>', 'tabulated:<csv path>'."""
     kind, _, rest = spec.partition(":")
     if kind == "harmonic":
         if rest.startswith("m="):
             rest = rest[2:]
         return Harmonic(float(rest or 0.0))
     if kind == "flat":
+        if rest.startswith("c="):
+            rest = rest[2:]
         return Flat(float(rest or 1.0))
     if kind == "tabulated":
         return Tabulated.from_csv(rest)

@@ -1,4 +1,5 @@
-"""Finitely supported real filters and periodic-lattice decomposition maps.
+"""Finitely supported real filters, composed level filters of a layer stack,
+and the periodic-lattice maps placed from them.
 
 Fourier convention throughout the package: a(k) = sum_n a[n] exp(-i k n).
 Under this convention the time-domain wavelet rule
@@ -95,6 +96,12 @@ class FirFilter:
     def shift(self, t: int) -> "FirFilter":
         return FirFilter(self.offset + t, self.coeffs)
 
+    def upsample(self, factor: int) -> "FirFilter":
+        """Insert factor - 1 zeros between taps: a(k) -> a(factor k)."""
+        c = np.zeros(factor * (len(self.coeffs) - 1) + 1)
+        c[::factor] = self.coeffs
+        return FirFilter(factor * self.offset, c)
+
     def scale(self, c: float) -> "FirFilter":
         return FirFilter(self.offset, c * self.coeffs)
 
@@ -120,11 +127,6 @@ class FirFilter:
     @staticmethod
     def delta(n: int = 0, value: float = 1.0) -> "FirFilter":
         return FirFilter(n, np.array([value]))
-
-
-def fourier_eval(a: FirFilter, k) -> complex:
-    """Module-level alias for FirFilter.__call__."""
-    return a(k)
 
 
 HAAR_SCALING = FirFilter(0, np.array([1.0, 1.0]) / ROOT2)
@@ -163,10 +165,6 @@ class FilterPair:
         lo = min(self.g_s.support[0], self.h_s.support[0])
         hi = max(self.g_s.support[1], self.h_s.support[1])
         object.__setattr__(self, "halfwidth", max(1, (hi - lo + 1 + 1) // 2))
-
-    def swapped(self) -> "FilterPair":
-        """Exchange the roles of g and h (still a valid pair)."""
-        return FilterPair(self.h_s, self.g_s)
 
     def support_length(self) -> int:
         lo = min(self.g_s.support[0], self.h_s.support[0])
@@ -251,51 +249,54 @@ class LatticeMap:
         return float(np.linalg.norm(self.matrix, 2))
 
 
-def _place_rows(filt: FirFilter, N: int, rows: int) -> np.ndarray:
-    """rows x N block with row n = filter placed at position 2n, circularly.
+def _place_rows(filt: FirFilter, N: int, stride: int) -> np.ndarray:
+    """(N / stride) x N block with row n = filter placed at stride * n, circularly.
 
     Taps that alias onto the same site of Z_N are summed first, so a filter
     longer than N still gives a circulant block.
     """
     folded = np.bincount(filt.indices() % N, weights=filt.coeffs, minlength=N)
-    # window s of the doubled sequence is folded rolled right by N - s
+    # window s of the doubled sequence is folded rolled right by N - s;
+    # row n is window N - stride * n, so the block is a strided view
     windows = sliding_window_view(np.tile(folded, 2), N)
-    return windows[N - 2 * np.arange(rows)]
+    return windows[N:0:-stride]
 
 
-def decomposition_map(pair: FilterPair, channel: str, N: int) -> LatticeMap:
-    """Single-layer analysis map W_a on Z_N: low[n] = sum_l a_s[l] f[2n+l]."""
-    if channel == "g":
-        a_s, a_w = pair.g_s, pair.g_w
-    elif channel == "h":
-        a_s, a_w = pair.h_s, pair.h_w
-    else:
-        raise ValueError(f"channel must be 'g' or 'h', got {channel!r}")
-    support = pair.support_length()
-    if N % 2 != 0 or N < 2 * support:
-        raise LatticeTooSmall(N, support)
-    m = np.vstack([_place_rows(a_s, N, N // 2), _place_rows(a_w, N, N // 2)])
-    return LatticeMap(N, m)
+def level_filters(pairs, channel: str,
+                  scales: list[float] | None = None
+                  ) -> tuple[FirFilter, list[FirFilter]]:
+    """Composed analysis filters of a layer stack (noble identity).
 
-
-def _decomposition_matrix(pair: FilterPair, channel: str, N: int) -> np.ndarray:
-    """Circulant analysis block without the size guard.
-
-    Deep layers of a multi-layer stack may use lattices smaller than the
-    support: the taps fold onto Z_N (see _place_rows), the block stays
-    circulant, and lattice biorthogonality stays exact because the
-    time-domain perfect-reconstruction delta aliases only onto multiples of N.
+    Level l's wavelet rows apply one filter at stride 2^l,
+    s_1...s_l a_s^1(k) a_s^2(2k) ... a_s^{l-1}(2^{l-2} k) a_w^l(2^{l-1} k),
+    and the top scaling rows apply s_1...s_L a_s^1(k) ... a_s^L(2^{L-1} k)
+    at stride 2^L.  ``scales`` are the per-layer factors s_l (default 1).
+    Returns (top scaling filter, [wavelet filter of level 1, ..., level L]).
     """
-    a_s, a_w = (pair.g_s, pair.g_w) if channel == "g" else (pair.h_s, pair.h_w)
-    return np.vstack([_place_rows(a_s, N, N // 2), _place_rows(a_w, N, N // 2)])
+    if channel not in ("g", "h"):
+        raise ValueError(f"channel must be 'g' or 'h', got {channel!r}")
+    scaling = FirFilter.delta()
+    wavelets = []
+    for l, pair in enumerate(pairs):
+        s = 1.0 if scales is None else scales[l]
+        a_s = getattr(pair, f"{channel}_s").upsample(1 << l)
+        a_w = getattr(pair, f"{channel}_w").upsample(1 << l)
+        wavelets.append(s * scaling.convolve(a_w))
+        scaling = s * scaling.convolve(a_s)
+    return scaling, wavelets
 
 
-def layer_chain(stack, channel: str, N: int,
-                scales: list[float] | None = None):
-    """Yield the composed analysis map after each layer of ``stack``.
+def multi_layer_map(stack, channel: str, N: int,
+                    scales: list[float] | None = None) -> LatticeMap:
+    """Analysis map of a layer stack on Z_N, placed from its level filters.
 
-    The k-th yielded matrix is multi_layer_map of the first k layers.  The
-    same array is updated in place between yields; copy it to keep it.
+    Output block ordering: (scaling at the deepest level, wavelet at the
+    deepest level, ..., wavelet at level 1).  ``scales`` optionally multiplies
+    each layer map by a scalar (squeeze factors).  The size guard applies at
+    the finest lattice only: deeper levels may wrap around Z_N, their taps
+    fold (see _place_rows), the blocks stay circulant, and biorthogonality
+    stays exact because the time-domain perfect-reconstruction delta aliases
+    only onto multiples of N.
     """
     stack = list(stack)
     L = len(stack)
@@ -303,36 +304,18 @@ def layer_chain(stack, channel: str, N: int,
         raise ValueError("empty layer stack")
     if N % (2 ** L) != 0:
         raise ValueError(f"N = {N} not divisible by 2^{L}")
-    if channel not in ("g", "h"):
-        raise ValueError(f"channel must be 'g' or 'h', got {channel!r}")
     support = max(p.support_length() for p in stack)
     if N < 2 * support:
         raise LatticeTooSmall(N, support)
-    total = None
-    size = N
-    for l, pair in enumerate(stack):
-        # size guard applies at the finest lattice only; coarser layers may
-        # wrap (see _decomposition_matrix)
-        w = _decomposition_matrix(pair, channel, size)
-        if scales is not None:
-            w = scales[l] * w
-        if total is None:
-            total = w
-        else:
-            # the layer acts as w ⊕ identity on the already-produced wavelet rows
-            total[:size, :] = w @ total[:size, :]
-        size //= 2
-        yield total
+    scaling, wavelets = level_filters(stack, channel, scales)
+    blocks = [_place_rows(scaling, N, 1 << L)]
+    for l in range(L, 0, -1):
+        blocks.append(_place_rows(wavelets[l - 1], N, 1 << l))
+    return LatticeMap(N, np.vstack(blocks))
 
 
-def multi_layer_map(stack, channel: str, N: int,
-                    scales: list[float] | None = None) -> LatticeMap:
-    """Compose analysis layers, halving the lattice each time.
-
-    Output block ordering: (scaling at the deepest level, wavelet at the
-    deepest level, ..., wavelet at level 1).  ``scales`` optionally multiplies
-    each layer map by a scalar (squeeze factors).
-    """
-    for total in layer_chain(stack, channel, N, scales):
-        pass
-    return LatticeMap(N, total)
+def decomposition_map(pair: FilterPair, channel: str, N: int) -> LatticeMap:
+    """Single-layer analysis map W_a on Z_N: low[n] = sum_l a_s[l] f[2n+l]."""
+    if N % 2 != 0:
+        raise LatticeTooSmall(N, pair.support_length())
+    return multi_layer_map([pair], channel, N)

@@ -27,7 +27,7 @@ import numpy as np
 from .design import DesignParams, DesignReport, design_pair, epsilon_of
 from .dispersion import Dispersion, fitted_mass, flow, flow_report
 from .errors import GaplessUnregulated, OutOfHypothesis, WavergError
-from .filters import FilterPair, decomposition_map, layer_chain, multi_layer_map
+from .filters import FilterPair, decomposition_map, multi_layer_map
 from .continuum import cascade
 
 REDESIGN = "redesign"
@@ -43,7 +43,12 @@ def _parse_strategy(strategy: str, L_layers: int) -> int:
     if strategy in (REDESIGN, "redesign_each_layer"):
         return L_layers
     if strategy.startswith("fixed_after"):
-        l_star = int(strategy[len("fixed_after"):].strip(":()"))
+        index = strategy[len("fixed_after"):].strip(":()")
+        try:
+            l_star = int(index)
+        except ValueError:
+            raise ValueError(f"strategy {strategy!r} must have the form "
+                             "fixed_after:<layer>") from None
         if l_star < 0:
             raise ValueError("fixed_after layer must be >= 0")
         return l_star
@@ -354,20 +359,19 @@ def stack_operator_bound(stack: LayerStack, N: int = 512) -> float:
     Computed at a moderate lattice size: the maps are circulant up to the
     layer structure, so the norm is essentially size-independent once the
     lattice exceeds the filter support.  This is an estimate of the theorem's
-    sub-stack constant, not an exact evaluation at the working size.  One
-    composed chain per (start layer, channel) yields every sub-stack that
-    starts there; a depth-d sub-stack commutes with input shifts by 2^d,
-    which gives its norm from P x P Gram symbols (see _shift_invariant_norm).
+    sub-stack constant, not an exact evaluation at the working size.  A
+    depth-d sub-stack commutes with input shifts by 2^d, which gives its
+    norm from P x P Gram symbols (see _shift_invariant_norm).
     """
     worst = 0.0
     for l0 in range(stack.depth):
-        pairs = stack.pairs[l0:]
-        sg = list(stack.squeezes[l0:])
-        sh = [1.0 / s for s in sg]
-        for channel, scales in (("g", sg), ("h", sh)):
-            chain = layer_chain(pairs, channel, N, scales=scales)
-            for depth, R in enumerate(chain, start=1):
-                worst = max(worst, _shift_invariant_norm(R, 1 << depth))
+        for l1 in range(l0 + 1, stack.depth + 1):
+            sg = stack.squeezes[l0:l1]
+            sh = [1.0 / s for s in sg]
+            for channel, scales in (("g", sg), ("h", sh)):
+                R = multi_layer_map(stack.pairs[l0:l1], channel, N,
+                                    scales=scales).matrix
+                worst = max(worst, _shift_invariant_norm(R, 1 << (l1 - l0)))
     return worst
 
 
@@ -398,6 +402,8 @@ class ErrorReport:
     q_norms: dict
     constants: dict
     quad_error: float
+    #: the MERA covariance the deviations were measured on (not serialized)
+    covariance: CovariancePair = field(repr=False)
 
     def dominated(self) -> bool:
         """True when every measured deviation sits below its bound."""
@@ -495,4 +501,4 @@ def error_report(stack: LayerStack, N: int, quad_points: int = 1 << 16,
     constants = {"B": B, "D": D, "M": M, "Omega": Omega, "epsilon": eps,
                  "C": 4.0 * B ** 2 * M ** 1.5 * Omega, "L_layers": L, "N": N}
     return ErrorReport(delta_p, delta_q, delta_q_reg, bound_p, bound_q,
-                       bound_q_entries, q_norms, constants, quad_error)
+                       bound_q_entries, q_norms, constants, quad_error, mera)

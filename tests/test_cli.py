@@ -101,6 +101,26 @@ def test_simulate_outputs(tmp_path, pair_file):
     assert abs(float(row[6]) - abs(float(row[2]) - float(row[3]))) < 1e-15
 
 
+def test_simulate_csv_builds_one_covariance(tmp_path, pair_file,
+                                            monkeypatch):
+    import waverg.cli
+    import waverg.mera
+    calls = []
+    build = waverg.mera.mera_covariance
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(waverg.mera, "mera_covariance", counting)
+    # a covariance built by the CLI itself would count too
+    monkeypatch.setattr(waverg.cli, "mera_covariance", counting, raising=False)
+    assert main(["simulate", "--pair", pair_file, "--layers", "2",
+                 "--N", "64", "--csv", str(tmp_path / "c.csv"),
+                 "--quad-points", "4096"]) == 0
+    assert len(calls) == 1
+
+
 def test_simulate_ten_layers_is_dominated(tmp_path, capsys):
     # the operator bound's lattice grows to 2^layers past depth 9
     pair = tmp_path / "k1l1.json"
@@ -169,6 +189,25 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "NotNonnegative"
     assert "min_value" in err and "at_k" in err
+
+
+@pytest.mark.parametrize("mass", ["nan", "inf"])
+def test_nonfinite_mass_is_numerical_failure(mass, capsys):
+    code = main(["flow", "--dispersion", f"harmonic:m={mass}",
+                 "--levels", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    err = json.loads(captured.err.strip().splitlines()[-1])
+    assert err["error"] == "NegativeMass"
+
+
+def test_flat_value_prefix(capsys):
+    outs = []
+    for spec in ("flat:c=1", "flat:1"):
+        assert main(["flow", "--dispersion", spec, "--levels", "2"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_usage_error_missing_file(tmp_path, capsys):

@@ -94,5 +94,6 @@ def test_parse_dispersion():
     assert isinstance(parse_dispersion("harmonic:m=0.5"), Harmonic)
     assert parse_dispersion("harmonic:m=0.5").m == 0.5
     assert isinstance(parse_dispersion("flat:2.0"), Flat)
+    assert parse_dispersion("flat:c=2.0").value == 2.0
     with pytest.raises(ValueError):
         parse_dispersion("bogus:1")

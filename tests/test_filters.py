@@ -46,6 +46,7 @@ def test_reflect_and_correlate_fourier_rules(o, c):
     k = np.linspace(-np.pi, np.pi, 17)
     np.testing.assert_allclose(a.reflect()(k), a(-k), atol=1e-9)
     np.testing.assert_allclose(a.correlate(a)(k), a(k) * a(-k), atol=1e-8)
+    np.testing.assert_allclose(a.upsample(3)(k), a(3 * k), atol=1e-9)
 
 
 def test_canonical_trim_and_support():
@@ -117,17 +118,49 @@ def test_decomposition_biorthogonality(pair_k2l4):
     np.testing.assert_allclose(Wg @ Wh.T, np.eye(N), atol=1e-10)
 
 
+def _placed(filt, N, stride):
+    """Reference placement: one tap at a time, so taps on one site add."""
+    out = np.zeros((N // stride, N))
+    for n in range(N // stride):
+        for i, c in zip(filt.indices(), filt.coeffs):
+            out[n, (stride * n + i) % N] += c
+    return out
+
+
 @pytest.mark.parametrize("N", [8, 16, 64])
 def test_coarse_layer_folds_aliased_taps(pair_k2l4, N):
-    # reference: place one tap at a time, so taps landing on one site add
-    from waverg.filters import _decomposition_matrix
-    want = np.zeros((N, N))
-    for block, filt in enumerate((pair_k2l4.g_s, pair_k2l4.g_w)):
-        for n in range(N // 2):
-            for i, c in zip(filt.indices(), filt.coeffs):
-                want[block * N // 2 + n, (2 * n + i) % N] += c
-    np.testing.assert_array_equal(_decomposition_matrix(pair_k2l4, "g", N),
-                                  want)
+    from waverg.filters import _place_rows
+    for stride in (2, 4):
+        for filt in (pair_k2l4.g_s, pair_k2l4.g_w):
+            np.testing.assert_array_equal(_place_rows(filt, N, stride),
+                                          _placed(filt, N, stride))
+
+
+def _reference_chain(pairs, channel, N, scales):
+    """Per-layer placed maps w, each acting as w (+) identity on the rows
+    already produced: multi_layer_map without composed filters."""
+    total = np.eye(N)
+    size = N
+    for pair, s in zip(pairs, scales):
+        a_s, a_w = getattr(pair, channel + "_s"), getattr(pair, channel + "_w")
+        w = s * np.vstack([_placed(a_s, size, 2), _placed(a_w, size, 2)])
+        total[:size] = w @ total[:size]
+        size //= 2
+    return total
+
+
+@pytest.mark.parametrize("case", ["folded_k2l4", "massive"])
+def test_multi_layer_map_matches_per_layer_product(case, pair_k2l4, massive_stack):
+    if case == "folded_k2l4":
+        # depth 3 on N = 64: the 20-tap filter wraps the 16-site coarse lattice
+        pairs, N, scales = [pair_k2l4] * 3, 64, [1.0, 0.5, 2.0]
+    else:
+        pairs, N = massive_stack.pairs, 1024
+        scales = list(massive_stack.squeezes)
+    for channel, sc in (("g", scales), ("h", [1.0 / s for s in scales])):
+        got = multi_layer_map(pairs, channel, N, scales=sc).matrix
+        np.testing.assert_allclose(got, _reference_chain(pairs, channel, N, sc),
+                                   rtol=0, atol=1e-14)
 
 
 def test_decomposition_size_guard(pair_k2l4):

@@ -42,6 +42,8 @@ def test_parse_strategy_forms():
     assert _parse_strategy("fixed_after(2)", 5) == 2
     with pytest.raises(ValueError):
         _parse_strategy("sometimes", 5)
+    with pytest.raises(ValueError, match="fixed_after:<layer>"):
+        _parse_strategy("fixed_after", 5)
 
 
 def test_build_stack_failure_records_layer():
