@@ -124,9 +124,7 @@ def canonicalize_support(pair: FilterPair) -> tuple[FilterPair, int]:
 
 def _window_arrays(pair: FilterPair, M: int) -> tuple[np.ndarray, np.ndarray]:
     idx = np.arange(-M + 1, M + 1)
-    g = np.array([pair.g_s[int(n)] for n in idx])
-    h = np.array([pair.h_s[int(n)] for n in idx])
-    return g, h
+    return pair.g_s[idx], pair.h_s[idx]
 
 
 def _pr_project_mp(g, h, M: int, max_iter: int = 8):

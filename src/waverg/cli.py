@@ -99,7 +99,10 @@ def cmd_design(args) -> int:
 def cmd_sweep(args) -> int:
     d = parse_dispersion(args.dispersion)
     if args.sweep:
-        parts = dict(p.split("=") for p in args.sweep.split(","))
+        parts = dict(p.partition("=")[::2] for p in args.sweep.split(","))
+        if not {"K", "L"} <= parts.keys():
+            raise UsageError(f"--sweep takes K=<range>,L=<range>, "
+                             f"got {args.sweep!r}")
         Ks, Ls = _parse_range(parts["K"]), _parse_range(parts["L"])
     else:
         Ks, Ls = _parse_range(args.K), _parse_range(args.L)
@@ -138,10 +141,9 @@ def cmd_circuit(args) -> int:
         res = 0.0
         for orig, new in ((pair.g_s, rec.g_s.shift(-circ.shift)),
                           (pair.h_s, rec.h_s.shift(-circ.shift))):
-            lo = min(orig.support[0], new.support[0])
-            hi = max(orig.support[1], new.support[1])
-            res = max(res, max(abs(orig[n] - new[n])
-                               for n in range(lo, hi + 1)))
+            n = np.arange(min(orig.support[0], new.support[0]),
+                          max(orig.support[1], new.support[1]) + 1)
+            res = max(res, float(np.max(np.abs(orig[n] - new[n]))))
         A, B = to_lattice_symplectic(circ, max(64, 4 * circ.depth))
         sym = float(np.max(np.abs(A.matrix @ B.matrix.T
                                   - np.eye(A.matrix.shape[0]))))
@@ -254,7 +256,9 @@ def cmd_flow(args) -> int:
     rep = flow_report(d, args.levels, grid=args.grid or 4096)
     print("level,omega_pi,omega_max,fitted_mass")
     for lv in rep.levels:
-        mass = "" if lv.mass is None else _fmt(lv.mass)
+        # blank when there is no harmonic fit or it finds no finite mass
+        mass = "" if lv.mass is None or not np.isfinite(lv.mass) \
+            else _fmt(lv.mass)
         print(f"{lv.level},{_fmt(lv.omega_pi)},{_fmt(lv.omega_max)},{mass}")
     print(f"omega_bound={_fmt(rep.omega_bound)}")
     return 0

@@ -10,7 +10,6 @@ discretization of smeared continuum fields onto the lattice.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,31 +110,6 @@ def inner_product(f: SampledFunction, g: SampledFunction) -> float:
 # cascade
 # ---------------------------------------------------------------------------
 
-def refine_once(values: np.ndarray, taps: np.ndarray, tap_offset: int,
-                x0: int, level: int) -> np.ndarray:
-    """One dyadic refinement sweep of phi(x) = sqrt(2) sum_n a[n] phi(2x - n).
-
-    ``values`` samples phi at x0 + i/2^level over the support; the result
-    samples the half-spacing grid.  Even slots copy; for odd slot i the point
-    2x - n lands back on the input grid at index i + (x0 - n) * 2^level.
-    """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    taps = np.ascontiguousarray(taps, dtype=np.float64)
-    step = 1 << level
-    shift0 = (x0 - tap_offset) * step
-    npts = 2 * (values.size - 1) + 1
-    out = np.zeros(npts)
-    out[0::2] = values
-    idx = np.arange(1, npts, 2)
-    acc = np.zeros(idx.size)
-    for t in range(taps.size):
-        src = idx + shift0 - t * step
-        ok = (src >= 0) & (src < values.size)
-        acc[ok] += taps[t] * values[src[ok]]
-    out[1::2] = math.sqrt(2.0) * acc
-    return out
-
-
 def _integer_samples(a_s: FirFilter) -> tuple[int, np.ndarray]:
     """Samples of the scaling function on its integer support.
 
@@ -144,11 +118,7 @@ def _integer_samples(a_s: FirFilter) -> tuple[int, np.ndarray]:
     """
     n0, n1 = a_s.support
     pts = np.arange(n0, n1 + 1)
-    T = np.zeros((pts.size, pts.size))
-    for i, x in enumerate(pts):
-        for j, y in enumerate(pts):
-            T[i, j] = ROOT2 * a_s[2 * x - y]
-    w, v = np.linalg.eig(T)
+    w, v = np.linalg.eig(ROOT2 * a_s[2 * pts[:, None] - pts])
     cand = np.where(np.abs(w - 1.0) < 1e-8)[0]
     if cand.size == 0:
         raise NoUnitEigenvalue(
@@ -182,9 +152,13 @@ def cascade(a_s: FirFilter, J: int) -> SampledFunction:
         raise UnstableFilter(
             f"transfer spectral radius {np.max(np.abs(eigs)):.6g} >= 2")
     x0, values = _integer_samples(a_s)
-    for level in range(J):
-        values = refine_once(values, a_s.coeffs, a_s.offset, x0, level)
-    return SampledFunction(J, float(x0), values)
+    phi = SampledFunction(0, float(x0), values)
+    for _ in range(J):
+        finer = refine_with(phi, a_s)
+        # the coarser samples stay as they are; recomputing them adds rounding
+        finer.values[::2] = phi.values
+        phi = finer
+    return phi
 
 
 def refinement_residual(phi: SampledFunction, a_s: FirFilter) -> float:
@@ -213,19 +187,15 @@ def wavelet_function(pair: FilterPair, channel: str, J: int = DEFAULT_J
 def refine_with(f: SampledFunction, taps: FirFilter) -> SampledFunction:
     """g(x) = sqrt(2) sum_n taps[n] f(2x - n), sampled one level finer than f.
 
-    The new grid has spacing 2^-(level+1); the point 2x - n lands on f's own
-    grid for every new grid point, so no interpolation is involved.
+    On the new grid x_i = (f.x0 + n0) / 2 + i / 2^(level+1) the point 2x_i - n
+    is f's own sample i - t 2^level (t = n - n0), so each tap adds f's samples,
+    scaled, at offset t 2^level; no interpolation is involved.
     """
-    n0, n1 = taps.support
-    lo = (f.x0 + n0) / 2.0
-    hi = (f.support[1] + n1) / 2.0
-    level = f.level + 1
-    npts = int(np.rint((hi - lo) * 2 ** level)) + 1
-    x = lo + np.arange(npts) * 0.5 ** level
-    acc = np.zeros(npts)
-    for n in taps.indices():
-        acc += taps[int(n)] * f.at(2.0 * x - n)
-    return SampledFunction(level, lo, ROOT2 * acc)
+    step = 1 << f.level
+    acc = np.zeros(f.values.size + (len(taps) - 1) * step)
+    for t, c in enumerate(taps.coeffs):
+        acc[t * step:t * step + f.values.size] += c * f.values
+    return SampledFunction(f.level + 1, (f.x0 + taps.offset) / 2.0, ROOT2 * acc)
 
 
 def scaling_function(pair: FilterPair, channel: str, J: int = DEFAULT_J
@@ -261,11 +231,7 @@ def massless_relation_error(pair: FilterPair, J: int = DEFAULT_J,
 def _ascend_block(taps: FirFilter, weight: float, half: int) -> np.ndarray:
     """Transfer block T[m, n] = weight * taps[n - 2m], indices in [-half, half]."""
     idx = np.arange(-half, half + 1)
-    T = np.zeros((idx.size, idx.size))
-    for i, m in enumerate(idx):
-        for j, n in enumerate(idx):
-            T[i, j] = weight * taps[int(n - 2 * m)]
-    return T
+    return weight * taps[idx - 2 * idx[:, None]]
 
 
 def superoperator_check(pair: FilterPair, x_samples=(0.0, 0.25, 0.5),
@@ -288,8 +254,8 @@ def superoperator_check(pair: FilterPair, x_samples=(0.0, 0.25, 0.5),
                 (phi_h, pair.h_s, ROOT2, 1.0, True),
                 (phi_g, pair.g_s, 1.0 / ROOT2, 0.5, False)):
             for m in ms:
-                u = weight * sum(taps[int(t)] * phi.at(x - 2 * m - t)
-                                 for t in taps.indices())
+                u = weight * np.dot(taps.coeffs,
+                                    phi.at(x - 2 * m - taps.indices()))
                 want = target_scale * phi.at(x / 2.0 - m)
                 dev = abs(u - want)
                 if is_phi:
@@ -408,8 +374,7 @@ def dual_wavelet_pairing(pair: FilterPair, l: int, n: int, lp: int, m: int,
         _, wavelets = level_filters([pair] * k, channel)
         coeffs[channel] = wavelets[-1].shift((1 << k) * shift)
     w = coeffs["g"].correlate(coeffs["h"])
-    return float(sum(w[d] * gram[d]
-                     for d in range(gram.support[0], gram.support[1] + 1)))
+    return float(np.dot(w[gram.indices()], gram.coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 from .dispersion import Dispersion, Harmonic
 from .errors import (NoSolution, NormalizationFailure, NotAdmissible,
                      NotNonnegative)
-from .filters import ROOT2, FilterPair, FirFilter, kgrid
+from .filters import ROOT2, FilterPair, FirFilter, halfband_defect, kgrid
 
 
 @dataclass(frozen=True)
@@ -178,18 +178,6 @@ def rational_approx_fit(d: Dispersion, L: int,
 # half-band solve and spectral factorization
 # ---------------------------------------------------------------------------
 
-def _halfband_residual(s: FirFilter, r: FirFilter) -> float:
-    p = s.convolve(r)
-    lo, hi = p.support
-    res = 0.0
-    for m in range(lo, hi + 1):
-        if m % 2 == 0:
-            res = max(res, abs(p[m] - (1.0 if m == 0 else 0.0)))
-    if lo > 0 or hi < 0:
-        res = max(res, 1.0)
-    return res
-
-
 def halfband_solve(s: FirFilter, tol: float = 1e-9,
                    max_growth: int = 8) -> FirFilter:
     """Symmetric r with sum_l s[2n - l] r[l] = delta_0[n] (s * r half-band).
@@ -206,18 +194,14 @@ def halfband_solve(s: FirFilter, tol: float = 1e-9,
     for R in range(max(S - 1, 1), S - 1 + 2 * max_growth + 1, 2):
         # unknowns r[0..R]; rows are the even-index entries of s * r
         nmax = (S + R - 1) // 2
-        A = np.zeros((nmax + 1, R + 1))
-        for n in range(nmax + 1):
-            for jj in range(R + 1):
-                A[n, jj] += s[2 * n - jj]
-                if jj > 0:
-                    A[n, jj] += s[2 * n + jj]
+        n, jj = np.ogrid[:nmax + 1, :R + 1]
+        A = s[2 * n - jj] + np.where(jj > 0, s[2 * n + jj], 0.0)
         rhs = np.zeros(nmax + 1)
         rhs[0] = 1.0
         sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
         taps = np.concatenate([sol[:0:-1], sol])
         r = FirFilter(-R, taps)
-        res = _halfband_residual(s, r)
+        res = halfband_defect(s.convolve(r))
         if best is None or res < best[0]:
             best = (res, r)
         if res < tol:
@@ -299,15 +283,9 @@ def stability_spectrum(a_s: FirFilter, M: int | None = None,
     c = a_s.correlate(a_s)
     dim = 4 * M + 1
     idx = np.arange(-2 * M, 2 * M + 1)
-    T = np.zeros((dim, dim))
-    for i, n in enumerate(idx):
-        for jj, m in enumerate(idx):
-            T[i, jj] = 2.0 * c[2 * n - m]
+    T = 2.0 * c[2 * idx[:, None] - idx]
     # zero-mean basis: columns delta_n - delta_{n+1}
-    V = np.zeros((dim, dim - 1))
-    for col in range(dim - 1):
-        V[col, col] = 1.0
-        V[col + 1, col] = -1.0
+    V = np.eye(dim, dim - 1) - np.eye(dim, dim - 1, k=-1)
     TV = T @ V
     Tr, *_ = np.linalg.lstsq(V, TV, rcond=None)
     return np.linalg.eigvals(Tr)

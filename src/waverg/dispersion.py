@@ -49,9 +49,9 @@ class Harmonic(Dispersion):
     m: float = 0.0
 
     def __post_init__(self):
-        if not 0 <= self.m < np.inf:
-            raise NegativeMass(f"mass must be finite and nonnegative, "
-                               f"got {self.m}")
+        if not (0 <= self.m < np.inf and self.m * self.m < np.inf):
+            raise NegativeMass(f"mass must be nonnegative with a finite "
+                               f"square, got {self.m}")
 
     def __call__(self, k):
         k = np.asarray(k, dtype=np.float64)
@@ -67,6 +67,13 @@ class Flat(Dispersion):
     """Constant dispersion; its ground state is the uncorrelated product state."""
 
     value: float = 1.0
+
+    def __post_init__(self):
+        # the flow divides by omega(pi)^2, so the square must be a normal float
+        c = self.value
+        if not (c > 0 and np.finfo(float).tiny <= c * c < np.inf):
+            raise ValueError(f"flat dispersion needs c > 0 whose square neither "
+                             f"overflows nor underflows, got {c}")
 
     def __call__(self, k):
         k = np.asarray(k, dtype=np.float64)
@@ -85,6 +92,9 @@ class Tabulated(Dispersion):
         self._ks = np.asarray(ks, dtype=np.float64)[order]
         self._values = np.asarray(values, dtype=np.float64)[order]
         self._name = name
+        if not (np.all(np.isfinite(self._ks))
+                and np.all(np.isfinite(self._values))):
+            raise ValueError("tabulated dispersion must have finite k and omega")
         if np.any(self._values < 0):
             raise ValueError("tabulated dispersion must be nonnegative")
 
@@ -149,8 +159,8 @@ def flow(d: Dispersion, levels: int) -> list[Dispersion]:
 
 def mass_flow(m: float, levels: int) -> list[float]:
     """Closed-form m^(l+1) = 2 sqrt(m^(l)^2 + m^(l)^4), starting at m^(0) = m."""
-    if m < 0:
-        raise NegativeMass(f"mass must be nonnegative, got {m}")
+    if not 0 <= m < np.inf:
+        raise NegativeMass(f"mass must be finite and nonnegative, got {m}")
     out = [float(m)]
     for _ in range(levels):
         x = out[-1]

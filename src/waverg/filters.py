@@ -62,11 +62,12 @@ class FirFilter:
         """(first, last) index carrying a coefficient, inclusive."""
         return self.offset, self.offset + len(self.coeffs) - 1
 
-    def __getitem__(self, n: int) -> float:
-        i = n - self.offset
-        if 0 <= i < len(self.coeffs):
-            return float(self.coeffs[i])
-        return 0.0
+    def __getitem__(self, n):
+        """Tap at index n, 0 off the support; an integer array gives an array."""
+        i = np.asarray(n) - self.offset
+        ok = (i >= 0) & (i < len(self.coeffs))
+        out = np.where(ok, self.coeffs[np.where(ok, i, 0)], 0.0)
+        return out if out.ndim else float(out)
 
     def indices(self) -> np.ndarray:
         return self.offset + np.arange(len(self.coeffs))
@@ -135,11 +136,8 @@ HAAR_SCALING = FirFilter(0, np.array([1.0, 1.0]) / ROOT2)
 def wavelet_from_scaling(dual_scaling: FirFilter) -> FirFilter:
     """a_w[n] = (-1)^(1-n) b_s[1-n] from the dual scaling filter."""
     lo, hi = dual_scaling.support
-    n0, n1 = 1 - hi, 1 - lo
-    n = np.arange(n0, n1 + 1)
-    coeffs = np.array([(-1.0) ** ((1 - int(m)) % 2) * dual_scaling[1 - int(m)]
-                       for m in n])
-    return FirFilter(n0, coeffs)
+    n = np.arange(1 - hi, 2 - lo)
+    return FirFilter(1 - hi, np.where(n % 2, 1.0, -1.0) * dual_scaling[1 - n])
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,16 +216,14 @@ def pr_residual(pair: FilterPair, grid_size: int | None = None) -> float:
     lhs = g(k) * np.conj(h(k)) + g(k + np.pi) * np.conj(h(k + np.pi))
     fr = float(np.max(np.abs(lhs - 2.0)))
     # time domain: c[m] = sum_j g[j] h[j - m] = sum_l g[m + l] h[l]
-    c = g.correlate(h)
-    lo, hi = c.support
-    tr = 0.0
-    for m in range(lo, hi + 1):
-        if m % 2 == 0:
-            want = 1.0 if m == 0 else 0.0
-            tr = max(tr, abs(c[m] - want))
-    if 0 < lo or 0 > hi:
-        tr = max(tr, 1.0)  # delta_0 entirely missing
-    return max(fr, tr)
+    return max(fr, halfband_defect(g.correlate(h)))
+
+
+def halfband_defect(c: FirFilter) -> float:
+    """max over even n of |c[n] - delta_0[n]|, n spanning c's support and 0."""
+    lo, hi = min(c.support[0], 0), max(c.support[1], 0)
+    n = np.arange(lo + lo % 2, hi + 1, 2)
+    return float(np.max(np.abs(c[n] - (n == 0))))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 """CLI verbs: exit codes, file outputs, determinism, error JSON."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from waverg import FilterPair, Harmonic, flow
 from waverg.cli import main
@@ -60,6 +64,12 @@ def test_sweep_combined_specifier(tmp_path):
     out = tmp_path / "s.csv"
     assert main(["sweep", "--sweep", "K=1..2,L=1..2", "--out", str(out)]) == 0
     assert len(out.read_text().strip().splitlines()) == 1 + 4
+
+
+@pytest.mark.parametrize("spec", ["L=1..2", "K=1..2", "K=1..2;L=1"])
+def test_sweep_specifier_missing_range_is_usage_error(spec, capsys):
+    assert main(["sweep", "--sweep", spec]) == 1
+    assert "K=<range>,L=<range>" in capsys.readouterr().err
 
 
 def test_circuit_verb(tmp_path, pair_file, capsys):
@@ -225,3 +235,23 @@ def test_usage_error_json_flag(tmp_path, capsys):
 
 def test_unknown_verb_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
+
+
+@given(st.sampled_from(["harmonic", "flat"]), st.floats())
+@example("flat", float("nan"))
+@example("flat", 0.0)
+@example("flat", 1e-320)
+@example("flat", 1e308)
+@example("harmonic", 1e200)
+@example("harmonic", 100.0)
+@settings(deadline=None)
+def test_flow_exit_code_contract(kind, x):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["flow", "--dispersion", f"{kind}:{x!r}", "--levels", "3"])
+    assert code in (0, 1, 2)
+    if code == 0:
+        text = out.getvalue().lower()
+        assert "nan" not in text and "inf" not in text, text
+    if code == 2:
+        json.loads(err.getvalue().strip().splitlines()[-1])

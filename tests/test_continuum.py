@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from waverg import (FirFilter, NotDivisible, NoUnitEigenvalue, UnstableFilter,
-                    adaptive_family, cascade, descendant_spectrum,
-                    discretize_smeared, inner_product, massless_relation_error,
+from waverg import (DesignParams, FirFilter, Harmonic, NotDivisible,
+                    NoUnitEigenvalue, UnstableFilter, adaptive_family, cascade,
+                    descendant_spectrum, design_pair, discretize_smeared,
+                    inner_product, massless_relation_error,
                     refinement_residual, scaling_function, superoperator_check,
                     superoperator_spectrum, wavelet_function)
-from waverg.continuum import (SampledFunction, dual_wavelet_pairing,
-                              refine_with, translate_gram)
+from waverg.continuum import (SampledFunction, _integer_samples,
+                              dual_wavelet_pairing, refine_with,
+                              translate_gram)
 from waverg.filters import HAAR_SCALING
 
 ROOT2 = np.sqrt(2.0)
@@ -110,6 +112,65 @@ def test_refine_with_gains_one_level(pair_k2l4):
     phi = scaling_function(pair_k2l4, "g", 5)
     psi = refine_with(phi, pair_k2l4.g_w)
     assert psi.level == 6
+
+
+def _refine_once(values, taps, tap_offset, x0, level):
+    """The cascade sweep as it was before it became refine_with."""
+    step = 1 << level
+    shift0 = (x0 - tap_offset) * step
+    npts = 2 * (values.size - 1) + 1
+    out = np.zeros(npts)
+    out[0::2] = values
+    idx = np.arange(1, npts, 2)
+    acc = np.zeros(idx.size)
+    for t in range(taps.size):
+        src = idx + shift0 - t * step
+        ok = (src >= 0) & (src < values.size)
+        acc[ok] += taps[t] * values[src[ok]]
+    out[1::2] = np.sqrt(2.0) * acc
+    return out
+
+
+def _refine_with_at_loop(f, taps):
+    """refine_with as a loop of exact grid lookups, one per tap."""
+    n0, n1 = taps.support
+    lo = (f.x0 + n0) / 2.0
+    hi = (f.support[1] + n1) / 2.0
+    level = f.level + 1
+    npts = int(np.rint((hi - lo) * 2 ** level)) + 1
+    x = lo + np.arange(npts) * 0.5 ** level
+    acc = np.zeros(npts)
+    for n in taps.indices():
+        acc += taps[int(n)] * f.at(2.0 * x - n)
+    return SampledFunction(level, lo, ROOT2 * acc)
+
+
+@pytest.fixture(scope="module")
+def pair_m08_k2l3():
+    return design_pair(Harmonic(0.8), DesignParams(2, 3))[0]
+
+
+@pytest.mark.parametrize("which", ["k2l4", "m08_k2l3"])
+@pytest.mark.parametrize("channel", ["g_s", "h_s"])
+def test_cascade_bit_identical_to_refine_once(which, channel, pair_k2l4,
+                                              pair_m08_k2l3):
+    a_s = getattr(pair_k2l4 if which == "k2l4" else pair_m08_k2l3, channel)
+    J = 9
+    phi = cascade(a_s, J)
+    x0, values = _integer_samples(a_s)
+    for level in range(J):
+        values = _refine_once(values, a_s.coeffs, a_s.offset, x0, level)
+    assert (phi.level, phi.x0) == (J, float(x0))
+    assert np.array_equal(phi.values, values)
+
+
+@pytest.mark.parametrize("shift", [0, 3, -5])
+def test_refine_with_bit_identical_to_lookup_loop(pair_k2l4, shift):
+    phi = scaling_function(pair_k2l4, "h", 5).shift(shift)
+    for taps in (pair_k2l4.h_w, pair_k2l4.g_s, HAAR_SCALING):
+        got, want = refine_with(phi, taps), _refine_with_at_loop(phi, taps)
+        assert (got.level, got.x0) == (want.level, want.x0)
+        assert np.array_equal(got.values, want.values)
 
 
 def test_scaling_functions_biorthogonal(pair_k2l4):

@@ -27,6 +27,42 @@ def test_negative_mass_rejected():
         mass_flow(-1.0, 3)
 
 
+@pytest.mark.parametrize("m", [float("nan"), float("inf")])
+def test_nonfinite_mass_rejected(m):
+    with pytest.raises(NegativeMass):
+        Harmonic(m)
+    with pytest.raises(NegativeMass):
+        mass_flow(m, 2)
+
+
+def test_mass_with_overflowing_square_rejected():
+    Harmonic(1e154)
+    with pytest.raises(NegativeMass):
+        Harmonic(1e200)
+
+
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), -1.0, 0.0,
+                               1e-320, 1e-160, 1e308])
+def test_flat_domain(c):
+    with pytest.raises(ValueError):
+        Flat(c)
+
+
+def test_flat_square_range_accepted():
+    for c in (1e-150, 1e150):
+        assert flow_report(Flat(c), 2).levels[-1].omega_pi == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("bad", ["k", "omega"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_tabulated_rejects_nonfinite(bad, value):
+    ks = np.linspace(-np.pi, np.pi, 9, endpoint=False)
+    vals = np.abs(np.sin(ks / 2.0))
+    (ks if bad == "k" else vals)[3] = value
+    with pytest.raises(ValueError):
+        Tabulated(ks, vals)
+
+
 def test_renormalize_definition():
     d = Harmonic(0.7)
     r = renormalize(d)

@@ -49,6 +49,17 @@ def test_reflect_and_correlate_fourier_rules(o, c):
     np.testing.assert_allclose(a.upsample(3)(k), a(3 * k), atol=1e-9)
 
 
+@given(offsets, taps)
+@settings(max_examples=50)
+def test_array_index_matches_scalar(o, c):
+    a = random_filter(o, c)
+    n = np.arange(a.support[0] - 3, a.support[1] + 4)  # off the support too
+    assert isinstance(a[int(n[0])], float)
+    assert a[n].tolist() == [a[int(m)] for m in n]
+    grid = n[:, None] - 2 * n
+    assert a[grid].tolist() == [[a[int(m)] for m in row] for row in grid]
+
+
 def test_canonical_trim_and_support():
     f = FirFilter(-3, np.array([0.0, 0.0, 2.0, 1.0, 0.0]))
     assert f.support == (-1, 0)
