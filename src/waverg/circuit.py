@@ -239,35 +239,29 @@ def decompose(pair: FilterPair, tol_pr: float = 1e-8,
     return BinaryCircuit(tuple(reversed(snapped)), squeeze=1.0, shift=shift)
 
 
-def _apply_layers(vec: dict[int, float], gates, use_partner: bool) -> dict[int, float]:
-    """Apply A_M ... A_1 (or the per-gate inverse-transposes) to a sparse vector."""
-    x = dict(vec)
+def _apply_gates(x: np.ndarray, gates, use_partner: bool) -> np.ndarray:
+    """Apply A_M ... A_1 (or the per-gate inverse-transposes) to the rows of x
+    on Z_n in place: x[u], x[v] = m00 x[u] + m01 x[v], m10 x[u] + m11 x[v]
+    for each pairing (u, v = u + 1 mod n) of the gate's parity."""
     for gate in gates:
         m = gate.inverse_transpose() if use_partner else gate.entries
-        start = 0 if gate.parity == "even" else 1
-        touched = sorted(x)
-        lo = min(touched) - 2
-        hi = max(touched) + 2
-        # align lo to the pairing grid
-        u0 = lo - ((lo - start) % 2)
-        new = dict(x)
-        for u in range(u0, hi + 1, 2):
-            a, b = x.get(u, 0.0), x.get(u + 1, 0.0)
-            if a == 0.0 and b == 0.0:
-                continue
-            new[u] = m[0, 0] * a + m[0, 1] * b
-            new[u + 1] = m[1, 0] * a + m[1, 1] * b
-        x = new
+        u = np.arange(0 if gate.parity == "even" else 1, len(x), 2)
+        v = (u + 1) % len(x)
+        xu, xv = x[u], x[v]
+        x[u] = m[0, 0] * xu + m[0, 1] * xv
+        x[v] = m[1, 0] * xu + m[1, 1] * xv
     return x
 
 
-def _to_filter(x: dict[int, float]) -> FirFilter:
-    lo = min(x)
-    hi = max(x)
-    c = np.zeros(hi - lo + 1)
-    for n, v in x.items():
-        c[n - lo] = v
-    return FirFilter(lo, c)
+def _impulse_response(circuit: BinaryCircuit, site: int,
+                      use_partner: bool) -> FirFilter:
+    """Gates applied to the impulse at ``site`` (0 or 1); each gate widens the
+    support by at most one site per side, so the even origin 2(M + 1) on a
+    ring of 4(M + 1) sites keeps the response from wrapping."""
+    origin = 2 * (circuit.depth + 1)
+    x = np.zeros(2 * origin)
+    x[origin + site] = 1.0
+    return FirFilter(-origin, _apply_gates(x, circuit.gates, use_partner))
 
 
 def compose(circuit: BinaryCircuit) -> FilterPair:
@@ -275,36 +269,20 @@ def compose(circuit: BinaryCircuit) -> FilterPair:
     for g in circuit.gates:
         if abs(g.det - 1.0) > 1e-9:
             raise ValueError(f"gate determinant {g.det} != 1")
-    g_s = _to_filter(_apply_layers({0: 1.0}, circuit.gates, use_partner=False))
-    h_s = _to_filter(_apply_layers({0: 1.0}, circuit.gates, use_partner=True))
-    return FilterPair(g_s, h_s)
+    return FilterPair(_impulse_response(circuit, 0, use_partner=False),
+                      _impulse_response(circuit, 0, use_partner=True))
 
 
 def composed_wavelets(circuit: BinaryCircuit) -> tuple[FirFilter, FirFilter]:
     """(g_w, h_w) from the odd-site impulse; matches the modulation rule."""
-    g_w = _to_filter(_apply_layers({1: 1.0}, circuit.gates, use_partner=False))
-    h_w = _to_filter(_apply_layers({1: 1.0}, circuit.gates, use_partner=True))
-    return g_w, h_w
-
-
-def _layer_matrix(gate: Gate2, N: int, use_partner: bool) -> np.ndarray:
-    m = gate.inverse_transpose() if use_partner else gate.entries
-    start = 0 if gate.parity == "even" else 1
-    out = np.zeros((N, N))
-    for u in range(start, N + start, 2):
-        i, j = u % N, (u + 1) % N
-        out[i, i], out[i, j] = m[0, 0], m[0, 1]
-        out[j, i], out[j, j] = m[1, 0], m[1, 1]
-    return out
+    return (_impulse_response(circuit, 1, use_partner=False),
+            _impulse_response(circuit, 1, use_partner=True))
 
 
 def to_lattice_symplectic(circuit: BinaryCircuit, N: int) -> tuple[LatticeMap, LatticeMap]:
     """(A, B) on Z_N with B = (A^T)^{-1} assembled per gate; A B^T = identity."""
     if N % 2 != 0 or N < 2 * max(1, circuit.depth):
         raise LatticeTooSmall(N, 2 * circuit.depth)
-    A = np.eye(N) * circuit.squeeze
-    B = np.eye(N) / circuit.squeeze
-    for gate in circuit.gates:
-        A = _layer_matrix(gate, N, use_partner=False) @ A
-        B = _layer_matrix(gate, N, use_partner=True) @ B
+    A = _apply_gates(np.eye(N) * circuit.squeeze, circuit.gates, False)
+    B = _apply_gates(np.eye(N) / circuit.squeeze, circuit.gates, True)
     return LatticeMap(N, A), LatticeMap(N, B)

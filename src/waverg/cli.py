@@ -272,19 +272,18 @@ def build_parser() -> _Parser:
     top = _Parser(prog="waverg", description=__doc__,
                   formatter_class=argparse.RawDescriptionHelpFormatter)
     common = _Parser(add_help=False)
-    common.add_argument("--grid", type=int, default=None,
-                        help="frequency grid size for design and flow fits")
-    common.add_argument("--tol", type=float, default=None,
-                        help="positivity tolerance for spectral factorization")
-    common.add_argument("--quad-points", type=int, default=1 << 16,
-                        dest="quad_points",
-                        help="base quadrature points (one Richardson doubling)")
     common.add_argument("--json-errors", action="store_true",
                         help="emit usage errors as JSON on stderr too")
+    grid = _Parser(add_help=False)
+    grid.add_argument("--grid", type=int, default=None,
+                      help="frequency grid size for design and flow fits")
+    tol = _Parser(add_help=False)
+    tol.add_argument("--tol", type=float, default=None,
+                     help="positivity tolerance for spectral factorization")
 
     sub = top.add_subparsers(dest="verb", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("design", parents=[common],
+    p = sub.add_parser("design", parents=[common, grid, tol],
                        help="design one filter pair")
     p.add_argument("--dispersion", default="harmonic:m=0")
     p.add_argument("--K", type=int, required=True)
@@ -293,7 +292,7 @@ def build_parser() -> _Parser:
     p.add_argument("--report", default=None, help="design report JSON path")
     p.set_defaults(func=cmd_design)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[common, grid, tol],
                        help="design a (K, L) grid, emit quality CSV")
     p.add_argument("--dispersion", default="harmonic:m=0")
     p.add_argument("--K", default="1..3", help="range, e.g. 1..3")
@@ -320,6 +319,9 @@ def build_parser() -> _Parser:
     p.add_argument("--csv", default=None, help="correlation CSV path")
     p.add_argument("--csv-range", type=int, default=32, dest="csv_range",
                    help="largest offset m in the correlation CSV")
+    p.add_argument("--quad-points", type=int, default=1 << 16,
+                   dest="quad_points",
+                   help="base quadrature points (one Richardson doubling)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("cascade", parents=[common],
@@ -336,7 +338,7 @@ def build_parser() -> _Parser:
                    help="vanishing moments for the descendant spectrum")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("flow", parents=[common],
+    p = sub.add_parser("flow", parents=[common, grid],
                        help="renormalization flow of a dispersion")
     p.add_argument("--dispersion", default="harmonic:m=0")
     p.add_argument("--levels", type=int, default=5)

@@ -36,7 +36,7 @@ class Dispersion:
 
     @property
     def gapless(self) -> bool:
-        return bool(abs(self(0.0)) < 1e-12)
+        return bool(abs(self(0.0)) <= 1e-12 * abs(self.omega_pi))
 
     def describe(self) -> str:
         return type(self).__name__
@@ -92,11 +92,16 @@ class Tabulated(Dispersion):
         self._ks = np.asarray(ks, dtype=np.float64)[order]
         self._values = np.asarray(values, dtype=np.float64)[order]
         self._name = name
+        steps = np.diff(self._ks)
         if not (np.all(np.isfinite(self._ks))
-                and np.all(np.isfinite(self._values))):
-            raise ValueError("tabulated dispersion must have finite k and omega")
-        if np.any(self._values < 0):
-            raise ValueError("tabulated dispersion must be nonnegative")
+                and np.allclose(steps, steps[:1], rtol=1e-3, atol=0)):
+            raise ValueError("tabulated dispersion needs finite k on a "
+                             "uniform grid")
+        # the flow divides by omega(pi)^2, so every square must be finite
+        if not np.all((self._values >= 0)
+                      & (self._values <= np.sqrt(np.finfo(float).max))):
+            raise ValueError("tabulated omega must be nonnegative with a "
+                             "finite square")
 
     def __call__(self, k):
         k = np.asarray(k, dtype=np.float64)
@@ -158,13 +163,13 @@ def flow(d: Dispersion, levels: int) -> list[Dispersion]:
 
 
 def mass_flow(m: float, levels: int) -> list[float]:
-    """Closed-form m^(l+1) = 2 sqrt(m^(l)^2 + m^(l)^4), starting at m^(0) = m."""
+    """Closed-form m^(l+1) = 2 m^(l) sqrt(1 + m^(l)^2), starting at m^(0) = m."""
     if not 0 <= m < np.inf:
         raise NegativeMass(f"mass must be finite and nonnegative, got {m}")
     out = [float(m)]
     for _ in range(levels):
         x = out[-1]
-        out.append(2.0 * np.sqrt(x ** 2 + x ** 4))
+        out.append(float(2.0 * x * np.sqrt(1.0 + x * x)))
     return out
 
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waverg import (BinaryCircuit, DegenerateFactorization, Gate2,
-                    LatticeTooSmall, compose, composed_wavelets, decompose,
-                    derive_wavelet, to_lattice_symplectic)
+from waverg import (BinaryCircuit, DegenerateFactorization, DesignParams,
+                    FirFilter, Gate2, Harmonic, LatticeTooSmall, compose,
+                    composed_wavelets, decompose, derive_wavelet, design_pair,
+                    to_lattice_symplectic)
 from waverg.circuit import canonicalize_support, gate_alpha_identity_check
 
 
@@ -41,6 +42,70 @@ def test_composed_wavelets_match_modulation_rule(pair_k2l4):
     g_w, h_w = composed_wavelets(circ)
     assert max_coeff_diff(g_w.shift(-circ.shift), pair_k2l4.g_w) < 1e-10
     assert max_coeff_diff(h_w.shift(-circ.shift), pair_k2l4.h_w) < 1e-10
+
+
+def _dict_walk(site, gates, use_partner):
+    """Reference: gates applied to a sparse impulse on Z, pair by pair."""
+    x = {site: 1.0}
+    for gate in gates:
+        m = gate.inverse_transpose() if use_partner else gate.entries
+        start = 0 if gate.parity == "even" else 1
+        lo, hi = min(x) - 2, max(x) + 2
+        new = dict(x)
+        for u in range(lo - ((lo - start) % 2), hi + 1, 2):
+            a, b = x.get(u, 0.0), x.get(u + 1, 0.0)
+            if a == 0.0 and b == 0.0:
+                continue
+            new[u] = m[0, 0] * a + m[0, 1] * b
+            new[u + 1] = m[1, 0] * a + m[1, 1] * b
+        x = new
+    c = np.zeros(max(x) - min(x) + 1)
+    for n, v in x.items():
+        c[n - min(x)] = v
+    return FirFilter(min(x), c)
+
+
+@pytest.fixture(scope="module")
+def massive_pairs():
+    return [design_pair(Harmonic(m), DesignParams(2, L))[0]
+            for m, L in ((0.3, 2), (0.8, 3))]
+
+
+def test_compose_bit_identical_to_dict_walk(designs, massive_pairs):
+    pairs = [pair for pair, _ in designs.values()] + massive_pairs
+    for pair in pairs:
+        circ = decompose(pair)
+        got = compose(circ)
+        got_w = composed_wavelets(circ)
+        for filt, site, partner in ((got.g_s, 0, False), (got.h_s, 0, True),
+                                    (got_w[0], 1, False), (got_w[1], 1, True)):
+            want = _dict_walk(site, circ.gates, partner)
+            assert filt.offset == want.offset
+            assert np.array_equal(filt.coeffs, want.coeffs)
+
+
+def _dense_gate(gate, N, use_partner):
+    """Reference: one gate layer as an N x N matrix."""
+    m = gate.inverse_transpose() if use_partner else gate.entries
+    out = np.zeros((N, N))
+    for u in range(0 if gate.parity == "even" else 1, N, 2):
+        i, j = u, (u + 1) % N
+        out[i, i], out[i, j], out[j, i], out[j, j] = m.ravel()
+    return out
+
+
+@pytest.mark.parametrize("N", [32, 64])
+def test_lattice_symplectic_matches_dense_gate_product(N, pair_k2l4,
+                                                       massive_pairs):
+    for pair in (pair_k2l4, *massive_pairs):
+        circ = BinaryCircuit(decompose(pair).gates, squeeze=1.3)
+        A, B = to_lattice_symplectic(circ, N)
+        want_A, want_B = 1.3 * np.eye(N), np.eye(N) / 1.3
+        for gate in circ.gates:
+            want_A = _dense_gate(gate, N, False) @ want_A
+            want_B = _dense_gate(gate, N, True) @ want_B
+        np.testing.assert_allclose(A.matrix, want_A, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(B.matrix, want_B, rtol=0, atol=1e-15)
 
 
 def test_lattice_symplectic_identity(pair_k2l4):

@@ -233,6 +233,37 @@ def test_usage_error_json_flag(tmp_path, capsys):
     assert err["error"] == "FileNotFoundError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["cascade", "--pair", "PAIR", "--tol", "1e-3"],
+    ["cascade", "--pair", "PAIR", "--quad-points", "8"],
+    ["circuit", "--in", "PAIR", "--grid", "64"],
+    ["spectrum", "--pair", "PAIR", "--tol", "1e-3"],
+    ["flow", "--tol", "1e-3"],
+    ["design", "--K", "1", "--L", "1", "--quad-points", "8"],
+    ["simulate", "--pair", "PAIR", "--layers", "1", "--N", "64",
+     "--grid", "64"],
+])
+def test_flag_of_another_verb_is_usage_error(argv, pair_file, capsys):
+    argv = [pair_file if a == "PAIR" else a for a in argv]
+    assert main(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verb_flags_accepted(tmp_path, capsys):
+    assert main(["flow", "--grid", "512", "--levels", "1"]) == 0
+    assert main(["design", "--K", "1", "--L", "1", "--grid", "1024",
+                 "--tol", "1e-10", "--out", str(tmp_path / "p.json")]) == 0
+
+
+def test_tabulated_overflow_is_usage_error(tmp_path, capsys):
+    k = np.linspace(-np.pi, np.pi, 8, endpoint=False)
+    disp = tmp_path / "big.csv"
+    np.savetxt(disp, np.column_stack([k, np.full(8, 1e200)]), delimiter=",")
+    code = main(["flow", "--dispersion", f"tabulated:{disp}", "--levels", "2"])
+    assert code == 1
+    assert "finite square" in capsys.readouterr().err
+
+
 def test_unknown_verb_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
 

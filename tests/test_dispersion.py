@@ -1,13 +1,15 @@
 """Dispersion relations, renormalization flow, mass flow, CLI specifiers."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waverg import (Flat, Harmonic, NegativeMass, Tabulated, fitted_mass,
-                    flow, flow_report, mass_flow, parse_dispersion,
-                    renormalize)
+from waverg import (Flat, Harmonic, NegativeMass, Tabulated, exact_q_profile,
+                    fitted_mass, flow, flow_report, mass_flow,
+                    parse_dispersion, renormalize)
 
 
 def test_harmonic_values():
@@ -63,6 +65,28 @@ def test_tabulated_rejects_nonfinite(bad, value):
         Tabulated(ks, vals)
 
 
+def test_tabulated_rejects_nonuniform_grid():
+    with pytest.raises(ValueError, match="uniform"):
+        Tabulated(np.array([-3.0, -1.0, 0.0, 0.5, 3.0]), np.ones(5))
+
+
+def test_tabulated_rejects_overflowing_square():
+    ks = np.linspace(-np.pi, np.pi, 8, endpoint=False)
+    Tabulated(ks, np.full(8, 1e154))
+    with pytest.raises(ValueError, match="finite square"):
+        Tabulated(ks, np.full(8, 1e200))
+
+
+def test_gap_test_is_relative():
+    tiny = Flat(1e-13)
+    assert not tiny.gapless
+    vals, _ = exact_q_profile(tiny, np.arange(3), quad_points=64,
+                              regulated=False)
+    np.testing.assert_allclose(vals, [0.5e13, 0.0, 0.0], atol=0.5e13 * 1e-14)
+    for d in (Harmonic(0.0), Harmonic(1e-13), *flow(Harmonic(0.0), 3)[1:]):
+        assert d.gapless
+
+
 def test_renormalize_definition():
     d = Harmonic(0.7)
     r = renormalize(d)
@@ -84,6 +108,13 @@ def test_mass_flow_closed_form():
     assert out[1] == pytest.approx(2 * np.sqrt(0.25 + 0.0625))
     m1 = out[1]
     assert out[2] == pytest.approx(2 * np.sqrt(m1 ** 2 + m1 ** 4))
+
+
+def test_mass_flow_past_double_precision():
+    assert mass_flow(1e100, 1)[1] == pytest.approx(2e200, rel=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mass_flow(10.0, 8)[-1] == float("inf")
 
 
 @given(st.floats(0.05, 2.0, allow_nan=False))

@@ -37,11 +37,11 @@ def test_build_stack_fixed_after_reuses_objects(massless):
 
 def test_parse_strategy_forms():
     assert _parse_strategy(REDESIGN, 5) == 5
-    assert _parse_strategy("redesign_each_layer", 5) == 5
     assert _parse_strategy("fixed_after:2", 5) == 2
-    assert _parse_strategy("fixed_after(2)", 5) == 2
-    with pytest.raises(ValueError):
-        _parse_strategy("sometimes", 5)
+    assert _parse_strategy(fixed_after(2), 5) == 2
+    for bad in ("redesign_each_layer", "fixed_after(2)", "sometimes"):
+        with pytest.raises(ValueError):
+            _parse_strategy(bad, 5)
     with pytest.raises(ValueError, match="fixed_after:<layer>"):
         _parse_strategy("fixed_after", 5)
 
@@ -182,6 +182,29 @@ def test_mera_symplectic_product_folded_taps(massless):
                                atol=1e-9)
 
 
+@pytest.fixture(scope="module")
+def massless_k2l4_8():
+    return build_stack(Harmonic(0.0), DesignParams(2, 4), 8)
+
+
+@pytest.mark.parametrize("case", ["folded_k2l4", "massive", "massless_8"])
+def test_mera_covariance_matches_dense_gram(case, pair_k2l4, massive_stack,
+                                           massless_k2l4_8):
+    if case == "folded_k2l4":
+        stack = LayerStack([pair_k2l4] * 3, [1.0, 0.5, 2.0], Harmonic(0.0))
+        N = 64
+    elif case == "massive":
+        stack, N = massive_stack, 1024
+    else:
+        stack, N = massless_k2l4_8, 512
+    cov = mera_covariance(stack, N)
+    for block, channel, scales in (
+            (cov.p_block, "g", list(stack.squeezes)),
+            (cov.q_block, "h", [1.0 / s for s in stack.squeezes])):
+        R = multi_layer_map(stack.pairs, channel, N, scales=scales).matrix
+        np.testing.assert_allclose(block, 0.5 * (R.T @ R), rtol=0, atol=1e-14)
+
+
 def test_regulated_uncertainty_raises():
     from waverg import CovariancePair
     cov = CovariancePair(4, np.zeros((4, 4)), np.eye(4), regulated=True)
@@ -215,9 +238,9 @@ def _dense_operator_bound(stack, N):
 
 
 @pytest.mark.parametrize("which, N", [("massless", 256), ("massive", 128)])
-def test_operator_bound_matches_dense_svd(which, N, massless, massive_stack):
-    stack = (build_stack(massless, DesignParams(2, 4), 8)
-             if which == "massless" else massive_stack)
+def test_operator_bound_matches_dense_svd(which, N, massless_k2l4_8,
+                                          massive_stack):
+    stack = massless_k2l4_8 if which == "massless" else massive_stack
     want = _dense_operator_bound(stack, N)
     assert stack_operator_bound(stack, N) == pytest.approx(want, rel=1e-12)
 
