@@ -3,9 +3,9 @@
 from .dispersion import (Dispersion, Flat, Harmonic, Renormalized, Tabulated,
                          fitted_mass, flow, flow_report, mass_flow,
                          parse_dispersion, renormalize)
-from .errors import (DegenerateFactorization, GaplessUnregulated,
-                     LatticeTooSmall, NegativeMass, NoSolution,
-                     NotAdmissible, NotDivisible, NotNonnegative,
+from .errors import (DegenerateFactorization, FlowOutOfRange,
+                     GaplessUnregulated, LatticeTooSmall, NegativeMass,
+                     NoSolution, NotAdmissible, NotDivisible, NotNonnegative,
                      NoUnitEigenvalue, NormalizationFailure, OutOfHypothesis,
                      UnstableFilter, WavergError)
 from .filters import (HAAR_SCALING, FilterPair, FirFilter, LatticeMap,

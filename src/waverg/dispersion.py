@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NegativeMass
+from .errors import FlowOutOfRange, NegativeMass
 
 _FLOW_GRID = 4096
 
@@ -137,8 +137,11 @@ class Renormalized(Dispersion):
 
     def __init__(self, base: Dispersion):
         self.base = base
-        self._base_pi2 = float(base(np.pi)) ** 2
         self.level = getattr(base, "level", 0) + 1
+        base_pi = float(base(np.pi))
+        self._base_pi2 = base_pi * base_pi
+        if not np.finfo(float).tiny <= self._base_pi2 < np.inf:
+            raise FlowOutOfRange(self.level, base_pi)
 
     def __call__(self, k):
         k = np.asarray(k, dtype=np.float64)

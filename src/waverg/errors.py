@@ -64,6 +64,22 @@ class NormalizationFailure(WavergError):
     pass
 
 
+class FlowOutOfRange(WavergError):
+    """Renormalization step whose divisor omega(pi)^2 is not a normal float."""
+
+    def __init__(self, level: int, omega_pi: float):
+        super().__init__(f"flow level {level} divides by omega(pi)^2 of level "
+                         f"{level - 1}, and omega(pi) = {omega_pi:.3e} squares "
+                         "out of the float range")
+        self.level = level
+        self.omega_pi = omega_pi
+
+    def payload(self) -> dict:
+        d = super().payload()
+        d["level"] = self.level
+        return d
+
+
 class NotAdmissible(WavergError):
     """Filter lacks the vanishing moment needed for the transfer-operator check."""
 

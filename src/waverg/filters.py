@@ -245,56 +245,75 @@ class LatticeMap:
         return float(np.linalg.norm(self.matrix, 2))
 
 
+def _fold(filt: FirFilter, N: int) -> np.ndarray:
+    """Taps of ``filt`` summed onto the sites of Z_N they alias to."""
+    return np.bincount(filt.indices() % N, weights=filt.coeffs, minlength=N)
+
+
 def _place_rows(filt: FirFilter, N: int, stride: int) -> np.ndarray:
     """(N / stride) x N block with row n = filter placed at stride * n, circularly.
 
     Taps that alias onto the same site of Z_N are summed first, so a filter
     longer than N still gives a circulant block.
     """
-    folded = np.bincount(filt.indices() % N, weights=filt.coeffs, minlength=N)
     # window s of the doubled sequence is folded rolled right by N - s;
     # row n is window N - stride * n, so the block is a strided view
-    windows = sliding_window_view(np.tile(folded, 2), N)
+    windows = sliding_window_view(np.tile(_fold(filt, N), 2), N)
     return windows[N:0:-stride]
+
+
+def placed_gram_rows(filt: FirFilter, N: int, stride: int) -> np.ndarray:
+    """First ``stride`` rows of B^T B, B = _place_rows(filt, N, stride).
+
+    (B^T B)[x, y] = sum_j f[x + stride j] f[y + stride j] over j in
+    Z_{N/stride}, with f folded onto Z_N.  So the rows are W[:, :stride].T @ W
+    for the strided view W[j, y] = f[stride j + y]: N^2 flops and no
+    N x N map.  B^T B commutes with shifts by ``stride``, so these rows
+    determine it.
+    """
+    W = sliding_window_view(np.tile(_fold(filt, N), 2), N)[:N:stride]
+    return W[:, :stride].T @ W
+
+
+def level_walk(pairs, channel: str, scales: list[float] | None = None):
+    """Composed analysis filters of a layer stack, one level at a time.
+
+    Level l's wavelet rows apply one filter at stride 2^l,
+    s_1...s_l a_s^1(k) a_s^2(2k) ... a_s^{l-1}(2^{l-2} k) a_w^l(2^{l-1} k)
+    (noble identity), and the scaling rows of the stack cut after layer l
+    apply s_1...s_l a_s^1(k) ... a_s^l(2^{l-1} k) at stride 2^l.  ``scales``
+    are the per-layer factors s_l (default 1).  Yields (scaling, wavelet) for
+    levels 1, 2, ..., so all prefixes of a stack share one walk.
+    """
+    if channel not in ("g", "h"):
+        raise ValueError(f"channel must be 'g' or 'h', got {channel!r}")
+    scaling = FirFilter.delta()
+    for l, pair in enumerate(pairs):
+        s = 1.0 if scales is None else scales[l]
+        a_s = getattr(pair, f"{channel}_s").upsample(1 << l)
+        a_w = getattr(pair, f"{channel}_w").upsample(1 << l)
+        wavelet = s * scaling.convolve(a_w)
+        scaling = s * scaling.convolve(a_s)
+        yield scaling, wavelet
 
 
 def level_filters(pairs, channel: str,
                   scales: list[float] | None = None
                   ) -> tuple[FirFilter, list[FirFilter]]:
-    """Composed analysis filters of a layer stack (noble identity).
-
-    Level l's wavelet rows apply one filter at stride 2^l,
-    s_1...s_l a_s^1(k) a_s^2(2k) ... a_s^{l-1}(2^{l-2} k) a_w^l(2^{l-1} k),
-    and the top scaling rows apply s_1...s_L a_s^1(k) ... a_s^L(2^{L-1} k)
-    at stride 2^L.  ``scales`` are the per-layer factors s_l (default 1).
-    Returns (top scaling filter, [wavelet filter of level 1, ..., level L]).
-    """
-    if channel not in ("g", "h"):
-        raise ValueError(f"channel must be 'g' or 'h', got {channel!r}")
-    scaling = FirFilter.delta()
-    wavelets = []
-    for l, pair in enumerate(pairs):
-        s = 1.0 if scales is None else scales[l]
-        a_s = getattr(pair, f"{channel}_s").upsample(1 << l)
-        a_w = getattr(pair, f"{channel}_w").upsample(1 << l)
-        wavelets.append(s * scaling.convolve(a_w))
-        scaling = s * scaling.convolve(a_s)
+    """(top scaling filter, [wavelet filter of level 1, ..., level L]) of a
+    layer stack, from level_walk."""
+    scaling, wavelets = FirFilter.delta(), []
+    for scaling, wavelet in level_walk(pairs, channel, scales):
+        wavelets.append(wavelet)
     return scaling, wavelets
 
 
-def multi_layer_map(stack, channel: str, N: int,
-                    scales: list[float] | None = None) -> LatticeMap:
-    """Analysis map of a layer stack on Z_N, placed from its level filters.
+def check_lattice(stack, N: int) -> None:
+    """Refuse a lattice Z_N that a stack's maps cannot be placed on.
 
-    Output block ordering: (scaling at the deepest level, wavelet at the
-    deepest level, ..., wavelet at level 1).  ``scales`` optionally multiplies
-    each layer map by a scalar (squeeze factors).  The size guard applies at
-    the finest lattice only: deeper levels may wrap around Z_N, their taps
-    fold (see _place_rows), the blocks stay circulant, and biorthogonality
-    stays exact because the time-domain perfect-reconstruction delta aliases
-    only onto multiples of N.
+    The size guard applies at the finest lattice only: deeper levels may
+    wrap around Z_N, and their taps fold (see _place_rows).
     """
-    stack = list(stack)
     L = len(stack)
     if L == 0:
         raise ValueError("empty layer stack")
@@ -303,6 +322,22 @@ def multi_layer_map(stack, channel: str, N: int,
     support = max(p.support_length() for p in stack)
     if N < 2 * support:
         raise LatticeTooSmall(N, support)
+
+
+def multi_layer_map(stack, channel: str, N: int,
+                    scales: list[float] | None = None) -> LatticeMap:
+    """Analysis map of a layer stack on Z_N, placed from its level filters.
+
+    Output block ordering: (scaling at the deepest level, wavelet at the
+    deepest level, ..., wavelet at level 1).  ``scales`` optionally multiplies
+    each layer map by a scalar (squeeze factors).  Deeper levels may wrap
+    around Z_N (see check_lattice); their taps fold, the blocks stay
+    circulant, and biorthogonality stays exact because the time-domain
+    perfect-reconstruction delta aliases only onto multiples of N.
+    """
+    stack = list(stack)
+    check_lattice(stack, N)
+    L = len(stack)
     scaling, wavelets = level_filters(stack, channel, scales)
     blocks = [_place_rows(scaling, N, 1 << L)]
     for l in range(L, 0, -1):

@@ -7,6 +7,14 @@ ground-state approximation has covariance blocks
 
     gamma_q = (1/2) R_h^T R_h,    gamma_p = (1/2) R_g^T R_g.
 
+Each output block of R places one level filter at stride 2^l, so a Gram
+R^T R is the sum of the filters' placed autocorrelations and commutes with
+shifts by P = 2^depth.  Its first block row G[:P, :] is built from the level
+filters alone (filters.level_walk, filters.placed_gram_rows); the covariance
+rolls it out to N x N and the operator bound turns it into P x P symbols.
+No dense N x N map is formed on the report path; multi_layer_map remains
+the dense reference.
+
 The exact oracle evaluates the translation-invariant ground-state covariance
 gamma_p(k) = omega/2, gamma_q(k) = 1/(2 omega) by periodic quadrature with
 Richardson extrapolation; for gapless dispersions the q-block exists only in
@@ -27,7 +35,8 @@ import numpy as np
 from .design import DesignParams, DesignReport, design_pair, epsilon_of
 from .dispersion import Dispersion, fitted_mass, flow, flow_report
 from .errors import GaplessUnregulated, OutOfHypothesis, WavergError
-from .filters import FilterPair, decomposition_map, multi_layer_map
+from .filters import (FilterPair, check_lattice, decomposition_map,
+                      level_walk, placed_gram_rows)
 from .continuum import cascade
 
 REDESIGN = "redesign"
@@ -149,27 +158,57 @@ class CovariancePair:
             np.linalg.eigvals(self.q_block @ self.p_block))))
 
 
-def _gram_block_row(pairs, channel: str, N: int, scales) -> np.ndarray:
-    """First block row R[:, :P].T @ R of G = R^T R, R = multi_layer_map.
+def _gram_block_rows(pairs, channel: str, N: int, scales):
+    """First block row G[:P, :] of G = R^T R for every prefix of a stack.
 
-    R commutes with input shifts by P = 2^depth up to a row permutation, so
-    G commutes with them: row qP + r of G is row r rolled by qP.
+    R is multi_layer_map(pairs[:depth], channel, N, scales) and P = 2^depth;
+    yields the rows for depth 1, 2, ... from level filters alone.  Each
+    output block of R places one level filter at a stride s and adds its
+    B^T B to G; that commutes with shifts by s, so its first s rows
+    (placed_gram_rows, N^2 flops) determine it.  The wavelet blocks are
+    added from the finest stride 2 to the coarsest, and each stride doubles
+    the rows held so far by one roll; a prefix adds its top scaling block
+    at stride P.  No N x N map is formed.  G commutes with input shifts by
+    P: row qP + r of G is row r rolled by qP.
     """
-    R = multi_layer_map(pairs, channel, N, scales=scales).matrix
-    return R[:, :1 << len(pairs)].T @ R
+    check_lattice(pairs, N)
+    acc = np.zeros((1, N))
+    for depth, (scaling, wavelet) in enumerate(
+            level_walk(pairs, channel, scales), 1):
+        s = 1 << depth
+        acc = (np.vstack([acc, np.roll(acc, s // 2, axis=1)])
+               + placed_gram_rows(wavelet, N, s))
+        yield acc + placed_gram_rows(scaling, N, s)
+
+
+def _roll_out_symmetric(row: np.ndarray) -> np.ndarray:
+    """(G + G^T) / 2 on Z_N from the first block row of a G that commutes
+    with shifts by P.
+
+    Block q of the first block row of G^T is block -q of G's, transposed, so
+    the row is symmetrized before it is rolled out: the result is exactly
+    symmetric.
+    """
+    P, N = row.shape
+    n = N // P
+    blocks = row.reshape(P, n, P)
+    mirrored = blocks[:, -np.arange(n) % n, :].transpose(2, 1, 0)
+    row = (0.5 * (blocks + mirrored)).reshape(P, N)
+    G = np.empty((N, N))
+    for q in range(0, N, P):  # rows q..q+P-1 are the row rolled by q
+        G[q:q + P, q:] = row[:, :N - q]
+        G[q:q + P, :q] = row[:, N - q:]
+    return G
 
 
 def mera_covariance(stack: LayerStack, N: int) -> CovariancePair:
     """gamma_q = R_h^T R_h / 2 and gamma_p = R_g^T R_g / 2 on Z_N, rolled
-    out from the first block rows of the Grams (see _gram_block_row)."""
+    out from the first block rows of the Grams (see _gram_block_rows)."""
     blocks = []
     for channel, scales in (("h", [1.0 / s for s in stack.squeezes]),
                             ("g", stack.squeezes)):
-        row = 0.5 * _gram_block_row(stack.pairs, channel, N, scales)
-        G = np.empty((N, N))
-        for q in range(0, N, len(row)):
-            G[q:q + len(row)] = np.roll(row, q, axis=1)
-        blocks.append(0.5 * (G + G.T))
+        *_, row = _gram_block_rows(stack.pairs, channel, N, scales)
+        blocks.append(_roll_out_symmetric(0.5 * row))
     return CovariancePair(N, *blocks)
 
 
@@ -355,14 +394,23 @@ def theorem_bound(B: float, D: float, M: int, Omega: float, eps: float,
 def _shift_invariant_norm(block_row: np.ndarray) -> float:
     """Spectral norm of a map R that commutes with input shifts by P.
 
-    ``block_row`` is the first block row of G = R^T R (see _gram_block_row);
+    ``block_row`` is the first block row of G = R^T R (see _gram_block_rows);
     G is block-circulant with P x P blocks, so ||R||^2 is the largest
     eigenvalue of its N/P Hermitian symbols, the DFT over the block index.
+    The blocks are real, so symbols at theta and -theta are conjugate and
+    share their eigenvalues: an rfft gives all of them, and the symbols at
+    theta = 0 and pi are real.
     """
     P, N = block_row.shape
-    blocks = block_row.reshape(P, N // P, P).swapaxes(0, 1)
-    symbols = np.fft.fft(blocks, axis=0)
-    return float(np.sqrt(max(np.linalg.eigvalsh(symbols).max(), 0.0)))
+    n = N // P
+    blocks = block_row.reshape(P, n, P).swapaxes(0, 1)
+    symbols = np.fft.rfft(blocks, axis=0)
+    real = [0, n // 2] if n % 2 == 0 else [0]
+    top = np.linalg.eigvalsh(symbols[real].real).max()
+    inner = symbols[1:(n + 1) // 2]
+    if len(inner):
+        top = max(top, np.linalg.eigvalsh(inner).max())
+    return float(np.sqrt(max(top, 0.0)))
 
 
 def stack_operator_bound(stack: LayerStack, N: int = 512) -> float:
@@ -373,14 +421,14 @@ def stack_operator_bound(stack: LayerStack, N: int = 512) -> float:
     lattice exceeds the filter support.  This is an estimate of the theorem's
     sub-stack constant, not an exact evaluation at the working size.  A
     depth-d sub-stack commutes with input shifts by 2^d, which gives its
-    norm from P x P Gram symbols (see _shift_invariant_norm).
+    norm from P x P Gram symbols (see _shift_invariant_norm).  One walk per
+    first layer l0 yields the Gram rows of every sub-stack [l0, l1).
     """
     worst = 0.0
     for l0 in range(stack.depth):
-        for l1 in range(l0 + 1, stack.depth + 1):
-            sg = stack.squeezes[l0:l1]
-            for channel, scales in (("g", sg), ("h", [1.0 / s for s in sg])):
-                row = _gram_block_row(stack.pairs[l0:l1], channel, N, scales)
+        sg = stack.squeezes[l0:]
+        for channel, scales in (("g", sg), ("h", [1.0 / s for s in sg])):
+            for row in _gram_block_rows(stack.pairs[l0:], channel, N, scales):
                 worst = max(worst, _shift_invariant_norm(row))
     return worst
 

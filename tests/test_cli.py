@@ -264,6 +264,22 @@ def test_tabulated_overflow_is_usage_error(tmp_path, capsys):
     assert "finite square" in capsys.readouterr().err
 
 
+def test_flow_overflow_at_a_level_is_numerical_failure(tmp_path, capsys):
+    # every square is finite, so Tabulated accepts the table, but level 1
+    # has omega(pi) = 1e308 and level 2 would divide by its square
+    k = np.linspace(-np.pi, np.pi, 8, endpoint=False)
+    omega = np.where(np.isclose(np.abs(k), np.pi / 2), 1e154, 1.0)
+    disp = tmp_path / "spike.csv"
+    np.savetxt(disp, np.column_stack([k, omega]), delimiter=",")
+    code = main(["flow", "--dispersion", f"tabulated:{disp}", "--levels", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    err = json.loads(captured.err.strip().splitlines()[-1])
+    assert err["error"] == "FlowOutOfRange"
+    assert err["level"] == 2
+
+
 def test_unknown_verb_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
 

@@ -187,7 +187,8 @@ def massless_k2l4_8():
     return build_stack(Harmonic(0.0), DesignParams(2, 4), 8)
 
 
-@pytest.mark.parametrize("case", ["folded_k2l4", "massive", "massless_8"])
+@pytest.mark.parametrize("case", ["folded_k2l4", "massive", "massless_8",
+                                  "one_symbol"])
 def test_mera_covariance_matches_dense_gram(case, pair_k2l4, massive_stack,
                                            massless_k2l4_8):
     if case == "folded_k2l4":
@@ -195,14 +196,17 @@ def test_mera_covariance_matches_dense_gram(case, pair_k2l4, massive_stack,
         N = 64
     elif case == "massive":
         stack, N = massive_stack, 1024
-    else:
+    elif case == "massless_8":
         stack, N = massless_k2l4_8, 512
+    else:  # N = 2^depth: the first block row is the whole Gram
+        stack, N = massless_k2l4_8, 256
     cov = mera_covariance(stack, N)
     for block, channel, scales in (
             (cov.p_block, "g", list(stack.squeezes)),
             (cov.q_block, "h", [1.0 / s for s in stack.squeezes])):
         R = multi_layer_map(stack.pairs, channel, N, scales=scales).matrix
         np.testing.assert_allclose(block, 0.5 * (R.T @ R), rtol=0, atol=1e-14)
+        assert np.array_equal(block, block.T)
 
 
 def test_regulated_uncertainty_raises():
@@ -278,6 +282,20 @@ def test_error_report_small_case(massless):
     assert d["constants"]["C"] == pytest.approx(
         4 * d["constants"]["B"] ** 2 * d["constants"]["M"] ** 1.5
         * d["constants"]["Omega"], rel=1e-12)
+
+
+def test_error_report_builds_no_dense_map(monkeypatch, massive_stack):
+    import waverg.filters
+    import waverg.mera
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense multi_layer_map on the report path")
+
+    monkeypatch.setattr(waverg.filters, "multi_layer_map", refuse)
+    monkeypatch.setattr(waverg.mera, "multi_layer_map", refuse, raising=False)
+    rep = error_report(massive_stack, 256, quad_points=1 << 12)
+    assert rep.delta_q is not None
+    assert np.array_equal(rep.covariance.p_block, rep.covariance.p_block.T)
 
 
 def test_error_report_gapped_includes_plain_q():
