@@ -2,8 +2,9 @@
 
 One coarse-graining step maps omega to
 omega'(k) = omega(k/2) omega(k/2 + pi) / omega(pi)^2; the harmonic family
-sqrt(m^2 + sin^2(k/2)) is closed under this flow with m -> 2 sqrt(m^2 + m^4)
-(up to overall scale), and the massless chain is a fixed point of the
+hypot(a, b sin(k/2)) is closed under this flow, with
+(a, b) -> (a/h, (b/h)^2 / 2) and h = omega(pi) = hypot(a, b), so its mass
+a/b goes to 2 sqrt(m^2 + m^4); the massless chain is a fixed point of the
 pi-normalized shape.
 """
 
@@ -22,6 +23,9 @@ _FLOW_GRID = 4096
 
 class Dispersion:
     """Evaluable omega(k), symmetric and nonnegative, positive away from 0."""
+
+    #: (a, b) with omega(k) = hypot(a, b sin(k/2)) for the harmonic family
+    harmonic_form: tuple[float, float] | None = None
 
     def __call__(self, k):
         raise NotImplementedError
@@ -52,6 +56,10 @@ class Harmonic(Dispersion):
         if not (0 <= self.m < np.inf and self.m * self.m < np.inf):
             raise NegativeMass(f"mass must be nonnegative with a finite "
                                f"square, got {self.m}")
+
+    @property
+    def harmonic_form(self) -> tuple[float, float]:
+        return float(self.m), 1.0
 
     def __call__(self, k):
         k = np.asarray(k, dtype=np.float64)
@@ -131,8 +139,13 @@ class Tabulated(Dispersion):
 class Renormalized(Dispersion):
     """One exact coarse-graining step applied to a base dispersion.
 
-    Evaluation recurses into the base (2^level base calls per point when
-    nested); omega(pi) of the base is cached since every evaluation uses it.
+    A harmonic-family base (a ``Harmonic`` or a renormalized one) gives a
+    level in closed form, evaluated as hypot(a, b sin(k/2)) with
+    (a, b) -> (a/h, (b/h)^2 / 2), h = omega(pi) of the base: one sine per
+    point at any level, and a' <= 1, b' <= 1/2, so no level overflows.
+    Other bases use the product form omega(k/2) omega(k/2 + pi) / omega(pi)^2,
+    which recurses into the base; omega(pi) of the base is cached since
+    every evaluation uses it.
     """
 
     def __init__(self, base: Dispersion):
@@ -142,11 +155,18 @@ class Renormalized(Dispersion):
         self._base_pi2 = base_pi * base_pi
         if not np.finfo(float).tiny <= self._base_pi2 < np.inf:
             raise FlowOutOfRange(self.level, base_pi)
+        if base.harmonic_form is not None:
+            a, b = base.harmonic_form
+            self.harmonic_form = (a / base_pi, (b / base_pi) ** 2 / 2.0)
 
     def __call__(self, k):
         k = np.asarray(k, dtype=np.float64)
-        val = np.asarray(self.base(k / 2.0)) \
-            * np.asarray(self.base(k / 2.0 + np.pi)) / self._base_pi2
+        if self.harmonic_form is not None:
+            a, b = self.harmonic_form
+            val = np.hypot(a, b * np.sin(k / 2.0))
+        else:
+            val = np.asarray(self.base(k / 2.0)) \
+                * np.asarray(self.base(k / 2.0 + np.pi)) / self._base_pi2
         return float(val) if val.ndim == 0 else val
 
     def describe(self) -> str:
@@ -172,16 +192,19 @@ def mass_flow(m: float, levels: int) -> list[float]:
     out = [float(m)]
     for _ in range(levels):
         x = out[-1]
-        out.append(float(2.0 * x * np.sqrt(1.0 + x * x)))
+        out.append(2.0 * x * float(np.sqrt(1.0 + x * x)))
     return out
 
 
 def fitted_mass(d: Dispersion, grid: int = _FLOW_GRID) -> float:
-    """Least-squares fit of omega(k)^2 to c (m^2 + sin^2(k/2)); returns m.
+    """Harmonic mass m of d, inf for a flat profile.
 
-    Scale-invariant: works on renormalized dispersions whose overall
-    normalization differs from the bare harmonic form.
+    Exact, a/b, for the harmonic family; otherwise a least-squares fit of
+    omega(k)^2 to c (m^2 + sin^2(k/2)), which is scale-invariant.
     """
+    if d.harmonic_form is not None:
+        a, b = d.harmonic_form
+        return a / b if b > 0 else float("inf")
     k = -np.pi + 2 * np.pi * np.arange(grid) / grid
     w2 = np.asarray(d(k)) ** 2
     s2 = np.sin(k / 2.0) ** 2

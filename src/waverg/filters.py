@@ -74,10 +74,14 @@ class FirFilter:
 
     # -- algebra -----------------------------------------------------------
     def __call__(self, k):
-        """Fourier transform sum_n a[n] exp(-i k n); accepts scalars or arrays."""
+        """Fourier transform sum_n a[n] exp(-i k n); accepts scalars or arrays.
+
+        Horner in z = exp(-ik), times exp(-ik offset): two complex
+        exponentials per point, whatever the number of taps.
+        """
         k = np.asarray(k, dtype=np.float64)
-        phase = np.exp(-1j * np.multiply.outer(k, self.indices()))
-        val = phase @ self.coeffs
+        val = np.polyval(self.coeffs[::-1], np.exp(-1j * k)) \
+            * np.exp(-1j * self.offset * k)
         return complex(val) if val.ndim == 0 else val
 
     def convolve(self, other: "FirFilter") -> "FirFilter":

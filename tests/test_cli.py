@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from waverg import FilterPair, Harmonic, flow
+from waverg import FilterPair, Harmonic, flow, mass_flow
 from waverg.cli import main
 
 
@@ -183,6 +183,26 @@ def test_flow_verb(capsys):
     assert lines[0] == "level,omega_pi,omega_max,fitted_mass"
     masses = [float(l.split(",")[3]) for l in lines[1:4]]
     assert masses[1] == pytest.approx(2 * np.sqrt(0.25 + 0.0625), rel=1e-6)
+
+
+def _flow_masses(capsys, spec, levels):
+    assert main(["flow", "--dispersion", spec, "--levels", str(levels)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()[1:levels + 2]
+    return [line.split(",")[3] for line in lines]
+
+
+def test_flow_masses_match_mass_flow(capsys):
+    masses = _flow_masses(capsys, "harmonic:m=100", 3)
+    np.testing.assert_allclose([float(x) for x in masses],
+                               mass_flow(100.0, 3), rtol=1e-12)
+
+
+def test_flow_large_mass(capsys):
+    masses = _flow_masses(capsys, "harmonic:m=1e10", 1)
+    assert float(masses[0]) == 1e10
+    # a/b overflows once b is below 1e-308: the profile is flat
+    masses = _flow_masses(capsys, "harmonic:m=1.8554027620846e+38", 4)
+    assert masses[3:] == ["", ""]
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from waverg import (Flat, Harmonic, NegativeMass, Tabulated, exact_q_profile,
@@ -115,6 +115,8 @@ def test_mass_flow_past_double_precision():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert mass_flow(10.0, 8)[-1] == float("inf")
+        # the product overflows while the square does not
+        assert mass_flow(1.8554027620846e+38, 3)[-1] == float("inf")
 
 
 @given(st.floats(0.05, 2.0, allow_nan=False))
@@ -125,6 +127,40 @@ def test_harmonic_family_closed_under_flow(m):
     closed = mass_flow(m, 2)
     for dl, want in zip(levels, closed):
         assert fitted_mass(dl) == pytest.approx(want, rel=1e-6)
+
+
+def _chained_product_form(m, level, k):
+    """omega^(level) of Harmonic(m) by the definition
+    omega'(k) = omega(k/2) omega(k/2 + pi) / omega(pi)^2, chained."""
+    if level == 0:
+        return np.sqrt(m * m + np.sin(k / 2.0) ** 2)
+    w_pi = _chained_product_form(m, level - 1, np.pi)
+    return (_chained_product_form(m, level - 1, k / 2.0)
+            * _chained_product_form(m, level - 1, k / 2.0 + np.pi)
+            / (w_pi * w_pi))
+
+
+@given(st.floats(0.0, 1e3, allow_nan=False))
+@settings(max_examples=25, deadline=None)
+@example(0.0)
+@example(1.8554027620846e+38)
+def test_closed_form_flow_matches_chained_product_form(m):
+    k = np.append(np.linspace(-np.pi, np.pi, 33), [2.5 * np.pi, -7.0])
+    for dl in flow(Harmonic(m), 8)[1:]:
+        assert dl.harmonic_form is not None
+        want = _chained_product_form(m, dl.level, k)
+        w_pi = dl.omega_pi
+        assert w_pi == pytest.approx(_chained_product_form(m, dl.level, np.pi),
+                                     rel=1e-12)
+        np.testing.assert_allclose(dl(k), want, rtol=0, atol=1e-12 * w_pi)
+
+
+def test_closed_form_flow_underflows_to_flat():
+    # the second coordinate underflows: a flat level, no finite mass
+    deep = flow(Harmonic(1.8554027620846e+38), 4)[-1]
+    assert deep.harmonic_form[1] == 0.0
+    assert fitted_mass(deep) == float("inf")
+    assert deep(np.linspace(-np.pi, np.pi, 9)).tolist() == [1.0] * 9
 
 
 def test_fitted_mass_flat_is_infinite():

@@ -30,6 +30,30 @@ def test_delta_fourier_is_pure_phase(n, k):
     assert f(k) == pytest.approx(np.exp(-1j * k * n), abs=1e-12)
 
 
+@given(st.integers(-40, -1),
+       st.lists(st.floats(-4, 4, allow_nan=False, width=32),
+                min_size=1, max_size=30),
+       st.floats(-20.0, 20.0, allow_nan=False))
+@settings(max_examples=50)
+def test_fourier_transform_matches_explicit_sum(offset, coeffs, k):
+    a = random_filter(offset, coeffs)
+
+    def explicit(kk):
+        return sum(c * np.exp(-1j * kk * n)
+                   for n, c in zip(a.indices(), a.coeffs))
+
+    tol = 1e-12 * (1.0 + np.sum(np.abs(a.coeffs)))
+    val = a(k)
+    assert isinstance(val, complex)
+    assert abs(val - explicit(k)) <= tol
+    ks = np.array([k, -k, k + 2 * np.pi, 3 * np.pi, -7.5, 0.0, np.pi])
+    vals = a(ks)
+    assert vals.shape == ks.shape
+    np.testing.assert_allclose(vals, explicit(ks), rtol=0, atol=tol)
+    # periodic in k: points outside [-pi, pi] agree with their image inside
+    np.testing.assert_allclose(a(ks + 4 * np.pi), vals, rtol=0, atol=tol)
+
+
 @given(offsets, taps, offsets, taps)
 @settings(max_examples=50)
 def test_convolve_matches_fourier_product(o1, c1, o2, c2):
