@@ -7,6 +7,11 @@ yields the scaling filter, at the adjacent odd site the wavelet filter (this
 sublattice convention is recorded in the circuit JSON).  The q-sector lattice
 map A and its symplectic partner B = (A^T)^{-1} are built gate by gate, the
 inverse-transpose taken per 2x2 block rather than numerically.
+
+The peel runs in extended precision (mpmath) on the pair projected onto exact
+perfect reconstruction.  The projection is mixed-precision iterative
+refinement: one float64 pseudo-inverse of the PR Jacobian, then residuals and
+corrections in the working precision, a few steps per pair.
 """
 
 from __future__ import annotations
@@ -127,49 +132,84 @@ def _window_arrays(pair: FilterPair, M: int) -> tuple[np.ndarray, np.ndarray]:
     return pair.g_s[idx], pair.h_s[idx]
 
 
-def _pr_project_mp(g, h, M: int, max_iter: int = 8):
-    """Newton-project (g, h) onto the exact-PR manifold, in place.
+def _pr_residual(g: list, h: list, M: int) -> list:
+    """PR defect [n = 0] - sum_j g[2n + j] h[j], n = -(M-1) .. M-1, of the
+    window lists (index 0 is site -M+1), each sum one exact ``mp.fdot``."""
+    out = []
+    for n in range(-(M - 1), M):
+        if n >= 0:
+            acc = mp.fdot(g[2 * n:], h[:2 * M - 2 * n])
+        else:
+            acc = mp.fdot(g[:2 * M + 2 * n], h[-2 * n:])
+        out.append((1 if n == 0 else 0) - acc)
+    return out
+
+
+def _pr_jacobian(gd: np.ndarray, hd: np.ndarray, M: int) -> np.ndarray:
+    """d/d(g, h) of sum_j g[2n + j] h[j]: rows n = -(M-1) .. M-1, columns
+    the 2M taps of g then of h."""
+    n = np.arange(-(M - 1), M)[:, None]
+    idx = 2 * n + np.arange(2 * M)
+    rows, cols = np.nonzero((idx >= 0) & (idx < 2 * M))
+    J = np.zeros((2 * M - 1, 4 * M))
+    J[rows, idx[rows, cols]] = hd[cols]
+    J[rows, 2 * M + cols] = gd[idx[rows, cols]]
+    return J
+
+
+def _pr_project_mp(gd: np.ndarray, hd: np.ndarray, M: int, tol: float,
+                   max_steps: int | None = None) -> tuple[list, list]:
+    """The window taps (gd, hd) projected onto the exact-PR manifold, as
+    lists of mpf in the working precision; a pair whose PR defect exceeds
+    ``tol`` is refused as degenerate.
 
     PR is bilinear in (g, h); each step is a minimum-norm linearized
     correction of both filters jointly.  One-sided projection (adjusting h
     alone) is avoided: the h-side system is nearly singular for designed
     pairs and the nearest solution can be macroscopically far away, while
     the joint correction stays at the size of the PR defect itself.
+
+    Mixed-precision refinement: the Jacobian J is formed and pseudo-inverted
+    once in float64 at the input taps.  Each step computes the residual in
+    the working precision, applies the float pseudo-inverse to it scaled to
+    unit size, and adds the correction back in the working precision.  A
+    step leaves about eps * cond(J) of the residual, so the step cap is
+    set from the working precision and cond(J).  A residual that does not
+    halve in one step, or the cap running out, raises
+    ``DegenerateFactorization`` with the residual reached.
     """
-    ns = list(range(-(M - 1), M))
-
-    def residual():
-        r = mp.matrix(len(ns), 1)
-        for i, n in enumerate(ns):
-            acc = mp.mpf(0)
-            for j in range(2 * M):
-                idx = 2 * n + j
-                if 0 <= idx < 2 * M:
-                    acc += g[idx] * h[j]
-            r[i] = (mp.mpf(1) if n == 0 else mp.mpf(0)) - acc
-        return r
-
+    g = [mp.mpf(float(v)) for v in gd]
+    h = [mp.mpf(float(v)) for v in hd]
+    r = _pr_residual(g, h, M)
+    worst = max(abs(v) for v in r)
+    if not worst <= tol:  # also refuses NaN
+        raise DegenerateFactorization(M, float(worst))
+    J = _pr_jacobian(gd, hd, M)
+    pinv = np.linalg.pinv(J)
+    if max_steps is None:
+        # digits gained per step, so the cap covers all dps digits
+        gain = max(1.0, -np.log10(np.finfo(float).eps * np.linalg.cond(J)))
+        max_steps = 2 + int(np.ceil(mp.mp.dps / gain))
     target = mp.mpf(10) ** (-(mp.mp.dps - 10))
-    first = None
-    for _ in range(max_iter):
-        r = residual()
-        worst = max(abs(v) for v in r)
-        if first is None:
-            first = worst
-        if worst < target:
-            break
-        J = mp.matrix(len(ns), 4 * M)
-        for i, n in enumerate(ns):
-            for j in range(2 * M):
-                idx = 2 * n + j
-                if 0 <= idx < 2 * M:
-                    J[i, idx] += h[j]
-                    J[i, 2 * M + j] += g[idx]
-        delta = J.T * mp.lu_solve(J * J.T, r)
+    steps = 0
+    while worst >= target:
+        if steps == max_steps:
+            raise DegenerateFactorization(
+                M, float(worst), f"PR refinement reached residual "
+                f"{float(worst):.3e}, not {float(target):.0e}, within its "
+                f"step cap {max_steps}")
+        delta = pinv @ np.array([float(v / worst) for v in r])
         for j in range(2 * M):
-            g[j] += delta[j]
-            h[j] += delta[2 * M + j]
-    return float(first)
+            g[j] += worst * delta[j]
+            h[j] += worst * delta[2 * M + j]
+        r = _pr_residual(g, h, M)
+        steps += 1
+        last, worst = worst, max(abs(v) for v in r)
+        if worst > last / 2:
+            raise DegenerateFactorization(
+                M, float(worst), f"PR refinement stalled at residual "
+                f"{float(worst):.3e} (from {float(last):.3e}) in step {steps}")
+    return g, h
 
 
 def decompose(pair: FilterPair, tol_pr: float = 1e-8,
@@ -183,9 +223,13 @@ def decompose(pair: FilterPair, tol_pr: float = 1e-8,
 
     The peel amplifies any PR defect by roughly the gate condition number at
     every step, which double precision does not survive beyond a few layers,
-    so the loop runs in extended precision on the nearest exactly
-    biorthogonal pair (a distance-``pr_residual`` projection); only the
-    emitted gates are rounded back to floats.
+    so the loop runs in extended precision (max(60, 30 + 8M) digits) on the
+    nearest exactly biorthogonal pair (a distance-``pr_residual``
+    projection); only the emitted gates are rounded back to floats.  The
+    projection takes one float64 pseudo-inverse of its Jacobian J and
+    refines in the working precision (``_pr_project_mp``).  On designed
+    pairs (m in [0, 1], K 1..3, L 1..4) cond(J) runs from 1.9 to 6.4e4 and
+    3 to 10 steps reach the 10^-(dps-10) target.
     """
     pair_c, shift = canonicalize_support(pair)
     M = pair_c.halfwidth
@@ -193,11 +237,7 @@ def decompose(pair: FilterPair, tol_pr: float = 1e-8,
     scale = float(max(np.max(np.abs(gd)), np.max(np.abs(hd))))
     gates: list[Gate2] = []
     with mp.workdps(max(60, 30 + 8 * M)):
-        g = mp.matrix([mp.mpf(float(v)) for v in gd])
-        h = mp.matrix([mp.mpf(float(v)) for v in hd])
-        defect = _pr_project_mp(g, h, M)
-        if defect > tol_pr * scale:
-            raise DegenerateFactorization(M, defect)
+        g, h = _pr_project_mp(gd, hd, M, tol_pr * scale)
         vanish_tol = mp.mpf(scale) * mp.mpf(10) ** (-(mp.mp.dps // 3))
         for m in range(M, 1, -1):
             off = M - m  # array position of lattice site -m+1

@@ -85,10 +85,12 @@ class NotAdmissible(WavergError):
 
 
 class DegenerateFactorization(WavergError):
-    """Near-zero corner determinant while peeling a circuit layer."""
+    """Near-zero corner determinant while peeling a circuit layer, or a pair
+    whose projection onto exact PR fails (``det`` then holds the residual)."""
 
-    def __init__(self, step: int, det: float):
-        super().__init__(f"degenerate corner determinant {det:.3e} at peeling step {step}")
+    def __init__(self, step: int, det: float, message: str | None = None):
+        super().__init__(message or f"degenerate corner determinant {det:.3e} "
+                         f"at peeling step {step}")
         self.step = step
         self.det = det
 

@@ -186,9 +186,15 @@ class FilterPair:
 
     @staticmethod
     def from_json(d: dict) -> "FilterPair":
-        g = FirFilter(int(d["g_s"]["offset"]), np.asarray(d["g_s"]["coeffs"]))
-        h = FirFilter(int(d["h_s"]["offset"]), np.asarray(d["h_s"]["coeffs"]))
-        return FilterPair(g, h)
+        filters = []
+        for name in ("g_s", "h_s"):
+            c = np.asarray(d[name]["coeffs"], dtype=np.float64)
+            bad = np.flatnonzero(~np.isfinite(c))
+            if bad.size:
+                raise ValueError(f"{name} tap {bad[0]} is {c[bad[0]]}; "
+                                 "filter taps must be finite")
+            filters.append(FirFilter(int(d[name]["offset"]), c))
+        return FilterPair(*filters)
 
     def save(self, path: str | Path, name: str = "", meta: dict | None = None):
         Path(path).write_text(json.dumps(self.to_json(name, meta), indent=2))

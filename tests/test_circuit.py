@@ -1,5 +1,6 @@
 """Binary-circuit factorization: round trip, gate identities, symplectic maps."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from waverg import (BinaryCircuit, DegenerateFactorization, DesignParams,
                     FirFilter, Gate2, Harmonic, LatticeTooSmall, compose,
                     composed_wavelets, decompose, derive_wavelet, design_pair,
                     to_lattice_symplectic)
+from waverg import circuit
 from waverg.circuit import canonicalize_support, gate_alpha_identity_check
 
 
@@ -182,3 +184,95 @@ def test_decompose_rejects_broken_pr(haar):
     bad = derive_wavelet(haar.g_s, haar.h_s.scale(1.3))
     with pytest.raises(DegenerateFactorization):
         decompose(bad)
+
+
+def test_decompose_rejects_nonfinite_tap(haar):
+    bad = derive_wavelet(FirFilter(0, [np.nan, haar.g_s.coeffs[1]]), haar.h_s)
+    with pytest.raises(DegenerateFactorization, match="nan"):
+        decompose(bad)
+
+
+def _mp_pr_residual(g, h, M):
+    """Reference: the PR defect [n = 0] - sum_j g[2n + j] h[j], term by term."""
+    r = mp.matrix(2 * M - 1, 1)
+    for i, n in enumerate(range(-(M - 1), M)):
+        acc = mp.mpf(0)
+        for j in range(2 * M):
+            if 0 <= 2 * n + j < 2 * M:
+                acc += g[2 * n + j] * h[j]
+        r[i] = (mp.mpf(1) if n == 0 else mp.mpf(0)) - acc
+    return r
+
+
+def _lu_newton_project(gd, hd, M, tol, max_steps=None):
+    """Reference: the former projection, 8 Newton steps that re-form the
+    Jacobian J in the working precision and LU-solve J J^T every step."""
+    g = [mp.mpf(float(v)) for v in gd]
+    h = [mp.mpf(float(v)) for v in hd]
+    target = mp.mpf(10) ** (-(mp.mp.dps - 10))
+    first = None
+    for _ in range(8):
+        r = _mp_pr_residual(g, h, M)
+        worst = max(abs(v) for v in r)
+        if first is None:
+            first = worst
+        if worst < target:
+            break
+        J = mp.matrix(2 * M - 1, 4 * M)
+        for i, n in enumerate(range(-(M - 1), M)):
+            for j in range(2 * M):
+                idx = 2 * n + j
+                if 0 <= idx < 2 * M:
+                    J[i, idx] += h[j]
+                    J[i, 2 * M + j] += g[idx]
+        delta = J.T * mp.lu_solve(J * J.T, r)
+        for j in range(2 * M):
+            g[j] += delta[j]
+            h[j] += delta[2 * M + j]
+    if float(first) > tol:
+        raise DegenerateFactorization(M, float(first))
+    return g, h
+
+
+def test_decompose_gates_equal_lu_newton_reference(designs, massive_pairs,
+                                                   monkeypatch):
+    pairs = [designs[K, L][0] for K, L in ((1, 1), (2, 1), (1, 2))]
+    pairs += massive_pairs
+    got = [decompose(pair) for pair in pairs]
+    monkeypatch.setattr(circuit, "_pr_project_mp", _lu_newton_project)
+    for pair, circ in zip(pairs, got):
+        want = decompose(pair)
+        assert circ.depth == want.depth
+        for a, b in zip(circ.gates, want.gates):
+            assert a.parity == b.parity
+            assert np.array_equal(a.entries, b.entries)
+
+
+def _window(pair):
+    """The canonical window of a pair and decompose's working precision."""
+    pair_c, _ = canonicalize_support(pair)
+    M = pair_c.halfwidth
+    gd, hd = circuit._window_arrays(pair_c, M)
+    return M, gd, hd, max(60, 30 + 8 * M)
+
+
+def test_projection_reaches_target_with_defect_sized_correction(designs):
+    for (K, L), (pair, _) in designs.items():
+        M, gd, hd, dps = _window(pair)
+        with mp.workdps(dps):
+            g, h = circuit._pr_project_mp(gd, hd, M, 1e-8)
+            reached = max(abs(v) for v in _mp_pr_residual(g, h, M))
+            assert reached < mp.mpf(10) ** (-(dps - 10)), (K, L)
+            correction = max(abs(float(a - b)) for a, b in
+                             zip(g + h, np.concatenate([gd, hd])))
+        assert 0 < correction <= 10 * pair.pr_residual, (K, L)
+
+
+def test_projection_step_cap_raises_typed_error(pair_k2l4):
+    M, gd, hd, dps = _window(pair_k2l4)
+    with mp.workdps(dps):
+        with pytest.raises(DegenerateFactorization,
+                           match="within its step cap 1") as err:
+            circuit._pr_project_mp(gd, hd, M, 1e-8, max_steps=1)
+    # one step leaves about eps * cond(J) of the defect: far above target
+    assert 0 < err.value.det < 1e-3 * pair_k2l4.pr_residual

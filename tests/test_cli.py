@@ -240,6 +240,25 @@ def test_flat_value_prefix(capsys):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("verb", [["circuit", "--in"], ["cascade", "--pair"],
+                                  ["spectrum", "--pair"],
+                                  ["simulate", "--layers", "1", "--N", "64",
+                                   "--pair"]])
+@pytest.mark.parametrize("name, tap, value", [("g_s", 1, float("nan")),
+                                              ("h_s", 0, float("inf"))])
+def test_nonfinite_pair_tap_is_usage_error(verb, name, tap, value, designs,
+                                           tmp_path, capsys):
+    d = designs[1, 1][0].to_json()
+    d[name]["coeffs"][tap] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    assert main(verb + [str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {name} tap {tap} is {value}; "
+                            "filter taps must be finite\n")
+
+
 def test_usage_error_missing_file(tmp_path, capsys):
     code = main(["cascade", "--pair", str(tmp_path / "nope.json")])
     assert code == 1
