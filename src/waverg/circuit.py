@@ -183,7 +183,10 @@ def _pr_project_mp(gd: np.ndarray, hd: np.ndarray, M: int, tol: float,
     r = _pr_residual(g, h, M)
     worst = max(abs(v) for v in r)
     if not worst <= tol:  # also refuses NaN
-        raise DegenerateFactorization(M, float(worst))
+        raise DegenerateFactorization(
+            M, float(worst), f"PR defect {float(worst):.3e} exceeds "
+            f"tol_pr * scale = {tol:.3e}: the pair is not perfect "
+            "reconstruction")
     J = _pr_jacobian(gd, hd, M)
     pinv = np.linalg.pinv(J)
     if max_steps is None:

@@ -34,6 +34,8 @@ from .mera import LayerStack, error_report, exact_p_profile, exact_q_profile
 
 USAGE_EXIT = 1
 NUMERICAL_EXIT = 2
+#: largest --quad-points: the oracle's finer grid then holds 2^21 points
+MAX_QUAD_POINTS = 1 << 20
 
 
 def _fmt(x: float) -> str:
@@ -158,6 +160,11 @@ def cmd_simulate(args) -> int:
     if N % (1 << layers) != 0:
         raise UsageError(
             f"N = {N} must be divisible by 2^layers = {1 << layers}")
+    quad = args.quad_points
+    if not N < quad <= MAX_QUAD_POINTS:
+        raise UsageError(f"--quad-points must be above N = {N} (a coarser "
+                         f"grid aliases the window) and at most "
+                         f"{MAX_QUAD_POINTS}, got {quad}")
     d = parse_dispersion(args.dispersion)
     pair = FilterPair.load(args.pair)
     levels = flow(d, layers - 1)
@@ -165,21 +172,20 @@ def cmd_simulate(args) -> int:
     eps = [epsilon_of(pair, dl) for dl in levels]
     stack = LayerStack((pair,) * layers, tuple(squeezes), d,
                        strategy="fixed_after:0", epsilons=tuple(eps))
-    quad = args.quad_points
     rep = error_report(stack, N, quad_points=quad)
     if args.report:
         with open(args.report, "w") as fh:
             json.dump(rep.to_json(), fh, indent=2, sort_keys=True)
             fh.write("\n")
     if args.csv:
-        mera = rep.covariance
+        q_row, p_row = (rows[0] for rows in rep.covariance_rows)
         ms = np.arange(1, min(args.csv_range, N // 4) + 1)
         p_prof, _ = exact_p_profile(d, ms.astype(float), quad)
         q_prof, _ = exact_q_profile(d, ms.astype(float), quad, regulated=True)
         lines = ["n,m,exact_p,mera_p,exact_q_reg,mera_q_reg,abs_err_p,abs_err_q"]
         for i, m in enumerate(ms):
-            mera_p = mera.p_block[0, m]
-            mera_q = mera.q_block[0, m] - mera.q_block[0, 0]
+            mera_p = p_row[m]
+            mera_q = q_row[m] - q_row[0]
             lines.append(",".join(
                 ["0", str(int(m)), _fmt(p_prof[i]), _fmt(mera_p),
                  _fmt(q_prof[i]), _fmt(mera_q),
@@ -321,7 +327,8 @@ def build_parser() -> _Parser:
                    help="largest offset m in the correlation CSV")
     p.add_argument("--quad-points", type=int, default=1 << 16,
                    dest="quad_points",
-                   help="base quadrature points (one Richardson doubling)")
+                   help="base quadrature points (one Richardson doubling); "
+                        f"above N and at most {MAX_QUAD_POINTS}")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("cascade", parents=[common],

@@ -10,15 +10,17 @@ ground-state approximation has covariance blocks
 Each output block of R places one level filter at stride 2^l, so a Gram
 R^T R is the sum of the filters' placed autocorrelations and commutes with
 shifts by P = 2^depth.  Its first block row G[:P, :] is built from the level
-filters alone (filters.level_walk, filters.placed_gram_rows); the covariance
-rolls it out to N x N and the operator bound turns it into P x P symbols.
-No dense N x N map is formed on the report path; multi_layer_map remains
-the dense reference.
+filters alone (filters.level_walk, filters.placed_gram_rows).  The error
+report reads its window of covariance entries straight from that row, and
+the operator bound turns it into P x P symbols; only mera_covariance, the
+public ring API, rolls it out to N x N.  No N x N array is formed on the
+report path; multi_layer_map remains the dense reference.
 
 The exact oracle evaluates the translation-invariant ground-state covariance
 gamma_p(k) = omega/2, gamma_q(k) = 1/(2 omega) by periodic quadrature with
-Richardson extrapolation; for gapless dispersions the q-block exists only in
-the regulated form gamma_q[n,m] - gamma_q[n,n].  The rigorous error bound is
+Richardson extrapolation, sampling omega once per grid for all profiles and
+norms of a report; for gapless dispersions the q-block exists only in the
+regulated form gamma_q[n,m] - gamma_q[n,n].  The rigorous error bound is
 delta_p <= D^2 (C 2^{-L/2} + 3 eps D log2(C/eps)) with C = 4 B^2 M^{3/2}
 Omega, and 2x that expression times ||gamma_q (delta_n - delta_m)|| for the
 regulated q entries.
@@ -28,9 +30,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .design import DesignParams, DesignReport, design_pair, epsilon_of
 from .dispersion import Dispersion, fitted_mass, flow, flow_report
@@ -181,19 +185,24 @@ def _gram_block_rows(pairs, channel: str, N: int, scales):
         yield acc + placed_gram_rows(scaling, N, s)
 
 
-def _roll_out_symmetric(row: np.ndarray) -> np.ndarray:
-    """(G + G^T) / 2 on Z_N from the first block row of a G that commutes
-    with shifts by P.
+def _symmetrized(row: np.ndarray) -> np.ndarray:
+    """First block row of (G + G^T) / 2 from the first block row of a G that
+    commutes with shifts by P.
 
     Block q of the first block row of G^T is block -q of G's, transposed, so
-    the row is symmetrized before it is rolled out: the result is exactly
-    symmetric.
+    a matrix rolled out from the result is exactly symmetric.
     """
     P, N = row.shape
     n = N // P
     blocks = row.reshape(P, n, P)
     mirrored = blocks[:, -np.arange(n) % n, :].transpose(2, 1, 0)
-    row = (0.5 * (blocks + mirrored)).reshape(P, N)
+    return (0.5 * (blocks + mirrored)).reshape(P, N)
+
+
+def _roll_out(row: np.ndarray) -> np.ndarray:
+    """The N x N matrix that commutes with shifts by P and has first block
+    row ``row`` (P x N)."""
+    P, N = row.shape
     G = np.empty((N, N))
     for q in range(0, N, P):  # rows q..q+P-1 are the row rolled by q
         G[q:q + P, q:] = row[:, :N - q]
@@ -201,56 +210,156 @@ def _roll_out_symmetric(row: np.ndarray) -> np.ndarray:
     return G
 
 
-def mera_covariance(stack: LayerStack, N: int) -> CovariancePair:
-    """gamma_q = R_h^T R_h / 2 and gamma_p = R_g^T R_g / 2 on Z_N, rolled
-    out from the first block rows of the Grams (see _gram_block_rows)."""
-    blocks = []
+def _entry(row: np.ndarray, n, m):
+    """Entry (n, m) on Z_N of the matrix rolled out from ``row``:
+    row[n mod P, (m - n + n mod P) mod N]."""
+    P, N = row.shape
+    r = n % P
+    return row[r, (m - n + r) % N]
+
+
+def _covariance_rows(stack: LayerStack, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """First block rows (q, p) of gamma_q = R_h^T R_h / 2 and
+    gamma_p = R_g^T R_g / 2 on Z_N, symmetrized (see _gram_block_rows)."""
+    rows = []
     for channel, scales in (("h", [1.0 / s for s in stack.squeezes]),
                             ("g", stack.squeezes)):
         *_, row = _gram_block_rows(stack.pairs, channel, N, scales)
-        blocks.append(_roll_out_symmetric(0.5 * row))
-    return CovariancePair(N, *blocks)
+        rows.append(_symmetrized(0.5 * row))
+    return rows[0], rows[1]
 
 
-def _profile(integrand_of_k, offsets: np.ndarray, quad_points: int,
-             drop_k0: bool = False,
-             regulated: bool = False) -> tuple[np.ndarray, float]:
-    """Richardson-extrapolated (1/2pi) integral of f(k) cos(k d) per offset.
+def mera_covariance(stack: LayerStack, N: int) -> CovariancePair:
+    """gamma_q = R_h^T R_h / 2 and gamma_p = R_g^T R_g / 2 on Z_N, rolled
+    out from the first block rows of the Grams (see _gram_block_rows)."""
+    return CovariancePair(N, *map(_roll_out, _covariance_rows(stack, N)))
 
-    Returns (values, certified error estimate).  On the grid
-    k_j = -pi + 2 pi j/n the Riemann sum is a DFT,
-    sum_j f_j cos(k_j d) / n = (-1)^d Re rfft(f)[d'] / n with
-    d' = min(d mod n, n - d mod n), so one rfft per level serves every
-    integer offset.  ``drop_k0`` zeroes the k = 0 sample, used for
-    combinations whose true integrand vanishes there.  ``regulated`` returns
-    the differences value(d) - value(0), and certifies those.
+
+def _half(w: np.ndarray) -> np.ndarray:
+    """gamma_p(k) = omega / 2."""
+    return w / 2.0
+
+
+def _half_inverse(w: np.ndarray) -> np.ndarray:
+    """gamma_q(k) = 1 / (2 omega), set to 0 where omega = 0."""
+    with np.errstate(divide="ignore"):
+        return np.where(w > 0, 1.0 / (2.0 * np.maximum(w, 1e-300)), 0.0)
+
+
+class _Quadrature:
+    """Periodic quadrature of functions of omega, Richardson-extrapolated.
+
+    omega is sampled once on each grid k_j = -pi + 2 pi j/n, n = quad_points
+    and 2 quad_points, when a profile or norm first needs it; every profile
+    and norm read from one instance shares those samples.  On a grid the
+    Riemann sum sum_j f_j cos(k_j d) / n is a DFT,
+    (-1)^d Re rfft(f)[d'] / n with d' = min(d mod n, n - d mod n), so one
+    rfft serves every integer offset.  An offset with 2|d| >= quad_points is
+    refused, since the coarse grid aliases it.  fine + (fine - coarse) / 3
+    cancels the h^2 term, and max |fine - coarse| / 3 is the certified error.
     """
-    offsets = np.asarray(offsets)
-    if not np.all(np.isfinite(offsets)) or np.any(offsets != np.rint(offsets)):
-        raise ValueError("profile offsets must be integers")
-    offsets = offsets.astype(np.int64)
-    sign = np.where(offsets % 2 == 0, 1.0, -1.0)
-    results = []
-    for n in (quad_points, 2 * quad_points):
-        k = -np.pi + 2.0 * np.pi * np.arange(n) / n
-        f = np.asarray(integrand_of_k(k), dtype=np.float64)
-        if drop_k0:
-            f[np.abs(k) < 1e-15] = 0.0
-        spectrum = np.fft.rfft(f).real / n
+
+    def __init__(self, d: Dispersion, quad_points: int):
+        self.d = d
+        self.quad_points = quad_points
+
+    @cached_property
+    def grids(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        out = []
+        for n in (self.quad_points, 2 * self.quad_points):
+            k = -np.pi + 2.0 * np.pi * np.arange(n) / n
+            out.append((k, np.asarray(self.d(k), dtype=np.float64)))
+        return out
+
+    def _offsets(self, offsets) -> np.ndarray:
+        offsets = np.asarray(offsets)
+        if not np.all(np.isfinite(offsets)) or np.any(
+                offsets != np.rint(offsets)):
+            raise ValueError("profile offsets must be integers")
+        offsets = offsets.astype(np.int64)
+        reach = 2 * int(np.max(np.abs(offsets), initial=0))
+        if not self.quad_points > reach:
+            raise ValueError(
+                f"quad_points = {self.quad_points} must exceed "
+                f"2 max|offset| = {reach}: the grid would alias the offsets")
+        return offsets
+
+    @staticmethod
+    def _read(spectrum: np.ndarray, offsets: np.ndarray, n: int) -> np.ndarray:
+        """sum_j f_j cos(k_j d) / n per offset d, from rfft(f).real / n."""
         folded = offsets % n
-        values = sign * spectrum[np.minimum(folded, n - folded)]
-        if regulated:
-            values = values - spectrum[0]
-        results.append(values)
-    coarse, fine = results
-    extrapolated = fine + (fine - coarse) / 3.0  # cancel the h^2 term
-    return extrapolated, float(np.max(np.abs(fine - coarse)) / 3.0)
+        sign = np.where(offsets % 2 == 0, 1.0, -1.0)
+        return sign * spectrum[np.minimum(folded, n - folded)]
+
+    @staticmethod
+    def _extrapolate(coarse, fine) -> tuple[np.ndarray, np.ndarray]:
+        return fine + (fine - coarse) / 3.0, np.abs(fine - coarse) / 3.0
+
+    def profile(self, integrand, offsets,
+                regulated: bool = False) -> tuple[np.ndarray, float]:
+        """(1/2pi) integral of integrand(omega(k)) cos(k d) per offset d, and
+        its certified error.  ``regulated`` zeroes the k = 0 sample and
+        returns the differences value(d) - value(0), and certifies those."""
+        offsets = self._offsets(offsets)
+        results = []
+        for k, w in self.grids:
+            f = integrand(w)
+            if regulated:
+                f[np.abs(k) < 1e-15] = 0.0
+            spectrum = np.fft.rfft(f).real / len(k)
+            values = self._read(spectrum, offsets, len(k))
+            if regulated:
+                values = values - spectrum[0]
+            results.append(values)
+        values, err = self._extrapolate(*results)
+        return values, float(np.max(err))
+
+    def q_difference_norms(self, deltas) -> tuple[np.ndarray, float]:
+        """||gamma_q (delta_n - delta_m)|| for |n - m| = delta, per delta, and
+        the certified error of the norms.
+
+        By Parseval, norm^2 = (1/2pi) integral (1 - cos k delta) h(k) dk with
+        h = 1 / (2 omega^2).  At k = 0 the integrand tends to
+        delta^2 g(0) / 2, g = k^2 h, which is not 0 on a gapless chain; the
+        Riemann sum takes that limit as its k = 0 sample, with g(0)
+        extrapolated as (4 g(h) - g(2h)) / 3 from the samples at k = -h and
+        -2h (g(0) = 0 where omega(0) > 0).  The sum is formed without
+        cancellation: with s = 1 / (4 sin^2(k/2)), (1 - cos k delta) s is
+        delta/2 times the Fejer kernel, a trigonometric polynomial of degree
+        delta - 1 < n whose k = 0 value is delta^2 / 2, so the grid sums
+        its part to g(0) delta / 2 exactly, and one rfft of the bounded
+        remainder h - g(0) s, read at every delta, gives the rest.
+        """
+        deltas = self._offsets(deltas)
+        if np.any(deltas == 0):
+            raise ValueError("delta must be nonzero")
+        results = []
+        for k, w in self.grids:
+            at0 = np.abs(k) < 1e-15
+            w2 = w * w
+            h = np.where(w2 > 0, 1.0 / (2.0 * np.maximum(w2, 1e-300)), 0.0)
+            g0 = 0.0
+            for i in np.flatnonzero(at0):
+                if not w[i] > 0:
+                    g0 = (4.0 * k[i - 1] ** 2 * h[i - 1]
+                          - k[i - 2] ** 2 * h[i - 2]) / 3.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rest = h - g0 / (4.0 * np.sin(k / 2.0) ** 2)
+            rest[at0] = 0.0
+            spectrum = np.fft.rfft(rest).real / len(k)
+            results.append(g0 * deltas / 2.0 + spectrum[0]
+                           - self._read(spectrum, deltas, len(k)))
+        squares, err = self._extrapolate(*results)
+        norms = np.sqrt(np.maximum(squares, 0.0))
+        # |sqrt(a) - sqrt(b)| <= min(sqrt(|a - b|), |a - b| / sqrt(a))
+        return norms, float(np.max(np.minimum(
+            np.sqrt(err), err / np.maximum(norms, 1e-300))))
 
 
 def exact_p_profile(d: Dispersion, offsets: np.ndarray,
                     quad_points: int = 1 << 16) -> tuple[np.ndarray, float]:
     """gamma_p at lattice offsets: (1/2pi) integral of (omega/2) cos(k d)."""
-    return _profile(lambda k: np.asarray(d(k)) / 2.0, offsets, quad_points)
+    return _Quadrature(d, quad_points).profile(_half, offsets)
 
 
 def exact_q_profile(d: Dispersion, offsets: np.ndarray,
@@ -263,16 +372,9 @@ def exact_q_profile(d: Dispersion, offsets: np.ndarray,
         raise GaplessUnregulated(
             "plain q covariance diverges for a gapless dispersion; "
             "request the regulated profile")
-
-    def inv2w(k):
-        w = np.asarray(d(k))
-        with np.errstate(divide="ignore"):
-            return np.where(w > 0, 1.0 / (2.0 * np.maximum(w, 1e-300)), 0.0)
-
-    if not regulated:
-        return _profile(inv2w, offsets, quad_points)
     # the offset-0 term diverges; its differences converge, so certify those
-    return _profile(inv2w, offsets, quad_points, drop_k0=True, regulated=True)
+    return _Quadrature(d, quad_points).profile(_half_inverse, offsets,
+                                               regulated)
 
 
 def exact_covariance(d: Dispersion, N: int, quad_points: int = 1 << 16,
@@ -294,20 +396,11 @@ def q_difference_norm(d: Dispersion, delta: int,
 
     By Parseval (1/2pi convention):
     norm^2 = (1/2pi) integral (1 - cos(k delta)) / (2 omega(k)^2) dk,
-    finite for gapless omega ~ |k| when delta != 0.
+    finite for gapless omega ~ |k| when delta != 0
+    (see _Quadrature.q_difference_norms).
     """
-    if delta == 0:
-        raise ValueError("delta must be nonzero")
-
-    def integrand(k):
-        w2 = np.asarray(d(k)) ** 2
-        top = 1.0 - np.cos(k * delta)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(w2 > 0, top / (2.0 * np.maximum(w2, 1e-300)), 0.0)
-        return out
-
-    vals, _ = _profile(integrand, np.array([0.0]), quad_points, drop_k0=True)
-    return float(np.sqrt(max(vals[0], 0.0)))
+    norms, _ = _Quadrature(d, quad_points).q_difference_norms([delta])
+    return float(norms[0])
 
 
 def ring_covariance(d: Dispersion, N: int) -> CovariancePair:
@@ -413,6 +506,12 @@ def _shift_invariant_norm(block_row: np.ndarray) -> float:
     return float(np.sqrt(max(top, 0.0)))
 
 
+def _layer_key(pair: FilterPair, squeeze: float) -> tuple:
+    """A layer's four filters (offsets and coefficient bytes) and squeeze."""
+    return tuple((f.offset, f.coeffs.tobytes())
+                 for f in (pair.g_s, pair.g_w, pair.h_s, pair.h_w)) + (squeeze,)
+
+
 def stack_operator_bound(stack: LayerStack, N: int = 512) -> float:
     """Max spectral norm over contiguous sub-stacks, both channels.
 
@@ -422,10 +521,18 @@ def stack_operator_bound(stack: LayerStack, N: int = 512) -> float:
     sub-stack constant, not an exact evaluation at the working size.  A
     depth-d sub-stack commutes with input shifts by 2^d, which gives its
     norm from P x P Gram symbols (see _shift_invariant_norm).  One walk per
-    first layer l0 yields the Gram rows of every sub-stack [l0, l1).
+    first layer l0 yields the Gram rows of every sub-stack [l0, l1).  A walk
+    is skipped when its layers repeat, key for key, those of an earlier
+    walk from j < l0: its sub-stacks are then [j, j + l1 - l0), already
+    measured.  On a scale-invariant stack, whose layers after the first are
+    all alike, two walks per channel remain.
     """
+    keys = [_layer_key(p, s) for p, s in zip(stack.pairs, stack.squeezes)]
+    L = stack.depth
     worst = 0.0
-    for l0 in range(stack.depth):
+    for l0 in range(L):
+        if any(keys[l0:] == keys[j:j + L - l0] for j in range(l0)):
+            continue
         sg = stack.squeezes[l0:]
         for channel, scales in (("g", sg), ("h", [1.0 / s for s in sg])):
             for row in _gram_block_rows(stack.pairs[l0:], channel, N, scales):
@@ -460,8 +567,16 @@ class ErrorReport:
     q_norms: dict
     constants: dict
     quad_error: float
-    #: the MERA covariance the deviations were measured on (not serialized)
-    covariance: CovariancePair = field(repr=False)
+    #: first block rows (q, p) of the MERA covariance the deviations were
+    #: measured on, P x N each (not serialized)
+    covariance_rows: tuple = field(repr=False)
+
+    @cached_property
+    def covariance(self) -> CovariancePair:
+        """The MERA covariance on Z_N, rolled out from ``covariance_rows``."""
+        q_rows, p_rows = self.covariance_rows
+        return CovariancePair(q_rows.shape[1], _roll_out(q_rows),
+                              _roll_out(p_rows))
 
     def dominated(self) -> bool:
         """True when every measured deviation sits below its bound."""
@@ -493,18 +608,27 @@ class ErrorReport:
         Path(path).write_text(json.dumps(self.to_json(), indent=2))
 
 
-def _window_deviation(profile: np.ndarray, block: np.ndarray,
+def _window_deviation(profile: np.ndarray, row: np.ndarray,
                       window: np.ndarray) -> float:
-    """max over n, m in window of |profile[|n - m|] - block[n mod N, m mod N]|.
+    """max over n, m in window of |profile[|n - m|] - G[n, m]|, where G on
+    Z_N is rolled out from its first block row ``row`` (see _entry).
 
-    Taken over chunks of 64 rows, so no (window x window) temporary is formed.
+    Along a window row n the entries G[n, m] sit in consecutive columns
+    (mod N) of row[n mod P], so each is a slice of a strided view of the
+    rows, and the exact side is a row of a Toeplitz view of the profile.
+    Taken over chunks of 64 rows: no N x N or (window x window) array is
+    formed.
     """
-    N = block.shape[0]
-    cols = window % N
-    maxima = [np.max(np.abs(
-        profile[np.abs(window[i:i + 64, None] - window)]
-        - block[np.ix_(cols[i:i + 64], cols)]))
-        for i in range(0, len(window), 64)]
+    P, N = row.shape
+    W = len(window)
+    wrapped = np.concatenate([row, row[:, :W - 1]], axis=1)
+    mera = sliding_window_view(wrapped, W, axis=1)
+    exact = sliding_window_view(profile[np.abs(np.arange(1 - W, W))], W)[::-1]
+    r = window % P
+    start = (window[0] - window + r) % N
+    maxima = [np.max(np.abs(exact[i:i + 64]
+                            - mera[r[i:i + 64], start[i:i + 64]]))
+              for i in range(0, W, 64)]
     return float(np.max(maxima))
 
 
@@ -519,40 +643,46 @@ def error_report(stack: LayerStack, N: int, quad_points: int = 1 << 16,
     N folds onto the ring (the 20-tap K=2/L=4 massless pair spans 4846 sites
     at depth 8); the folded layers stay circulant and biorthogonal, and
     depth-8 delta_p at N = 2048 (1.194548273e-3) agrees with the
-    infinite-lattice value (1.194548259e-3) to about 1e-11.
-    ``quad_error`` is the largest certified error of the oracle profiles.
+    infinite-lattice value (1.194548259e-3) to about 1e-11.  The entries
+    are read from the covariance's first block rows (P x N, P = 2^depth);
+    no N x N array is formed unless ``covariance`` is read.
+    The oracle samples the dispersion once per quadrature grid for all its
+    profiles and norms; quad_points must exceed N, so that the grid does not
+    alias the window's offsets.  ``quad_error`` is the largest certified
+    error of the oracle profiles and norms.
     The operator bound uses the lattice min(N, max(512, 2^depth)).
     """
     d = stack.base_dispersion
     L = stack.depth
-    mera = mera_covariance(stack, N)
+    q_rows, p_rows = _covariance_rows(stack, N)
     half = N // 4
     window = np.arange(-half, half + 1)
     offsets = np.arange(2 * half + 1)
-    p_prof, quad_error = exact_p_profile(d, offsets, quad_points)
-    delta_p = _window_deviation(p_prof, mera.p_block, window)
+    oracle = _Quadrature(d, quad_points)
+    p_prof, quad_error = oracle.profile(_half, offsets)
+    delta_p = _window_deviation(p_prof, p_rows, window)
 
     delta_q = None
-    gapless = d.gapless
-    if not gapless:
-        q_prof, q_err = exact_q_profile(d, offsets, quad_points,
-                                        regulated=False)
+    if not d.gapless:
+        q_prof, q_err = oracle.profile(_half_inverse, offsets)
         quad_error = max(quad_error, q_err)
-        delta_q = _window_deviation(q_prof, mera.q_block, window)
+        delta_q = _window_deviation(q_prof, q_rows, window)
 
     deltas = sorted({abs(n - m) for n, m in pairs_to_check if n != m})
-    reg_prof = {}
+    reg_prof, norm_of = {}, {}
     if deltas:
-        vals, reg_err = exact_q_profile(d, np.array(deltas), quad_points,
-                                        regulated=True)
-        quad_error = max(quad_error, reg_err)
+        vals, reg_err = oracle.profile(_half_inverse, deltas, regulated=True)
+        norms, norm_err = oracle.q_difference_norms(deltas)
+        quad_error = max(quad_error, reg_err, norm_err)
         reg_prof = dict(zip(deltas, vals))
-    delta_q_reg = {}
+        norm_of = dict(zip(deltas, norms.tolist()))
+    delta_q_reg, q_norms = {}, {}
     for n, m in pairs_to_check:
         if n == m:
             continue
-        mera_reg = mera.q_block[n % N, m % N] - mera.q_block[n % N, n % N]
+        mera_reg = _entry(q_rows, n, m) - _entry(q_rows, n, n)
         delta_q_reg[(n, m)] = float(abs(reg_prof[abs(n - m)] - mera_reg))
+        q_norms[(n, m)] = norm_of[abs(n - m)]
 
     B = stack_amplitude_bound(stack)
     D = stack_operator_bound(stack, N=min(N, max(512, 2 ** L)))
@@ -562,11 +692,10 @@ def error_report(stack: LayerStack, N: int, quad_points: int = 1 << 16,
         epsilon_of(p, dl) for p, dl in zip(stack.pairs,
                                            stack.level_dispersions()))
     bound_p, q_prefactor = theorem_bound(B, D, M, Omega, eps, L)
-    q_norms = {(n, m): q_difference_norm(d, abs(n - m), quad_points)
-               for n, m in pairs_to_check if n != m}
     bound_q_entries = {key: q_prefactor * val for key, val in q_norms.items()}
     bound_q = max(bound_q_entries.values()) if bound_q_entries else q_prefactor
     constants = {"B": B, "D": D, "M": M, "Omega": Omega, "epsilon": eps,
                  "C": 4.0 * B ** 2 * M ** 1.5 * Omega, "L_layers": L, "N": N}
     return ErrorReport(delta_p, delta_q, delta_q_reg, bound_p, bound_q,
-                       bound_q_entries, q_norms, constants, quad_error, mera)
+                       bound_q_entries, q_norms, constants, quad_error,
+                       (q_rows, p_rows))

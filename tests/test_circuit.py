@@ -182,7 +182,10 @@ def test_canonicalize_support(pair_k2l4):
 
 def test_decompose_rejects_broken_pr(haar):
     bad = derive_wavelet(haar.g_s, haar.h_s.scale(1.3))
-    with pytest.raises(DegenerateFactorization):
+    with pytest.raises(DegenerateFactorization,
+                       match=r"^PR defect 3\.000e-01 exceeds tol_pr \* scale "
+                             r"= 9\.192e-09: the pair is not perfect "
+                             r"reconstruction$"):
         decompose(bad)
 
 

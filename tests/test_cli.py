@@ -111,24 +111,45 @@ def test_simulate_outputs(tmp_path, pair_file):
     assert abs(float(row[6]) - abs(float(row[2]) - float(row[3]))) < 1e-15
 
 
-def test_simulate_csv_builds_one_covariance(tmp_path, pair_file,
-                                            monkeypatch):
+def test_simulate_csv_rolls_out_no_covariance(tmp_path, pair_file,
+                                             monkeypatch):
     import waverg.cli
     import waverg.mera
     calls = []
-    build = waverg.mera.mera_covariance
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return build(*args, **kwargs)
+    def refuse(name):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} on the simulate path")
+        return counted
 
-    monkeypatch.setattr(waverg.mera, "mera_covariance", counting)
-    # a covariance built by the CLI itself would count too
-    monkeypatch.setattr(waverg.cli, "mera_covariance", counting, raising=False)
+    # the report and the CSV read the covariance's first block rows only
+    for name in ("mera_covariance", "_roll_out"):
+        monkeypatch.setattr(waverg.mera, name, refuse(name))
+        monkeypatch.setattr(waverg.cli, name, refuse(name), raising=False)
     assert main(["simulate", "--pair", pair_file, "--layers", "2",
                  "--N", "64", "--csv", str(tmp_path / "c.csv"),
                  "--quad-points", "4096"]) == 0
-    assert len(calls) == 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("quad", ["0", "-4", "1", "2", "3", "64",
+                                  str(10 ** 12), str((1 << 20) + 1)])
+def test_simulate_refuses_quad_points(quad, pair_file, capsys):
+    # at most N points alias the window's offsets; the cap bounds memory
+    assert main(["simulate", "--pair", pair_file, "--layers", "3",
+                 "--N", "64", "--quad-points", quad]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --quad-points must be above N = 64 (a "
+                            f"coarser grid aliases the window) and at most "
+                            f"1048576, got {quad}\n")
+
+
+def test_simulate_accepts_quad_points_above_n(pair_file, capsys):
+    assert main(["simulate", "--pair", pair_file, "--layers", "3",
+                 "--N", "64", "--quad-points", "65"]) == 0
+    assert "dominated=True" in capsys.readouterr().out
 
 
 def test_simulate_ten_layers_is_dominated(tmp_path, capsys):

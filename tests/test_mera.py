@@ -1,8 +1,11 @@
 """Layer stacks, exact/MERA covariances, regulated oracles, error bounds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import waverg.mera
 from waverg import (DesignParams, Flat, GaplessUnregulated, Harmonic,
                     LayerStack, NotNonnegative, OutOfHypothesis, build_stack,
                     error_report, exact_covariance, exact_p_profile,
@@ -120,11 +123,26 @@ def test_regulated_q_certified_error_is_finite(massless):
 
 
 def test_q_difference_norm_massless_unit(massless):
-    # (1 - cos k) / (2 sin^2(k/2)) = 1, so the norm is 1 at delta = 1 up to
-    # the zeroed k = 0 quadrature node (a 1/quad_points bias in norm^2)
-    assert q_difference_norm(massless, 1) == pytest.approx(1.0, abs=1e-5)
+    # (1 - cos k delta) / (2 sin^2(k/2)) is delta times the Fejer kernel, so
+    # norm^2 = delta; the k = 0 sample of the integrand is its limit delta^2
+    for delta in (1, 4, 16):
+        assert q_difference_norm(massless, delta) == pytest.approx(
+            np.sqrt(delta), abs=1e-12)
     with pytest.raises(ValueError):
         q_difference_norm(massless, 0)
+
+
+@pytest.mark.parametrize("quad_points", [-4, 0, 1, 2, 32])
+def test_profile_refuses_aliasing_grid(massless, quad_points):
+    # the coarse grid must hold more than 2 max|offset| points
+    with pytest.raises(ValueError, match="alias"):
+        exact_p_profile(massless, np.array([0, 16]), quad_points)
+    with pytest.raises(ValueError, match="alias"):
+        exact_q_profile(massless, np.array([16]), quad_points)
+    with pytest.raises(ValueError, match="alias"):
+        q_difference_norm(massless, 16, quad_points)
+    vals, _ = exact_p_profile(massless, np.array([0, 16]), 33)
+    assert np.all(np.isfinite(vals))
 
 
 def test_ring_matches_infinite_chain_when_gapped():
@@ -249,6 +267,46 @@ def test_operator_bound_matches_dense_svd(which, N, massless_k2l4_8,
     assert stack_operator_bound(stack, N) == pytest.approx(want, rel=1e-12)
 
 
+def _all_walks_operator_bound(stack, N):
+    """The operator bound with one Gram walk per first layer, no reuse."""
+    worst = 0.0
+    for l0 in range(stack.depth):
+        sg = stack.squeezes[l0:]
+        for channel, scales in (("g", sg), ("h", [1.0 / s for s in sg])):
+            for row in waverg.mera._gram_block_rows(stack.pairs[l0:], channel,
+                                                    N, scales):
+                worst = max(worst, waverg.mera._shift_invariant_norm(row))
+    return worst
+
+
+@pytest.mark.parametrize("case, N, walks", [
+    ("massless_8", 512, 2), ("k1l1_10", 1024, 2), ("massive", 512, 5),
+    ("last_squeeze", 256, 6)])
+def test_operator_bound_reuses_walks_exactly(case, N, walks, monkeypatch,
+                                             massless_k2l4_8, massive_stack,
+                                             pair_k2l4):
+    if case == "massless_8":
+        stack = massless_k2l4_8
+    elif case == "k1l1_10":
+        stack = build_stack(Harmonic(0.0), DesignParams(1, 1), 10)
+    elif case == "massive":
+        stack = massive_stack
+    else:  # layers alike but the last: no tail repeats an earlier walk
+        stack = LayerStack((pair_k2l4,) * 6, (1.0,) + (0.5 ** 0.5,) * 4
+                           + (3.0,), Harmonic(0.0))
+    want = _all_walks_operator_bound(stack, N)
+    calls = []
+    walk = waverg.mera._gram_block_rows
+
+    def counting(pairs, *args):
+        calls.append(len(pairs))
+        return walk(pairs, *args)
+
+    monkeypatch.setattr(waverg.mera, "_gram_block_rows", counting)
+    assert stack_operator_bound(stack, N) == want
+    assert len(calls) == 2 * walks
+
+
 def test_theorem_bound_eps_zero_limit():
     b0, _ = theorem_bound(1.0, 1.0, 4, 1.0, 0.0, 6)
     assert b0 == pytest.approx(4.0 * 4 ** 1.5 * 2.0 ** -3, rel=1e-12)
@@ -286,16 +344,67 @@ def test_error_report_small_case(massless):
 
 def test_error_report_builds_no_dense_map(monkeypatch, massive_stack):
     import waverg.filters
-    import waverg.mera
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense multi_layer_map on the report path")
 
+    N = 512
     monkeypatch.setattr(waverg.filters, "multi_layer_map", refuse)
     monkeypatch.setattr(waverg.mera, "multi_layer_map", refuse, raising=False)
-    rep = error_report(massive_stack, 256, quad_points=1 << 12)
+    error_report(massive_stack, N, quad_points=1 << 12)  # warm caches
+    tracemalloc.start()
+    try:
+        rep = error_report(massive_stack, N, quad_points=1 << 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < N * N * 8  # less than one N x N float64 array
     assert rep.delta_q is not None
+    monkeypatch.undo()
+    want = mera_covariance(massive_stack, N)
+    assert np.array_equal(rep.covariance.q_block, want.q_block)
+    assert np.array_equal(rep.covariance.p_block, want.p_block)
     assert np.array_equal(rep.covariance.p_block, rep.covariance.p_block.T)
+
+
+def _dense_window_deviation(profile, block, window):
+    """max over n, m in window of |profile[|n - m|] - block[n mod N, m mod N]|,
+    gathered from the N x N block."""
+    N = block.shape[0]
+    cols = window % N
+    return float(np.max(np.abs(profile[np.abs(window[:, None] - window)]
+                               - block[np.ix_(cols, cols)])))
+
+
+@pytest.mark.parametrize("which", ["massless", "massive"])
+def test_error_report_deviations_match_rolled_out_covariance(
+        which, massive_stack):
+    if which == "massless":
+        stack = build_stack(Harmonic(0.0), DesignParams(2, 2), 3)
+    else:
+        stack = massive_stack
+    N, quad = 256, 1 << 13
+    pairs = ((0, 1), (0, 4), (0, 16), (3, -5), (-7, 2), (40, 41))
+    rep = error_report(stack, N, quad_points=quad, pairs_to_check=pairs)
+    d = stack.base_dispersion
+    cov = mera_covariance(stack, N)
+    window = np.arange(-(N // 4), N // 4 + 1)
+    offsets = np.arange(N // 2 + 1)
+    p_prof, _ = exact_p_profile(d, offsets, quad)
+    assert rep.delta_p == _dense_window_deviation(p_prof, cov.p_block, window)
+    if d.gapless:
+        assert rep.delta_q is None
+    else:
+        q_prof, _ = exact_q_profile(d, offsets, quad, regulated=False)
+        assert rep.delta_q == _dense_window_deviation(q_prof, cov.q_block,
+                                                      window)
+    deltas = sorted({abs(n - m) for n, m in pairs})
+    reg, _ = exact_q_profile(d, np.array(deltas), quad, regulated=True)
+    reg = dict(zip(deltas, reg))
+    q = cov.q_block
+    assert rep.delta_q_regulated == {
+        (n, m): float(abs(reg[abs(n - m)] - (q[n % N, m % N] - q[n % N, n % N])))
+        for n, m in pairs}
 
 
 def test_error_report_gapped_includes_plain_q():
