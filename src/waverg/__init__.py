@@ -20,8 +20,8 @@ from .circuit import (BinaryCircuit, Gate2, compose, composed_wavelets,
                       decompose, to_lattice_symplectic)
 from .mera import (CovariancePair, ErrorReport, LayerStack, build_stack,
                    error_report, exact_covariance, exact_p_profile,
-                   exact_q_profile, fixed_after, mera_covariance,
-                   q_difference_norm, ring_covariance, stack_amplitude_bound,
+                   exact_q_profile, mera_covariance, q_difference_norm,
+                   ring_covariance, stack_amplitude_bound,
                    stack_operator_bound, theorem_bound,
                    wavelet_channel_deviation)
 from .continuum import (AdaptiveFamily, SampledFunction, adaptive_family,

@@ -24,18 +24,20 @@ import sys
 import numpy as np
 
 from .circuit import compose, decompose, to_lattice_symplectic
-from .continuum import (cascade, descendant_spectrum, scaling_function,
+from .continuum import (descendant_spectrum, scaling_function,
                         superoperator_spectrum, wavelet_function)
 from .design import DesignParams, design_pair, epsilon_of
-from .dispersion import flow, flow_report, parse_dispersion
+from .dispersion import flow_report, parse_dispersion
 from .errors import WavergError
 from .filters import FilterPair
-from .mera import LayerStack, error_report, exact_p_profile, exact_q_profile
+from .mera import build_stack, error_report
 
 USAGE_EXIT = 1
 NUMERICAL_EXIT = 2
-#: largest --quad-points: the oracle's finer grid then holds 2^21 points
-MAX_QUAD_POINTS = 1 << 20
+#: largest --quad-points and --grid (the oracle's finer grid holds 2^21 points)
+MAX_POINTS = 1 << 20
+#: largest --levels: a level-l site spans 2^l sites, past any int64 index
+MAX_LEVELS = 62
 
 
 def _fmt(x: float) -> str:
@@ -56,6 +58,25 @@ class UsageError(Exception):
     pass
 
 
+def _int_in(lo: int, hi: float = float("inf")):
+    """argparse type: an integer in lo..hi."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if not lo <= n <= hi:
+            raise argparse.ArgumentTypeError(f"must be {lo}..{hi}, got {n}")
+        return n
+    return parse
+
+
+def _write(path: str | None, text: str):
+    """Write text to path, or to stdout without one."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _parse_range(text: str) -> list[int]:
     """'1..4' -> [1, 2, 3, 4]; '3' -> [3]; '1,2,4' -> [1, 2, 4]."""
     out: list[int] = []
@@ -69,12 +90,7 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _design_params(args, K: int, L: int) -> DesignParams:
-    kwargs = {}
-    if args.grid is not None:
-        kwargs["grid_size"] = args.grid
-    if args.tol is not None:
-        kwargs["tol_positivity"] = args.tol
-    return DesignParams(K, L, **kwargs)
+    return DesignParams(K, L, tol_positivity=args.tol, grid_size=args.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +104,8 @@ def cmd_design(args) -> int:
     if args.out:
         pair.save(args.out)
     if args.report:
-        payload = report.to_json()
-        payload["epsilon"] = eps
-        with open(args.report, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write(args.report, json.dumps(report.to_json() | {"epsilon": eps},
+                                       indent=2, sort_keys=True) + "\n")
     print(f"designed K={args.K} L={args.L} support={pair.support_length()} "
           f"epsilon={_fmt(eps)} pr_residual={_fmt(pair.pr_residual)}")
     return 0
@@ -123,12 +136,7 @@ def cmd_sweep(args) -> int:
                                    _fmt(report.pr_residual),
                                    _fmt(report.stability_max_abs),
                                    _fmt(report.positivity_min)]))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -155,33 +163,23 @@ def cmd_circuit(args) -> int:
 
 def cmd_simulate(args) -> int:
     layers, N = args.layers, args.N
-    if layers < 1:
-        raise UsageError("--layers must be >= 1")
     if N % (1 << layers) != 0:
         raise UsageError(
             f"N = {N} must be divisible by 2^layers = {1 << layers}")
     quad = args.quad_points
-    if not N < quad <= MAX_QUAD_POINTS:
+    if not N < quad <= MAX_POINTS:
         raise UsageError(f"--quad-points must be above N = {N} (a coarser "
                          f"grid aliases the window) and at most "
-                         f"{MAX_QUAD_POINTS}, got {quad}")
+                         f"{MAX_POINTS}, got {quad}")
     d = parse_dispersion(args.dispersion)
-    pair = FilterPair.load(args.pair)
-    levels = flow(d, layers - 1)
-    squeezes = [float(np.sqrt(dl.omega_pi)) for dl in levels]
-    eps = [epsilon_of(pair, dl) for dl in levels]
-    stack = LayerStack((pair,) * layers, tuple(squeezes), d,
-                       strategy="fixed_after:0", epsilons=tuple(eps))
+    stack = build_stack(d, FilterPair.load(args.pair), layers)
     rep = error_report(stack, N, quad_points=quad)
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(rep.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        rep.save(args.report)
     if args.csv:
         q_row, p_row = (rows[0] for rows in rep.covariance_rows)
         ms = np.arange(1, min(args.csv_range, N // 4) + 1)
-        p_prof, _ = exact_p_profile(d, ms.astype(float), quad)
-        q_prof, _ = exact_q_profile(d, ms.astype(float), quad, regulated=True)
+        p_prof, q_prof = rep.exact_profiles(ms)
         lines = ["n,m,exact_p,mera_p,exact_q_reg,mera_q_reg,abs_err_p,abs_err_q"]
         for i, m in enumerate(ms):
             mera_p = p_row[m]
@@ -191,8 +189,7 @@ def cmd_simulate(args) -> int:
                  _fmt(q_prof[i]), _fmt(mera_q),
                  _fmt(abs(p_prof[i] - mera_p)),
                  _fmt(abs(q_prof[i] - mera_q))]))
-        with open(args.csv, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write(args.csv, "\n".join(lines) + "\n")
     print(f"delta_p={_fmt(rep.delta_p)} bound_p={_fmt(rep.bound_p)} "
           f"dominated={rep.dominated()}")
     return 0
@@ -216,12 +213,7 @@ def cmd_cascade(args) -> int:
     for i in range(n):
         lines.append(",".join([_fmt(x[i])] + [_fmt(cols[c][i]) for c in
                                               ("phi_g", "phi_h", "psi_g", "psi_h")]))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -259,7 +251,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_flow(args) -> int:
     d = parse_dispersion(args.dispersion)
-    rep = flow_report(d, args.levels, grid=args.grid or 4096)
+    rep = flow_report(d, args.levels, grid=args.grid)
     print("level,omega_pi,omega_max,fitted_mass")
     for lv in rep.levels:
         # blank when there is no harmonic fit or it finds no finite mass
@@ -281,10 +273,13 @@ def build_parser() -> _Parser:
     common.add_argument("--json-errors", action="store_true",
                         help="emit usage errors as JSON on stderr too")
     grid = _Parser(add_help=False)
-    grid.add_argument("--grid", type=int, default=None,
-                      help="frequency grid size for design and flow fits")
+    grid.add_argument("--grid", type=_int_in(1, MAX_POINTS),
+                      default=DesignParams.grid_size,
+                      help="frequency grid size for design and flow fits; "
+                           f"at most {MAX_POINTS}")
     tol = _Parser(add_help=False)
-    tol.add_argument("--tol", type=float, default=None,
+    tol.add_argument("--tol", type=float,
+                     default=DesignParams.tol_positivity,
                      help="positivity tolerance for spectral factorization")
 
     sub = top.add_subparsers(dest="verb", required=True, parser_class=_Parser)
@@ -318,17 +313,19 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", parents=[common],
                        help="MERA vs exact covariance with error bounds")
     p.add_argument("--pair", required=True, help="pair JSON path")
-    p.add_argument("--layers", type=int, required=True)
+    # 2^layers divides N, and N < --quad-points <= 2^20
+    p.add_argument("--layers", type=_int_in(1, 19), required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--dispersion", default="harmonic:m=0")
     p.add_argument("--report", default=None, help="error report JSON path")
     p.add_argument("--csv", default=None, help="correlation CSV path")
-    p.add_argument("--csv-range", type=int, default=32, dest="csv_range",
+    p.add_argument("--csv-range", type=_int_in(1), default=32,
+                   dest="csv_range",
                    help="largest offset m in the correlation CSV")
     p.add_argument("--quad-points", type=int, default=1 << 16,
                    dest="quad_points",
                    help="base quadrature points (one Richardson doubling); "
-                        f"above N and at most {MAX_QUAD_POINTS}")
+                        f"above N and at most {MAX_POINTS}")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("cascade", parents=[common],
@@ -348,7 +345,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("flow", parents=[common, grid],
                        help="renormalization flow of a dispersion")
     p.add_argument("--dispersion", default="harmonic:m=0")
-    p.add_argument("--levels", type=int, default=5)
+    p.add_argument("--levels", type=_int_in(0, MAX_LEVELS), default=5)
     p.set_defaults(func=cmd_flow)
 
     return top
@@ -362,14 +359,7 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_EXIT
     try:
         return args.func(args)
-    except UsageError as err:
-        if args.json_errors:
-            print(json.dumps({"error": "UsageError", "message": str(err)},
-                             sort_keys=True), file=sys.stderr)
-        else:
-            print(f"error: {err}", file=sys.stderr)
-        return USAGE_EXIT
-    except (FileNotFoundError, ValueError) as err:
+    except (UsageError, FileNotFoundError, ValueError) as err:
         if args.json_errors:
             print(json.dumps({"error": type(err).__name__,
                               "message": str(err)}, sort_keys=True),

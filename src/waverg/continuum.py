@@ -110,6 +110,22 @@ def inner_product(f: SampledFunction, g: SampledFunction) -> float:
 # cascade
 # ---------------------------------------------------------------------------
 
+def _unit_eigenvector(T: np.ndarray, tol: float, name: str) -> np.ndarray:
+    """Real eigenvector of T for the eigenvalue nearest 1, normalized to sum
+    1; NoUnitEigenvalue, with ``name`` for T, if no eigenvalue lies within
+    ``tol`` of 1 or the vector sums to 0."""
+    w, v = np.linalg.eig(T)
+    cand = np.where(np.abs(w - 1.0) < tol)[0]
+    if cand.size == 0:
+        raise NoUnitEigenvalue(f"{name} eigenvalues "
+                               f"{np.sort(np.abs(w))[::-1][:4]} contain no 1")
+    vec = np.real(v[:, cand[np.argmin(np.abs(w[cand] - 1.0))]])
+    s = vec.sum()
+    if abs(s) < 1e-12:
+        raise NoUnitEigenvalue(f"{name} unit eigenvector has zero sum")
+    return vec / s
+
+
 def _integer_samples(a_s: FirFilter) -> tuple[int, np.ndarray]:
     """Samples of the scaling function on its integer support.
 
@@ -118,18 +134,8 @@ def _integer_samples(a_s: FirFilter) -> tuple[int, np.ndarray]:
     """
     n0, n1 = a_s.support
     pts = np.arange(n0, n1 + 1)
-    w, v = np.linalg.eig(ROOT2 * a_s[2 * pts[:, None] - pts])
-    cand = np.where(np.abs(w - 1.0) < 1e-8)[0]
-    if cand.size == 0:
-        raise NoUnitEigenvalue(
-            f"integer refinement matrix eigenvalues {np.sort(np.abs(w))[::-1][:4]}"
-            " contain no 1")
-    best = cand[np.argmin(np.abs(w[cand] - 1.0))]
-    vec = np.real(v[:, best])
-    s = vec.sum()
-    if abs(s) < 1e-12:
-        raise NoUnitEigenvalue("unit eigenvector has zero sample sum")
-    return int(n0), vec / s
+    return int(n0), _unit_eigenvector(ROOT2 * a_s[2 * pts[:, None] - pts],
+                                      1e-8, "integer refinement matrix")
 
 
 def cascade(a_s: FirFilter, J: int) -> SampledFunction:
@@ -173,12 +179,7 @@ def refinement_residual(phi: SampledFunction, a_s: FirFilter) -> float:
 def wavelet_function(pair: FilterPair, channel: str, J: int = DEFAULT_J
                      ) -> SampledFunction:
     """psi^a(x) = sqrt(2) sum_n a_w[n] phi^a(2x - n) on the level-J grid."""
-    if channel == "g":
-        a_s, a_w = pair.g_s, pair.g_w
-    elif channel == "h":
-        a_s, a_w = pair.h_s, pair.h_w
-    else:
-        raise ValueError(f"channel must be 'g' or 'h', got {channel!r}")
+    a_s, a_w = pair.channel(channel)
     # refine_with gains one dyadic level, so phi is needed at level J - 1 only
     phi = cascade(a_s, J - 1)
     return refine_with(phi, a_w)
@@ -200,8 +201,7 @@ def refine_with(f: SampledFunction, taps: FirFilter) -> SampledFunction:
 
 def scaling_function(pair: FilterPair, channel: str, J: int = DEFAULT_J
                      ) -> SampledFunction:
-    a_s = pair.g_s if channel == "g" else pair.h_s
-    return cascade(a_s, J)
+    return cascade(pair.channel(channel)[0], J)
 
 
 # ---------------------------------------------------------------------------
@@ -340,18 +340,9 @@ def translate_gram(pair: FilterPair, half: int | None = None) -> FirFilter:
     corr = pair.g_s.correlate(pair.h_s)
     if half is None:
         half = max(abs(corr.support[0]), abs(corr.support[1])) + 1
-    T = _ascend_block(corr, 1.0, half)
-    w, v = np.linalg.eig(T)
-    cand = np.where(np.abs(w - 1.0) < 1e-6)[0]
-    if cand.size == 0:
-        raise NoUnitEigenvalue(
-            "translate cross-Gram transfer block has no unit eigenvalue")
-    best = cand[np.argmin(np.abs(w[cand] - 1.0))]
-    vec = np.real(v[:, best])
-    s = vec.sum()
-    if abs(s) < 1e-12:
-        raise NoUnitEigenvalue("cross-Gram eigenvector has zero sum")
-    return FirFilter(-half, vec / s)
+    return FirFilter(-half, _unit_eigenvector(
+        _ascend_block(corr, 1.0, half), 1e-6,
+        "translate cross-Gram transfer block"))
 
 
 def dual_wavelet_pairing(pair: FilterPair, l: int, n: int, lp: int, m: int,
@@ -400,9 +391,9 @@ class AdaptiveFamily:
         return len(self.levels)
 
 
-def _stack_filter(stack, l: int, channel: str, kind: str) -> FirFilter:
-    pair = stack.pairs[min(l, len(stack.pairs) - 1)]
-    return getattr(pair, f"{channel}_{kind}")
+def _stack_filters(stack, l: int, channel: str) -> tuple[FirFilter, FirFilter]:
+    """(a_s, a_w) of layer l; layers past the stack repeat its last pair."""
+    return stack.pairs[min(l, len(stack.pairs) - 1)].channel(channel)
 
 
 def adaptive_scaling_function(stack, l: int, channel: str,
@@ -418,9 +409,9 @@ def adaptive_scaling_function(stack, l: int, channel: str,
     J_tail = J - J_prod
     if J_tail < 0:
         raise ValueError("J must be at least J_prod")
-    f = cascade(_stack_filter(stack, l + J_prod, channel, "s"), J_tail)
+    f = cascade(_stack_filters(stack, l + J_prod, channel)[0], J_tail)
     for j in range(J_prod, 0, -1):
-        f = refine_with(f, _stack_filter(stack, l + j - 1, channel, "s"))
+        f = refine_with(f, _stack_filters(stack, l + j - 1, channel)[0])
     return f
 
 
@@ -437,12 +428,9 @@ def adaptive_family(stack, J_prod: int, J: int = DEFAULT_J) -> AdaptiveFamily:
         for channel in ("g", "h"):
             phi_next = adaptive_scaling_function(stack, l + 1, channel,
                                                  J_prod, J - 1)
-            entry[channel] = {
-                "phi": refine_with(phi_next,
-                                   _stack_filter(stack, l, channel, "s")),
-                "psi": refine_with(phi_next,
-                                   _stack_filter(stack, l, channel, "w")),
-            }
+            a_s, a_w = _stack_filters(stack, l, channel)
+            entry[channel] = {"phi": refine_with(phi_next, a_s),
+                              "psi": refine_with(phi_next, a_w)}
         levels.append(entry)
         g, h = entry["g"]["phi"], entry["h"]["phi"]
         span = int(np.ceil(g.support[1] - h.support[0])) + 1

@@ -38,6 +38,8 @@ class DesignParams:
     def __post_init__(self):
         if self.K < 1 or self.L < 1:
             raise ValueError("K and L must be >= 1")
+        if self.grid_size < 4:  # the massless check samples grid_size // 4
+            raise ValueError(f"grid_size must be >= 4, got {self.grid_size}")
 
     @property
     def M(self) -> int:

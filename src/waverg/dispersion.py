@@ -234,6 +234,8 @@ class FlowReport:
 
 
 def flow_report(d: Dispersion, levels: int, grid: int = _FLOW_GRID) -> FlowReport:
+    if grid < 1:
+        raise ValueError(f"flow grid must be >= 1, got {grid}")
     k = -np.pi + 2 * np.pi * np.arange(grid) / grid
     fit = isinstance(d, Harmonic)
     out = []

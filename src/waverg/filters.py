@@ -164,14 +164,19 @@ class FilterPair:
         object.__setattr__(self, "g_w", wavelet_from_scaling(self.h_s))
         object.__setattr__(self, "h_w", wavelet_from_scaling(self.g_s))
         object.__setattr__(self, "pr_residual", pr_residual(self))
-        lo = min(self.g_s.support[0], self.h_s.support[0])
-        hi = max(self.g_s.support[1], self.h_s.support[1])
-        object.__setattr__(self, "halfwidth", max(1, (hi - lo + 1 + 1) // 2))
+        object.__setattr__(self, "halfwidth",
+                           max(1, (self.support_length() + 1) // 2))
 
     def support_length(self) -> int:
         lo = min(self.g_s.support[0], self.h_s.support[0])
         hi = max(self.g_s.support[1], self.h_s.support[1])
         return hi - lo + 1
+
+    def channel(self, name: str) -> tuple[FirFilter, FirFilter]:
+        """(a_s, a_w) of channel a = 'g' or 'h'."""
+        if name not in ("g", "h"):
+            raise ValueError(f"channel must be 'g' or 'h', got {name!r}")
+        return getattr(self, f"{name}_s"), getattr(self, f"{name}_w")
 
     # -- serialization (wavelet parts always re-derived, never stored) -----
     def to_json(self, name: str = "", meta: dict | None = None) -> dict:
@@ -295,13 +300,10 @@ def level_walk(pairs, channel: str, scales: list[float] | None = None):
     are the per-layer factors s_l (default 1).  Yields (scaling, wavelet) for
     levels 1, 2, ..., so all prefixes of a stack share one walk.
     """
-    if channel not in ("g", "h"):
-        raise ValueError(f"channel must be 'g' or 'h', got {channel!r}")
     scaling = FirFilter.delta()
     for l, pair in enumerate(pairs):
         s = 1.0 if scales is None else scales[l]
-        a_s = getattr(pair, f"{channel}_s").upsample(1 << l)
-        a_w = getattr(pair, f"{channel}_w").upsample(1 << l)
+        a_s, a_w = (f.upsample(1 << l) for f in pair.channel(channel))
         wavelet = s * scaling.convolve(a_w)
         scaling = s * scaling.convolve(a_s)
         yield scaling, wavelet

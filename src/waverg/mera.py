@@ -36,36 +36,12 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .design import DesignParams, DesignReport, design_pair, epsilon_of
+from .design import DesignParams, design_pair, epsilon_of
 from .dispersion import Dispersion, fitted_mass, flow, flow_report
 from .errors import GaplessUnregulated, OutOfHypothesis, WavergError
 from .filters import (FilterPair, check_lattice, decomposition_map,
                       level_walk, placed_gram_rows)
 from .continuum import cascade
-
-REDESIGN = "redesign"
-
-
-def fixed_after(l_star: int) -> str:
-    """Strategy token: design layers 0..l_star, reuse layer l_star's pair after."""
-    return f"fixed_after:{l_star}"
-
-
-def _parse_strategy(strategy: str, L_layers: int) -> int:
-    """Return the first reused layer index (L_layers means 'never reuse')."""
-    if strategy == REDESIGN:
-        return L_layers
-    kind, _, index = strategy.partition(":")
-    if kind == "fixed_after":
-        try:
-            l_star = int(index)
-        except ValueError:
-            raise ValueError(f"strategy {strategy!r} must have the form "
-                             "fixed_after:<layer>") from None
-        if l_star < 0:
-            raise ValueError("fixed_after layer must be >= 0")
-        return l_star
-    raise ValueError(f"unknown strategy {strategy!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,14 +51,11 @@ class LayerStack:
     pairs: tuple
     squeezes: tuple
     base_dispersion: Dispersion
-    strategy: str = REDESIGN
-    epsilons: tuple = ()
     reports: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(self.pairs))
         object.__setattr__(self, "squeezes", tuple(float(s) for s in self.squeezes))
-        object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "reports", tuple(self.reports))
         if len(self.pairs) != len(self.squeezes):
             raise ValueError("one squeeze factor per layer required")
@@ -97,41 +70,51 @@ class LayerStack:
     def max_support(self) -> int:
         return max(p.support_length() for p in self.pairs)
 
-    def level_dispersions(self) -> list[Dispersion]:
-        return flow(self.base_dispersion, self.depth - 1)
+    @cached_property
+    def levels(self) -> tuple:
+        """The renormalized dispersions omega_0 .. omega_{depth-1}."""
+        return tuple(flow(self.base_dispersion, self.depth - 1))
+
+    @cached_property
+    def epsilons(self) -> tuple:
+        """Each layer's filter-relation defect against its level."""
+        return tuple(map(epsilon_of, self.pairs, self.levels))
 
     def fitted_masses(self) -> list[float]:
-        return [fitted_mass(d) for d in self.level_dispersions()]
+        return [fitted_mass(d) for d in self.levels]
 
 
-def build_stack(d: Dispersion, params: DesignParams, L_layers: int,
-                strategy: str = REDESIGN) -> LayerStack:
-    """Design (or reuse) one filter pair per renormalization level.
+def build_stack(d: Dispersion, design: DesignParams | FilterPair,
+                L_layers: int) -> LayerStack:
+    """One filter pair and one squeeze factor per renormalization level.
 
-    Layer l is designed against omega_l / omega_l(pi); its squeeze factor is
-    sqrt(omega_l(pi)).  Design failures are re-raised with the failing layer
-    recorded on the exception.
+    Layer l's squeeze factor is sqrt(omega_l(pi)).  With ``DesignParams``
+    layer l is designed against omega_l / omega_l(pi), and a design failure
+    is re-raised with the failing layer recorded on the exception; a
+    ``FilterPair`` serves every layer, as on the scale-invariant massless
+    chain.
     """
+    if not isinstance(design, (DesignParams, FilterPair)):
+        raise TypeError("design must be DesignParams or FilterPair, "
+                        f"got {type(design).__name__}")
     if L_layers < 1:
         raise ValueError("L_layers must be >= 1")
-    reuse_from = _parse_strategy(strategy, L_layers)
-    levels = flow(d, L_layers - 1)
-    pairs, squeezes, epsilons, reports = [], [], [], []
-    for l, dl in enumerate(levels):
-        squeezes.append(np.sqrt(dl.omega_pi))
-        if l > reuse_from:
-            pair, report = pairs[reuse_from], reports[reuse_from]
-        else:
+    levels = tuple(flow(d, L_layers - 1))
+    if isinstance(design, FilterPair):
+        pairs, reports = (design,) * L_layers, ()
+    else:
+        designed = []
+        for l, dl in enumerate(levels):
             try:
-                pair, report = design_pair(dl, params)
+                designed.append(design_pair(dl, design))
             except WavergError as err:
                 err.layer = l
                 raise
-        pairs.append(pair)
-        reports.append(report)
-        epsilons.append(epsilon_of(pair, dl))
-    return LayerStack(tuple(pairs), tuple(squeezes), d, strategy,
-                      tuple(epsilons), tuple(reports))
+        pairs, reports = zip(*designed)
+    stack = LayerStack(pairs, [np.sqrt(dl.omega_pi) for dl in levels], d,
+                       reports)
+    object.__setattr__(stack, "levels", levels)  # seed the cached flow
+    return stack
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +421,7 @@ def wavelet_channel_deviation(stack: LayerStack, N: int) -> list[float]:
     deeper channel; the per-level measurement isolates the flattening trend.)
     """
     out = []
-    for pair, dl in zip(stack.pairs, stack.level_dispersions()):
+    for pair, dl in zip(stack.pairs, stack.levels):
         exact = ring_covariance(dl, N)
         w_g = decomposition_map(pair, "g", N).matrix
         w_h = decomposition_map(pair, "h", N).matrix
@@ -570,6 +553,8 @@ class ErrorReport:
     #: first block rows (q, p) of the MERA covariance the deviations were
     #: measured on, P x N each (not serialized)
     covariance_rows: tuple = field(repr=False)
+    #: the oracle and its samples of omega, for later profiles (not serialized)
+    oracle: _Quadrature = field(repr=False)
 
     @cached_property
     def covariance(self) -> CovariancePair:
@@ -577,6 +562,11 @@ class ErrorReport:
         q_rows, p_rows = self.covariance_rows
         return CovariancePair(q_rows.shape[1], _roll_out(q_rows),
                               _roll_out(p_rows))
+
+    def exact_profiles(self, offsets) -> tuple[np.ndarray, np.ndarray]:
+        """Exact gamma_p and regulated gamma_q at ``offsets``."""
+        return (self.oracle.profile(_half, offsets)[0],
+                self.oracle.profile(_half_inverse, offsets, regulated=True)[0])
 
     def dominated(self) -> bool:
         """True when every measured deviation sits below its bound."""
@@ -605,7 +595,9 @@ class ErrorReport:
         }
 
     def save(self, path: str | Path):
-        Path(path).write_text(json.dumps(self.to_json(), indent=2))
+        """Write ``to_json()`` as the simulate verb's report file."""
+        Path(path).write_text(
+            json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")
 
 
 def _window_deviation(profile: np.ndarray, row: np.ndarray,
@@ -688,9 +680,7 @@ def error_report(stack: LayerStack, N: int, quad_points: int = 1 << 16,
     D = stack_operator_bound(stack, N=min(N, max(512, 2 ** L)))
     M = stack.max_support
     Omega = flow_report(d, L - 1).omega_bound
-    eps = max(stack.epsilons) if stack.epsilons else max(
-        epsilon_of(p, dl) for p, dl in zip(stack.pairs,
-                                           stack.level_dispersions()))
+    eps = max(stack.epsilons)
     bound_p, q_prefactor = theorem_bound(B, D, M, Omega, eps, L)
     bound_q_entries = {key: q_prefactor * val for key, val in q_norms.items()}
     bound_q = max(bound_q_entries.values()) if bound_q_entries else q_prefactor
@@ -698,4 +688,4 @@ def error_report(stack: LayerStack, N: int, quad_points: int = 1 << 16,
                  "C": 4.0 * B ** 2 * M ** 1.5 * Omega, "L_layers": L, "N": N}
     return ErrorReport(delta_p, delta_q, delta_q_reg, bound_p, bound_q,
                        bound_q_entries, q_norms, constants, quad_error,
-                       (q_rows, p_rows))
+                       (q_rows, p_rows), oracle)

@@ -166,6 +166,22 @@ def test_simulate_ten_layers_is_dominated(tmp_path, capsys):
     assert 0 <= d["quad_error"] < 1e-6
 
 
+def test_simulate_csv_reads_the_report_oracle(tmp_path, pair_file,
+                                             monkeypatch):
+    # the CSV's exact columns reuse the dispersion samples of the report
+    points = []
+    call = Harmonic.__call__
+    monkeypatch.setattr(Harmonic, "__call__",
+                        lambda h, k: points.append(np.size(k)) or call(h, k))
+    counts = []
+    for extra in ([], ["--csv", str(tmp_path / "c.csv")]):
+        points.clear()
+        assert main(["simulate", "--pair", pair_file, "--layers", "3",
+                     "--N", "128", "--quad-points", "8192"] + extra) == 0
+        counts.append(sum(points))
+    assert counts[0] == counts[1] > 0
+
+
 def test_simulate_deterministic(tmp_path, pair_file):
     outs = []
     for name in ("a.csv", "b.csv"):
@@ -356,6 +372,72 @@ def test_flow_exit_code_contract(kind, x):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(["flow", "--dispersion", f"{kind}:{x!r}", "--levels", "3"])
+    assert code in (0, 1, 2)
+    if code == 0:
+        text = out.getvalue().lower()
+        assert "nan" not in text and "inf" not in text, text
+    if code == 2:
+        json.loads(err.getvalue().strip().splitlines()[-1])
+
+
+SIMULATE = ["simulate", "--layers", "1", "--N", "64", "--quad-points", "4096",
+            "--report", "REPORT", "--csv", "CSV", "--pair", "PAIR"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["flow", "--levels", "-1"], "argument --levels: must be 0..62, got -1"),
+    (["flow", "--grid", "-5"], "argument --grid: must be 1..1048576, got -5"),
+    (["design", "--K", "1", "--L", "1", "--grid", "0"],
+     "argument --grid: must be 1..1048576, got 0"),
+    (["design", "--dispersion", "flat:1", "--K", "1", "--L", "1",
+      "--grid", "3"], "grid_size must be >= 4, got 3"),
+    (["sweep", "--grid", "0"], "argument --grid: must be 1..1048576, got 0"),
+    (SIMULATE + ["--csv-range", "0"],
+     "argument --csv-range: must be 1..inf, got 0"),
+    (SIMULATE + ["--csv-range", "-3"],
+     "argument --csv-range: must be 1..inf, got -3"),
+    (SIMULATE + ["--layers", "0"], "argument --layers: must be 1..19, got 0"),
+    (SIMULATE + ["--layers", str(10 ** 11)],
+     "argument --layers: must be 1..19"),
+])
+def test_bad_integer_flag_is_usage_error(argv, message, pair_file, tmp_path,
+                                         capsys):
+    files = {"PAIR": pair_file, "REPORT": str(tmp_path / "r.json"),
+             "CSV": str(tmp_path / "c.csv")}
+    assert main([files.get(a, a) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert list(tmp_path.iterdir()) == []  # refused before any work
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["flow"], "--levels"),
+    (["flow", "--dispersion", "harmonic:m=0.3"], "--grid"),
+    (["design", "--K", "1", "--L", "1"], "--grid"),
+    (["design", "--dispersion", "harmonic:m=0.3", "--K", "1", "--L", "1"],
+     "--grid"),
+    (["sweep", "--K", "1", "--L", "1"], "--grid"),
+    (["simulate", "--layers", "1", "--N", "64", "--quad-points", "4096",
+      "--csv", "CSV", "--pair"], "--csv-range"),
+    (["simulate", "--N", "64", "--quad-points", "4096", "--pair"],
+     "--layers"),
+])
+@settings(deadline=None, max_examples=40)
+@given(value=st.integers())
+@example(value=0)
+@example(value=-1)
+@example(value=3)
+@example(value=4)
+def test_integer_flag_exit_code_contract(argv, flag, value, pair_file,
+                                         tmp_path_factory):
+    csv = tmp_path_factory.mktemp("contract") / "c.csv"
+    argv = [str(csv) if a == "CSV" else a for a in argv]
+    if argv[-1] == "--pair":
+        argv.append(pair_file)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv + [flag, str(value)])
     assert code in (0, 1, 2)
     if code == 0:
         text = out.getvalue().lower()

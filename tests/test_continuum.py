@@ -173,6 +173,13 @@ def test_refine_with_bit_identical_to_lookup_loop(pair_k2l4, shift):
         assert np.array_equal(got.values, want.values)
 
 
+@pytest.mark.parametrize("function", [scaling_function, wavelet_function])
+@pytest.mark.parametrize("channel", ["x", "G", ""])
+def test_unknown_channel_is_refused(function, channel, pair_k2l4):
+    with pytest.raises(ValueError, match="channel must be 'g' or 'h'"):
+        function(pair_k2l4, channel, 6)
+
+
 def test_scaling_functions_biorthogonal(pair_k2l4):
     J = 10
     g = scaling_function(pair_k2l4, "g", J)

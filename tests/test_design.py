@@ -140,4 +140,7 @@ def test_design_params_validation():
         DesignParams(0, 1)
     with pytest.raises(ValueError):
         DesignParams(1, 0)
+    # the massless-shape check samples grid_size // 4 points
+    with pytest.raises(ValueError, match="grid_size must be >= 4, got 3"):
+        DesignParams(1, 1, grid_size=3)
     assert DesignParams(2, 4).M == 10

@@ -167,6 +167,13 @@ def test_fitted_mass_flat_is_infinite():
     assert fitted_mass(Flat(1.0)) == float("inf")
 
 
+@pytest.mark.parametrize("grid", [0, -5])
+def test_flow_report_refuses_empty_grid(grid):
+    message = f"flow grid must be >= 1, got {grid}"
+    with pytest.raises(ValueError, match=message):
+        flow_report(Harmonic(0.3), 2, grid=grid)
+
+
 def test_flow_report_fields():
     rep = flow_report(Harmonic(0.5), 3)
     assert [lv.level for lv in rep.levels] == [0, 1, 2, 3]

@@ -8,12 +8,11 @@ import pytest
 import waverg.mera
 from waverg import (DesignParams, Flat, GaplessUnregulated, Harmonic,
                     LayerStack, NotNonnegative, OutOfHypothesis, build_stack,
-                    error_report, exact_covariance, exact_p_profile,
-                    exact_q_profile, fixed_after, haar_pair, mass_flow,
-                    mera_covariance, multi_layer_map, q_difference_norm,
-                    ring_covariance, stack_operator_bound, theorem_bound,
-                    wavelet_channel_deviation)
-from waverg.mera import REDESIGN, _parse_strategy
+                    epsilon_of, error_report, exact_covariance,
+                    exact_p_profile, exact_q_profile, flow, haar_pair,
+                    mass_flow, mera_covariance, multi_layer_map,
+                    q_difference_norm, ring_covariance, stack_operator_bound,
+                    theorem_bound, wavelet_channel_deviation)
 
 
 # -- stacks ----------------------------------------------------------------
@@ -30,23 +29,30 @@ def test_build_stack_massless_squeezes(designs, massless):
                                    atol=1e-12)
 
 
-def test_build_stack_fixed_after_reuses_objects(massless):
-    stack = build_stack(massless, DesignParams(1, 1), 4,
-                        strategy=fixed_after(1))
-    assert stack.pairs[2] is stack.pairs[1]
-    assert stack.pairs[3] is stack.pairs[1]
-    assert stack.pairs[0] is not stack.pairs[1]
+@pytest.mark.parametrize("m", [0.0, 0.3])
+def test_build_stack_with_pair_serves_every_layer(m, pair_k2l4):
+    # simulate's stack: one pair, squeezes and epsilons of the flow levels
+    d = Harmonic(m)
+    stack = build_stack(d, pair_k2l4, 5)
+    levels = flow(d, 4)
+    assert all(p is pair_k2l4 for p in stack.pairs)
+    assert stack.squeezes == tuple(float(np.sqrt(dl.omega_pi))
+                                   for dl in levels)
+    assert stack.epsilons == tuple(epsilon_of(pair_k2l4, dl)
+                                   for dl in levels)
+    assert stack.reports == ()
 
 
-def test_parse_strategy_forms():
-    assert _parse_strategy(REDESIGN, 5) == 5
-    assert _parse_strategy("fixed_after:2", 5) == 2
-    assert _parse_strategy(fixed_after(2), 5) == 2
-    for bad in ("redesign_each_layer", "fixed_after(2)", "sometimes"):
-        with pytest.raises(ValueError):
-            _parse_strategy(bad, 5)
-    with pytest.raises(ValueError, match="fixed_after:<layer>"):
-        _parse_strategy("fixed_after", 5)
+def test_designed_stack_epsilons_match_reports(massive_stack):
+    # DesignParams' default grid is epsilon_of's grid
+    assert massive_stack.epsilons == tuple(r.epsilon
+                                           for r in massive_stack.reports)
+
+
+@pytest.mark.parametrize("design", [(2, 2), None, "redesign"])
+def test_build_stack_refuses_other_designs(design, massless):
+    with pytest.raises(TypeError, match="DesignParams or FilterPair"):
+        build_stack(massless, design, 3)
 
 
 def test_build_stack_failure_records_layer():
