@@ -38,6 +38,9 @@ NUMERICAL_EXIT = 2
 MAX_POINTS = 1 << 20
 #: largest --levels: a level-l site spans 2^l sites, past any int64 index
 MAX_LEVELS = 62
+#: largest cascade --J: a unit interval of the depth-J dyadic grid holds 2^J
+#: samples, so at most MAX_POINTS; each level of J doubles time and memory
+MAX_J = MAX_POINTS.bit_length() - 1
 
 
 def _fmt(x: float) -> str:
@@ -331,7 +334,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("cascade", parents=[common],
                        help="sample scaling/wavelet functions as CSV")
     p.add_argument("--pair", required=True, help="pair JSON path")
-    p.add_argument("--J", type=int, default=12, help="dyadic grid depth")
+    p.add_argument("--J", type=_int_in(1, MAX_J), default=12,
+                   help=f"dyadic grid depth, at most {MAX_J}")
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=cmd_cascade)
 

@@ -83,6 +83,11 @@ class Flat(Dispersion):
             raise ValueError(f"flat dispersion needs c > 0 whose square neither "
                              f"overflows nor underflows, got {c}")
 
+    @property
+    def harmonic_form(self) -> tuple[float, float]:
+        """The harmonic family with b = 0: its levels are flat at 1."""
+        return float(self.value), 0.0
+
     def __call__(self, k):
         k = np.asarray(k, dtype=np.float64)
         val = np.full_like(k, self.value)

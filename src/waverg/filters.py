@@ -282,12 +282,27 @@ def placed_gram_rows(filt: FirFilter, N: int, stride: int) -> np.ndarray:
 
     (B^T B)[x, y] = sum_j f[x + stride j] f[y + stride j] over j in
     Z_{N/stride}, with f folded onto Z_N.  So the rows are W[:, :stride].T @ W
-    for the strided view W[j, y] = f[stride j + y]: N^2 flops and no
-    N x N map.  B^T B commutes with shifts by ``stride``, so these rows
-    determine it.
+    for the strided view W[j, y] = f[stride j + y]: n^2 flops on a ring Z_n
+    and no N x N map.  B^T B commutes with shifts by ``stride``, so these
+    rows determine it.
+
+    Row x holds the lags y - x in (-len, len) of the filter's strided
+    autocorrelation, summed mod N.  They are computed on the smallest ring
+    Z_n, n a multiple of ``stride`` below N, that keeps the 2 len - 1 lags
+    apart, and scattered into the N columns: about min(N, 2 len)^2 flops.
+    A filter whose lags would alias on Z_N is folded onto Z_N itself.
     """
-    W = sliding_window_view(np.tile(_fold(filt, N), 2), N)[:N:stride]
-    return W[:, :stride].T @ W
+    taps = len(filt)
+    n = min(N, -(-(2 * taps - 1) // stride) * stride)
+    W = sliding_window_view(np.tile(_fold(filt, n), 2), n)[:n:stride]
+    rows = W[:, :stride].T @ W
+    if n == N:
+        return rows
+    x = np.arange(stride)[:, None]
+    cols = x + np.arange(1 - taps, taps)
+    out = np.zeros((stride, N))
+    out[x, cols % N] = rows[x, cols % n]
+    return out
 
 
 def level_walk(pairs, channel: str, scales: list[float] | None = None):

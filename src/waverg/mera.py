@@ -146,17 +146,20 @@ class CovariancePair:
 
 
 def _gram_block_rows(pairs, channel: str, N: int, scales):
-    """First block row G[:P, :] of G = R^T R for every prefix of a stack.
+    """Wavelet part of the first block row G[:P, :] of G = R^T R for every
+    prefix of a stack, with the prefix's top scaling filter.
 
     R is multi_layer_map(pairs[:depth], channel, N, scales) and P = 2^depth;
-    yields the rows for depth 1, 2, ... from level filters alone.  Each
-    output block of R places one level filter at a stride s and adds its
-    B^T B to G; that commutes with shifts by s, so its first s rows
-    (placed_gram_rows, N^2 flops) determine it.  The wavelet blocks are
-    added from the finest stride 2 to the coarsest, and each stride doubles
-    the rows held so far by one roll; a prefix adds its top scaling block
-    at stride P.  No N x N map is formed.  G commutes with input shifts by
-    P: row qP + r of G is row r rolled by qP.
+    yields (rows, scaling) for depth 1, 2, ... from level filters alone, and
+    G[:P, :] is rows + placed_gram_rows(scaling, N, P).  A caller adds that
+    top scaling block only for the prefixes it reads.  Each output block of
+    R places one level filter at a stride s and adds its B^T B to G; that
+    commutes with shifts by s, so its first s rows (placed_gram_rows, about
+    min(N, 2 len)^2 flops for a filter of len taps) determine it.  The
+    wavelet blocks are added from the finest stride 2 to the coarsest, and
+    each stride doubles the rows held so far by one roll.  No N x N map is
+    formed.  G commutes with input shifts by P: row qP + r of G is row r
+    rolled by qP.
     """
     check_lattice(pairs, N)
     acc = np.zeros((1, N))
@@ -165,7 +168,7 @@ def _gram_block_rows(pairs, channel: str, N: int, scales):
         s = 1 << depth
         acc = (np.vstack([acc, np.roll(acc, s // 2, axis=1)])
                + placed_gram_rows(wavelet, N, s))
-        yield acc + placed_gram_rows(scaling, N, s)
+        yield acc, scaling
 
 
 def _symmetrized(row: np.ndarray) -> np.ndarray:
@@ -207,7 +210,8 @@ def _covariance_rows(stack: LayerStack, N: int) -> tuple[np.ndarray, np.ndarray]
     rows = []
     for channel, scales in (("h", [1.0 / s for s in stack.squeezes]),
                             ("g", stack.squeezes)):
-        *_, row = _gram_block_rows(stack.pairs, channel, N, scales)
+        *_, (row, scaling) = _gram_block_rows(stack.pairs, channel, N, scales)
+        row = row + placed_gram_rows(scaling, N, len(row))
         rows.append(_symmetrized(0.5 * row))
     return rows[0], rows[1]
 
@@ -489,10 +493,10 @@ def _shift_invariant_norm(block_row: np.ndarray) -> float:
     return float(np.sqrt(max(top, 0.0)))
 
 
-def _layer_key(pair: FilterPair, squeeze: float) -> tuple:
-    """A layer's four filters (offsets and coefficient bytes) and squeeze."""
+def _layer_key(pair: FilterPair) -> tuple:
+    """A layer's four filters: offsets and coefficient bytes."""
     return tuple((f.offset, f.coeffs.tobytes())
-                 for f in (pair.g_s, pair.g_w, pair.h_s, pair.h_w)) + (squeeze,)
+                 for f in (pair.g_s, pair.g_w, pair.h_s, pair.h_w))
 
 
 def stack_operator_bound(stack: LayerStack, N: int = 512) -> float:
@@ -504,22 +508,38 @@ def stack_operator_bound(stack: LayerStack, N: int = 512) -> float:
     sub-stack constant, not an exact evaluation at the working size.  A
     depth-d sub-stack commutes with input shifts by 2^d, which gives its
     norm from P x P Gram symbols (see _shift_invariant_norm).  One walk per
-    first layer l0 yields the Gram rows of every sub-stack [l0, l1).  A walk
-    is skipped when its layers repeat, key for key, those of an earlier
-    walk from j < l0: its sub-stacks are then [j, j + l1 - l0), already
-    measured.  On a scale-invariant stack, whose layers after the first are
-    all alike, two walks per channel remain.
+    first layer l0 yields the Gram rows of every sub-stack [l0, l1), and its
+    g and h norms are kept per depth.  A walk from l0 is not run when an
+    earlier run walk from j has the same filters at layers l0.. as at j..
+    and the same squeezes after the first layer: every block of a g map of
+    the walk from l0 is then the walk-j block times c = s[l0] / s[j], so its
+    g norms are walk j's times c and its h norms walk j's divided by c, up
+    to its own depth L - l0.  On a scale-invariant stack, whose layers all
+    share one pair and whose squeezes after the first are alike, one walk
+    per channel remains.
     """
-    keys = [_layer_key(p, s) for p, s in zip(stack.pairs, stack.squeezes)]
+    keys = list(map(_layer_key, stack.pairs))
+    s = stack.squeezes
     L = stack.depth
+    walks = {}  # first layer of a run walk -> its (g, h) norms per depth
     worst = 0.0
     for l0 in range(L):
-        if any(keys[l0:] == keys[j:j + L - l0] for j in range(l0)):
-            continue
-        sg = stack.squeezes[l0:]
-        for channel, scales in (("g", sg), ("h", [1.0 / s for s in sg])):
-            for row in _gram_block_rows(stack.pairs[l0:], channel, N, scales):
-                worst = max(worst, _shift_invariant_norm(row))
+        depth = L - l0
+        j = next((j for j in walks if keys[l0:] == keys[j:j + depth]
+                  and s[l0 + 1:] == s[j + 1:j + depth]), None)
+        if j is None:
+            j = l0
+            walks[j] = [
+                [_shift_invariant_norm(
+                    rows + placed_gram_rows(scaling, N, len(rows)))
+                 for rows, scaling in _gram_block_rows(
+                     stack.pairs[l0:], channel, N, scales)]
+                for channel, scales in (("g", s[l0:]),
+                                        ("h", [1.0 / x for x in s[l0:]]))]
+        c = s[l0] / s[j]  # 1 for a walk just run
+        g, h = walks[j]
+        worst = max(worst, *(c * x for x in g[:depth]),
+                    *(x / c for x in h[:depth]))
     return worst
 
 

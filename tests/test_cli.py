@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from waverg import FilterPair, Harmonic, flow, mass_flow
+from waverg import FilterPair, Flat, Harmonic, flow, mass_flow
 from waverg.cli import main
 
 
@@ -269,6 +270,20 @@ def test_nonfinite_mass_is_numerical_failure(mass, capsys):
     assert err["error"] == "NegativeMass"
 
 
+def test_flat_flow_is_closed_form(monkeypatch, capsys):
+    start = time.perf_counter()
+    assert main(["flow", "--dispersion", "flat:2.5", "--levels", "40"]) == 0
+    elapsed = time.perf_counter() - start
+    closed = capsys.readouterr().out.splitlines()
+    monkeypatch.setattr(Flat, "harmonic_form", None)  # the product form
+    assert main(["flow", "--dispersion", "flat:2.5", "--levels", "8"]) == 0
+    product = capsys.readouterr().out.splitlines()
+    # the product form costs 2^l evaluations per point at level l
+    assert elapsed < 0.5
+    assert len(closed) == 43
+    assert closed[:10] + closed[-1:] == product
+
+
 def test_flat_value_prefix(capsys):
     outs = []
     for spec in ("flat:c=1", "flat:1"):
@@ -382,6 +397,7 @@ def test_flow_exit_code_contract(kind, x):
 
 SIMULATE = ["simulate", "--layers", "1", "--N", "64", "--quad-points", "4096",
             "--report", "REPORT", "--csv", "CSV", "--pair", "PAIR"]
+CASCADE = ["cascade", "--pair", "PAIR", "--out", "CSV", "--J"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -399,6 +415,9 @@ SIMULATE = ["simulate", "--layers", "1", "--N", "64", "--quad-points", "4096",
     (SIMULATE + ["--layers", "0"], "argument --layers: must be 1..19, got 0"),
     (SIMULATE + ["--layers", str(10 ** 11)],
      "argument --layers: must be 1..19"),
+    (CASCADE + ["-1"], "argument --J: must be 1..20, got -1"),
+    (CASCADE + ["21"], "argument --J: must be 1..20, got 21"),
+    (CASCADE + [str(10 ** 11)], "argument --J: must be 1..20"),
 ])
 def test_bad_integer_flag_is_usage_error(argv, message, pair_file, tmp_path,
                                          capsys):

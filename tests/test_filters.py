@@ -171,6 +171,21 @@ def test_coarse_layer_folds_aliased_taps(pair_k2l4, N):
                                           _placed(filt, N, stride))
 
 
+@pytest.mark.parametrize("taps", [1, 2, 20, 40, 62, 63, 64, 65, 127, 300])
+def test_placed_gram_rows_match_dense_gram(taps):
+    # N / 2 = 64: below it the lags fit a smaller ring at some strides; from
+    # it on they alias on Z_128, and 300 taps fold onto it
+    from waverg.filters import _place_rows, placed_gram_rows
+    N = 128
+    rng = np.random.default_rng(taps)
+    c = rng.standard_normal(taps)
+    filt = FirFilter(int(rng.integers(-40, 40)), c / np.linalg.norm(c))
+    for stride in (2, 4, 8, 16, 32, 64):
+        B = _place_rows(filt, N, stride)
+        np.testing.assert_allclose(placed_gram_rows(filt, N, stride),
+                                   (B.T @ B)[:stride], rtol=0, atol=1e-15)
+
+
 def _reference_chain(pairs, channel, N, scales):
     """Per-layer placed maps w, each acting as w (+) identity on the rows
     already produced: multi_layer_map without composed filters."""

@@ -13,6 +13,7 @@ from waverg import (DesignParams, Flat, GaplessUnregulated, Harmonic,
                     mass_flow, mera_covariance, multi_layer_map,
                     q_difference_norm, ring_covariance, stack_operator_bound,
                     theorem_bound, wavelet_channel_deviation)
+from waverg.filters import placed_gram_rows
 
 
 # -- stacks ----------------------------------------------------------------
@@ -279,27 +280,33 @@ def _all_walks_operator_bound(stack, N):
     for l0 in range(stack.depth):
         sg = stack.squeezes[l0:]
         for channel, scales in (("g", sg), ("h", [1.0 / s for s in sg])):
-            for row in waverg.mera._gram_block_rows(stack.pairs[l0:], channel,
-                                                    N, scales):
-                worst = max(worst, waverg.mera._shift_invariant_norm(row))
+            for rows, scaling in waverg.mera._gram_block_rows(
+                    stack.pairs[l0:], channel, N, scales):
+                rows = rows + placed_gram_rows(scaling, N, len(rows))
+                worst = max(worst, waverg.mera._shift_invariant_norm(rows))
     return worst
 
 
 @pytest.mark.parametrize("case, N, walks", [
-    ("massless_8", 512, 2), ("k1l1_10", 1024, 2), ("massive", 512, 5),
-    ("last_squeeze", 256, 6)])
+    ("massless_8", 512, 1), ("k1l1_10", 1024, 1), ("massive", 512, 5),
+    ("last_squeeze", 256, 5), ("first_squeeze", 256, 1)])
 def test_operator_bound_reuses_walks_exactly(case, N, walks, monkeypatch,
                                              massless_k2l4_8, massive_stack,
                                              pair_k2l4):
+    r = 0.5 ** 0.5
     if case == "massless_8":
         stack = massless_k2l4_8
     elif case == "k1l1_10":
         stack = build_stack(Harmonic(0.0), DesignParams(1, 1), 10)
     elif case == "massive":
         stack = massive_stack
-    else:  # layers alike but the last: no tail repeats an earlier walk
-        stack = LayerStack((pair_k2l4,) * 6, (1.0,) + (0.5 ** 0.5,) * 4
-                           + (3.0,), Harmonic(0.0))
+    elif case == "last_squeeze":
+        # layers alike but the last squeeze: walks 1..4 see it at a depth
+        # where walk 0 does not, so only the depth-1 walk 5 is reused
+        stack = LayerStack((pair_k2l4,) * 6, (1.0,) + (r,) * 4 + (3.0,),
+                           Harmonic(0.0))
+    else:  # the first squeeze differs from the rest: every walk reuses walk 0
+        stack = LayerStack((pair_k2l4,) * 6, (1.3,) + (r,) * 5, Harmonic(0.0))
     want = _all_walks_operator_bound(stack, N)
     calls = []
     walk = waverg.mera._gram_block_rows
@@ -309,8 +316,29 @@ def test_operator_bound_reuses_walks_exactly(case, N, walks, monkeypatch,
         return walk(pairs, *args)
 
     monkeypatch.setattr(waverg.mera, "_gram_block_rows", counting)
-    assert stack_operator_bound(stack, N) == want
+    got = stack_operator_bound(stack, N)
     assert len(calls) == 2 * walks
+    if walks == stack.depth:  # no walk reused
+        assert got == want
+    else:  # reused norms are scaled by a ratio of squeezes
+        assert got == pytest.approx(want, rel=1e-14)
+
+
+def test_covariance_rows_place_one_top_scaling_gram(monkeypatch,
+                                                    massive_stack):
+    calls = []
+    place = waverg.mera.placed_gram_rows
+
+    def counting(filt, N, stride):
+        calls.append(stride)
+        return place(filt, N, stride)
+
+    monkeypatch.setattr(waverg.mera, "placed_gram_rows", counting)
+    waverg.mera._covariance_rows(massive_stack, 256)
+    L = massive_stack.depth
+    # per channel: one wavelet Gram per level, one scaling Gram at the top
+    per_channel = [1 << l for l in range(1, L + 1)] + [1 << L]
+    assert calls == 2 * per_channel
 
 
 def test_theorem_bound_eps_zero_limit():

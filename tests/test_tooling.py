@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter."""
 
 import ast
+import sys
 from pathlib import Path
 
 import waverg
@@ -28,3 +29,21 @@ def test_no_unused_imports():
                    for name, line in sorted(imported.items())
                    if name not in used]
     assert not unused, unused
+
+
+def test_imports_are_declared_dependencies():
+    # pyproject.toml declares numpy and mpmath; anything else must be the
+    # standard library or the package itself
+    allowed = set(sys.stdlib_module_names) | {"numpy", "mpmath", "waverg"}
+    foreign = []
+    for path in sorted(Path(waverg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.partition(".")[0] not in allowed]
+    assert not foreign, foreign
