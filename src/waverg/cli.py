@@ -71,6 +71,15 @@ def _int_in(lo: int, hi: float = float("inf")):
     return parse
 
 
+def _tolerance(text: str) -> float:
+    """argparse type: a finite number >= 0."""
+    x = float(text)
+    if not 0 <= x < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text}")
+    return x
+
+
 def _write(path: str | None, text: str):
     """Write text to path, or to stdout without one."""
     if path:
@@ -80,12 +89,15 @@ def _write(path: str | None, text: str):
         sys.stdout.write(text)
 
 
-def _parse_range(text: str) -> list[int]:
-    """'1..4' -> [1, 2, 3, 4]; '3' -> [3]; '1,2,4' -> [1, 2, 4]."""
+def _parse_range(text: str, flag: str) -> list[int]:
+    """'1..4' -> [1, 2, 3, 4]; '3' -> [3]; '1,2,4' -> [1, 2, 4]; an empty
+    range such as '3..1' is a usage error naming ``flag``."""
     out: list[int] = []
     for part in text.split(","):
         if ".." in part:
             lo, hi = part.split("..")
+            if int(hi) < int(lo):
+                raise UsageError(f"{flag}: empty range {part!r}")
             out.extend(range(int(lo), int(hi) + 1))
         else:
             out.append(int(part))
@@ -121,9 +133,9 @@ def cmd_sweep(args) -> int:
         if not {"K", "L"} <= parts.keys():
             raise UsageError(f"--sweep takes K=<range>,L=<range>, "
                              f"got {args.sweep!r}")
-        Ks, Ls = _parse_range(parts["K"]), _parse_range(parts["L"])
+        Ks, Ls = (_parse_range(parts[p], "--sweep") for p in "KL")
     else:
-        Ks, Ls = _parse_range(args.K), _parse_range(args.L)
+        Ks, Ls = _parse_range(args.K, "--K"), _parse_range(args.L, "--L")
     lines = ["K,L,epsilon,pr_residual,stability_max_abs_eig,positivity_min"]
     for K in Ks:
         for L in Ls:
@@ -234,7 +246,9 @@ def _matched(eigs: np.ndarray, targets: dict[str, float],
 
 def cmd_spectrum(args) -> int:
     pair = FilterPair.load(args.pair)
+    # every spectrum is computed before any output, so a failure prints none
     ephi, epi = superoperator_spectrum(pair)
+    desc = None if args.K is None else descendant_spectrum(pair, args.K)
     rphi = np.sort(np.real(ephi[np.abs(np.imag(ephi)) < 1e-8]))[::-1]
     rpi = np.sort(np.real(epi[np.abs(np.imag(epi)) < 1e-8]))[::-1]
     print("phi-sector eigenvalues (top 6):",
@@ -243,8 +257,7 @@ def cmd_spectrum(args) -> int:
     print("pi-sector eigenvalues (top 6):",
           " ".join(_fmt(v) for v in rpi[:6]))
     print("\n".join(_matched(rpi, {"1": 0.5})))
-    if args.K:
-        desc = descendant_spectrum(pair, args.K)
+    if desc is not None:
         print("descendant eigenvalues (top 8):",
               " ".join(_fmt(v) for v in desc[:8]))
         targets = {str(l): 0.5 ** l for l in range(args.K + 1)}
@@ -281,9 +294,10 @@ def build_parser() -> _Parser:
                       help="frequency grid size for design and flow fits; "
                            f"at most {MAX_POINTS}")
     tol = _Parser(add_help=False)
-    tol.add_argument("--tol", type=float,
+    tol.add_argument("--tol", type=_tolerance,
                      default=DesignParams.tol_positivity,
-                     help="positivity tolerance for spectral factorization")
+                     help="positivity tolerance for spectral factorization, "
+                          "a finite number >= 0")
 
     sub = top.add_subparsers(dest="verb", required=True, parser_class=_Parser)
 
@@ -342,8 +356,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("spectrum", parents=[common],
                        help="superoperator and descendant eigenvalues")
     p.add_argument("--pair", required=True, help="pair JSON path")
-    p.add_argument("--K", type=int, default=None,
-                   help="vanishing moments for the descendant spectrum")
+    p.add_argument("--K", type=_int_in(1), default=None,
+                   help="vanishing moments for the descendant spectrum, "
+                        "at least 1")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("flow", parents=[common, grid],

@@ -48,6 +48,9 @@ class DesignParams:
 
 @dataclass
 class DesignReport:
+    """Quality record of one designed pair: filter-relation defect, PR
+    residual, positivity margin and transfer spectra of both channels."""
+
     K: int
     L: int
     epsilon: float

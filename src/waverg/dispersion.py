@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FlowOutOfRange, NegativeMass
+from .filters import kgrid
 
 _FLOW_GRID = 4096
 
@@ -179,6 +180,7 @@ class Renormalized(Dispersion):
 
 
 def renormalize(d: Dispersion) -> Dispersion:
+    """One renormalization step of d (see Renormalized)."""
     return Renormalized(d)
 
 
@@ -210,7 +212,7 @@ def fitted_mass(d: Dispersion, grid: int = _FLOW_GRID) -> float:
     if d.harmonic_form is not None:
         a, b = d.harmonic_form
         return a / b if b > 0 else float("inf")
-    k = -np.pi + 2 * np.pi * np.arange(grid) / grid
+    k = kgrid(grid)
     w2 = np.asarray(d(k)) ** 2
     s2 = np.sin(k / 2.0) ** 2
     design = np.stack([np.ones_like(k), s2], axis=1)
@@ -239,9 +241,11 @@ class FlowReport:
 
 
 def flow_report(d: Dispersion, levels: int, grid: int = _FLOW_GRID) -> FlowReport:
+    """omega(pi), the max of omega on kgrid(grid) and, for the harmonic
+    family, the fitted mass at each flow level 0..levels."""
     if grid < 1:
         raise ValueError(f"flow grid must be >= 1, got {grid}")
-    k = -np.pi + 2 * np.pi * np.arange(grid) / grid
+    k = kgrid(grid)
     fit = isinstance(d, Harmonic)
     out = []
     for l, dl in enumerate(flow(d, levels)):

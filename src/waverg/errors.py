@@ -28,7 +28,7 @@ class LatticeTooSmall(WavergError):
 
 
 class NegativeMass(WavergError):
-    pass
+    """Harmonic mass that is negative or not finite."""
 
 
 class GaplessUnregulated(WavergError):
@@ -61,7 +61,8 @@ class NotNonnegative(WavergError):
 
 
 class NormalizationFailure(WavergError):
-    pass
+    """Design step whose filters cannot be normalized: a rational fit with
+    no positive denominator, or a nonpositive a(0), b(0) or g(0) h(0)."""
 
 
 class FlowOutOfRange(WavergError):

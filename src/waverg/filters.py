@@ -25,6 +25,7 @@ DEFAULT_GRID = 4096
 
 
 def kgrid(n: int = DEFAULT_GRID) -> np.ndarray:
+    """n uniform frequencies -pi + 2 pi j / n, j = 0..n-1, on [-pi, pi)."""
     return -np.pi + 2.0 * np.pi * np.arange(n) / n
 
 
@@ -210,6 +211,7 @@ class FilterPair:
 
 
 def haar_pair() -> FilterPair:
+    """Orthogonal Haar pair: both scaling filters (1, 1) / sqrt(2)."""
     return FilterPair(HAAR_SCALING, HAAR_SCALING)
 
 

@@ -430,6 +430,43 @@ def test_bad_integer_flag_is_usage_error(argv, message, pair_file, tmp_path,
     assert list(tmp_path.iterdir()) == []  # refused before any work
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--pair", "PAIR", "--K", "0"],
+     "argument --K: must be 1..inf, got 0"),
+    (["spectrum", "--pair", "PAIR", "--K", "-1"],
+     "argument --K: must be 1..inf, got -1"),
+    (["sweep", "--K", "3..1", "--L", "1", "--out", "CSV"],
+     "--K: empty range '3..1'"),
+    (["sweep", "--K", "1", "--L", "1,4..2", "--out", "CSV"],
+     "--L: empty range '4..2'"),
+    (["sweep", "--sweep", "K=3..1,L=1", "--out", "CSV"],
+     "--sweep: empty range '3..1'"),
+    (["design", "--K", "1", "--L", "1", "--tol", "nan", "--out", "PAIR_OUT",
+      "--report", "REPORT"], "argument --tol: must be a finite number >= 0"),
+    (["design", "--K", "1", "--L", "1", "--tol", "-1", "--out", "PAIR_OUT"],
+     "argument --tol: must be a finite number >= 0, got -1"),
+    (["sweep", "--K", "1", "--L", "1", "--tol", "inf", "--out", "CSV"],
+     "argument --tol: must be a finite number >= 0, got inf"),
+])
+def test_refusal_before_any_work(argv, message, pair_file, tmp_path, capsys):
+    files = {"PAIR": pair_file, "PAIR_OUT": str(tmp_path / "p.json"),
+             "REPORT": str(tmp_path / "r.json"),
+             "CSV": str(tmp_path / "c.csv")}
+    assert main([files.get(a, a) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_spectrum_failure_prints_no_partial_output(pair_file, capsys):
+    # the K=2 pair carries two moment factors, not five
+    assert main(["spectrum", "--pair", pair_file, "--K", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "NotDivisible"
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["flow"], "--levels"),
     (["flow", "--dispersion", "harmonic:m=0.3"], "--grid"),
@@ -441,6 +478,7 @@ def test_bad_integer_flag_is_usage_error(argv, message, pair_file, tmp_path,
       "--csv", "CSV", "--pair"], "--csv-range"),
     (["simulate", "--N", "64", "--quad-points", "4096", "--pair"],
      "--layers"),
+    (["spectrum", "--pair"], "--K"),
 ])
 @settings(deadline=None, max_examples=40)
 @given(value=st.integers())

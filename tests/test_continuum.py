@@ -1,5 +1,7 @@
 """Cascade, refinement identities, superoperator spectra, adaptive families."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,17 @@ def test_fourier_of_indicator():
     np.testing.assert_allclose(got, want, atol=2e-3)  # Riemann-sum accuracy
 
 
+def test_fourier_matches_explicit_riemann_sum(pair_k2l4):
+    psi = wavelet_function(pair_k2l4, "h", 10)
+    k = np.linspace(-2.0 * np.pi, 2.0 * np.pi, 257)
+    x = psi.grid()
+    want = psi.spacing * np.array([np.sum(psi.values * np.exp(-1j * kk * x))
+                                   for kk in k])
+    assert np.max(np.abs(psi.fourier(k) - want)) < 1e-11
+    assert isinstance(psi.fourier(k[100]), complex)
+    assert abs(psi.fourier(k[100]) - want[100]) < 1e-11
+
+
 def test_inner_product_resamples_levels():
     # hat function on [0, 1] at two different grid levels; int hat^2 = 1/3
     xf = np.arange(9) / 8.0
@@ -96,6 +109,28 @@ def test_cascade_no_unit_eigenvalue():
 def test_designed_cascade_refinement_residual(pair_k2l4):
     phi = scaling_function(pair_k2l4, "g", 8)
     assert refinement_residual(phi, pair_k2l4.g_s) < 1e-12
+
+
+def _refinement_residual_loop(phi, a_s):
+    """refinement_residual as a loop of exact grid lookups, one per tap."""
+    x = phi.grid()
+    acc = np.zeros_like(x)
+    for n in a_s.indices():
+        acc += a_s[int(n)] * phi.at(2.0 * x - n)
+    return float(np.max(np.abs(phi.values - ROOT2 * acc)))
+
+
+@pytest.mark.parametrize("J", [0, 1, 6, 8])
+def test_refinement_residual_bit_identical_to_lookup_loop(J, designs, haar):
+    # phi as cascaded, and the same samples shifted by 2^-J: for J >= 1 the
+    # shifted x0 is an odd multiple of 2^-J, off the integers
+    for pair in [p for p, _ in designs.values()] + [haar]:
+        for a_s in (pair.g_s, pair.h_s):
+            phi = cascade(a_s, J)
+            shifted = SampledFunction(J, phi.x0 + 0.5 ** J, phi.values)
+            for f in (phi, shifted):
+                assert refinement_residual(f, a_s) \
+                    == _refinement_residual_loop(f, a_s)
 
 
 def test_partition_of_unity(pair_k2l4):
@@ -197,6 +232,38 @@ def test_superoperator_residuals(pair_k2l4):
     assert res_pi < 1e-10
 
 
+def _superoperator_check_loop(pair, x_samples=(0.0, 0.25, 0.5), J=12):
+    """superoperator_check as a loop over samples and translates, with one
+    grid lookup per tap."""
+    phi_h = cascade(pair.h_s, J)
+    phi_g = cascade(pair.g_s, J)
+    S = pair.support_length()
+    res = [0.0, 0.0]
+    for x in x_samples:
+        for i, (phi, taps, weight, target_scale) in enumerate((
+                (phi_h, pair.h_s, ROOT2, 1.0),
+                (phi_g, pair.g_s, 1.0 / ROOT2, 0.5))):
+            for m in range(-3 * S, 3 * S + 1):
+                u = weight * np.dot(taps.coeffs,
+                                    phi.at(x - 2 * m - taps.indices()))
+                want = target_scale * phi.at(x / 2.0 - m)
+                res[i] = max(res[i], abs(u - want))
+    return tuple(res)
+
+
+def test_superoperator_check_matches_lookup_loop(designs):
+    for pair, _ in designs.values():
+        got = superoperator_check(pair, J=8)
+        want = _superoperator_check_loop(pair, J=8)
+        assert np.max(np.abs(np.subtract(got, want))) <= 2.2e-16
+
+
+def test_superoperator_check_refuses_off_grid_samples(pair_k2l4):
+    with pytest.raises(ValueError, match="off the dyadic sampling grid"):
+        superoperator_check(pair_k2l4, x_samples=(0.3,), J=6)
+    assert superoperator_check(pair_k2l4, x_samples=(), J=6) == (0.0, 0.0)
+
+
 def test_superoperator_spectrum_contains_dimensions(designs):
     for (K, L), (pair, _) in designs.items():
         ephi, epi = superoperator_spectrum(pair)
@@ -265,6 +332,18 @@ def test_massless_relation_improves_with_degree(pair_k2l1, pair_k2l4):
     e4 = massless_relation_error(pair_k2l4, J=10)
     assert e4 < e1
     assert e4 < 0.02
+
+
+def test_massless_relation_error_forms_no_phase_matrix(pair_k2l4):
+    massless_relation_error(pair_k2l4, J=10)  # warm caches
+    tracemalloc.start()
+    try:
+        massless_relation_error(pair_k2l4, J=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a 257 x 19457 complex phase matrix per wavelet peaked at 153 MB
+    assert peak < 8 * 2 ** 20
 
 
 # -- adaptive family -------------------------------------------------------

@@ -13,7 +13,8 @@ from waverg import (DesignParams, Flat, GaplessUnregulated, Harmonic,
                     mass_flow, mera_covariance, multi_layer_map,
                     q_difference_norm, ring_covariance, stack_operator_bound,
                     theorem_bound, wavelet_channel_deviation)
-from waverg.filters import placed_gram_rows
+from waverg.errors import LatticeTooSmall
+from waverg.filters import decomposition_map, placed_gram_rows
 
 
 # -- stacks ----------------------------------------------------------------
@@ -234,6 +235,15 @@ def test_mera_covariance_matches_dense_gram(case, pair_k2l4, massive_stack,
         assert np.array_equal(block, block.T)
 
 
+@pytest.mark.parametrize("P, N", [(1, 8), (4, 32), (8, 8), (16, 256)])
+def test_symmetrized_bit_identical_to_fancy_indexed_transpose(P, N):
+    row = np.random.default_rng(P * N).standard_normal((P, N))
+    blocks = row.reshape(P, N // P, P)
+    mirrored = blocks[:, -np.arange(N // P) % (N // P), :].transpose(2, 1, 0)
+    want = (0.5 * (blocks + mirrored)).reshape(P, N)
+    assert np.array_equal(waverg.mera._symmetrized(row), want)
+
+
 def test_regulated_uncertainty_raises():
     from waverg import CovariancePair
     cov = CovariancePair(4, np.zeros((4, 4)), np.eye(4), regulated=True)
@@ -449,6 +459,57 @@ def test_error_report_gapped_includes_plain_q():
 
 
 # -- wavelet-channel deviation (massive flattening) ------------------------
+
+def _dense_channel_deviation(stack, N):
+    """wavelet_channel_deviation from the dense maps W_a C W_a^T on Z_N."""
+    out = []
+    for pair, dl in zip(stack.pairs, stack.levels):
+        exact = ring_covariance(dl, N)
+        w_g = decomposition_map(pair, "g", N).matrix
+        w_h = decomposition_map(pair, "h", N).matrix
+        s2 = dl.omega_pi
+        half = N // 2
+        q_b = s2 * (w_g @ exact.q_block @ w_g.T)[half:, half:]
+        p_b = (w_h @ exact.p_block @ w_h.T)[half:, half:] / s2
+        eye = 0.5 * np.eye(half)
+        out.append(max(float(np.max(np.abs(q_b - eye))),
+                       float(np.max(np.abs(p_b - eye)))))
+    return out
+
+
+@pytest.mark.parametrize("N", [256, 1024])
+def test_wavelet_channel_deviation_matches_dense_maps(N, massive_stack):
+    got = wavelet_channel_deviation(massive_stack, N)
+    want = _dense_channel_deviation(massive_stack, N)
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-15
+
+
+@pytest.mark.parametrize("which, N, error", [
+    ("massless", 256, GaplessUnregulated),
+    ("massless", 7, GaplessUnregulated),
+    ("massive", 255, LatticeTooSmall),
+    ("massive", 8, LatticeTooSmall),
+])
+def test_wavelet_channel_deviation_refusals(which, N, error, pair_k2l1,
+                                            massive_stack):
+    stack = (build_stack(Harmonic(0.0), pair_k2l1, 2) if which == "massless"
+             else massive_stack)
+    for deviation in (wavelet_channel_deviation, _dense_channel_deviation):
+        with pytest.raises(error):
+            deviation(stack, N)
+
+
+def test_wavelet_channel_deviation_forms_no_dense_map(massive_stack):
+    N = 1024
+    wavelet_channel_deviation(massive_stack, N)  # warm caches
+    tracemalloc.start()
+    try:
+        wavelet_channel_deviation(massive_stack, N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < N * N * 8  # less than one N x N float64 array
+
 
 def test_wavelet_channel_deviation_decreases(massive_stack):
     devs = wavelet_channel_deviation(massive_stack, 256)

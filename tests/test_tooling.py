@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter."""
 
 import ast
+import inspect
 import sys
 from pathlib import Path
 
@@ -47,3 +48,20 @@ def test_imports_are_declared_dependencies():
             foreign += [f"{path.name}:{node.lineno} {name}" for name in names
                         if name.partition(".")[0] not in allowed]
     assert not foreign, foreign
+
+
+def test_public_names_have_docstrings():
+    # written in the source: a dataclass's generated signature does not count
+    missing = []
+    for name in sorted(waverg.__dict__):
+        obj = getattr(waverg, name)
+        if name.startswith("_") or not (inspect.isfunction(obj)
+                                        or inspect.isclass(obj)):
+            continue
+        tree = ast.parse(Path(inspect.getfile(obj)).read_text())
+        node = next(n for n in tree.body
+                    if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                    and n.name == obj.__name__)
+        if not ast.get_docstring(node):
+            missing.append(name)
+    assert not missing, missing
