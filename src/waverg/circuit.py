@@ -235,7 +235,10 @@ def decompose(pair: FilterPair, tol_pr: float = 1e-8,
     3 to 10 steps reach the 10^-(dps-10) target.
     """
     pair_c, shift = canonicalize_support(pair)
-    M = pair_c.halfwidth
+    # the window canonicalize_support chose: wider than halfwidth when only
+    # an odd shift would fit the support into 2 halfwidth sites
+    lo = min(pair_c.g_s.support[0], pair_c.h_s.support[0])
+    M = max(1 - lo, pair_c.g_s.support[1], pair_c.h_s.support[1])
     gd, hd = _window_arrays(pair_c, M)  # indices -M+1 .. M
     scale = float(max(np.max(np.abs(gd)), np.max(np.abs(hd))))
     gates: list[Gate2] = []

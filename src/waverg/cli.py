@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -129,11 +130,13 @@ def cmd_design(args) -> int:
 def cmd_sweep(args) -> int:
     d = parse_dispersion(args.dispersion)
     if args.sweep:
-        parts = dict(p.partition("=")[::2] for p in args.sweep.split(","))
-        if not {"K", "L"} <= parts.keys():
-            raise UsageError(f"--sweep takes K=<range>,L=<range>, "
-                             f"got {args.sweep!r}")
-        Ks, Ls = (_parse_range(parts[p], "--sweep") for p in "KL")
+        # a range may hold commas: split only where a new key starts
+        parts = [p.partition("=")[::2]
+                 for p in re.split(r",(?=\w+=)", args.sweep)]
+        if sorted(key for key, _ in parts) != ["K", "L"]:
+            raise UsageError(f"--sweep takes K=<range>,L=<range>, each key "
+                             f"once, got {args.sweep!r}")
+        Ks, Ls = (_parse_range(dict(parts)[p], "--sweep") for p in "KL")
     else:
         Ks, Ls = _parse_range(args.K, "--K"), _parse_range(args.L, "--L")
     lines = ["K,L,epsilon,pr_residual,stability_max_abs_eig,positivity_min"]
@@ -370,22 +373,26 @@ def build_parser() -> _Parser:
     return top
 
 
+def _usage_error(err: Exception, as_json: bool) -> int:
+    if as_json:
+        print(json.dumps({"error": type(err).__name__, "message": str(err)},
+                         sort_keys=True), file=sys.stderr)
+    else:
+        print(f"error: {err}", file=sys.stderr)
+    return USAGE_EXIT
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
         args = build_parser().parse_args(argv)
     except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_EXIT
+        # the arguments did not parse, so look for the flag among them
+        return _usage_error(err, "--json-errors" in argv)
     try:
         return args.func(args)
     except (UsageError, FileNotFoundError, ValueError) as err:
-        if args.json_errors:
-            print(json.dumps({"error": type(err).__name__,
-                              "message": str(err)}, sort_keys=True),
-                  file=sys.stderr)
-        else:
-            print(f"error: {err}", file=sys.stderr)
-        return USAGE_EXIT
+        return _usage_error(err, args.json_errors)
     except WavergError as err:
         print(json.dumps(err.payload(), sort_keys=True), file=sys.stderr)
         return NUMERICAL_EXIT

@@ -188,9 +188,11 @@ def halfband_solve(s: FirFilter, tol: float = 1e-9,
     """Symmetric r with sum_l s[2n - l] r[l] = delta_0[n] (s * r half-band).
 
     Starts from the minimal symmetric window [-(S-1), S-1] for s on [-S, S]
-    and grows by 2 until the substituted residual passes.
+    and grows by 2 until the substituted residual passes.  Symmetry is
+    checked relative to the largest tap (at least 1), since the taps of s
+    grow like the binomials C(2K, K).
     """
-    if not s.is_symmetric(1e-9):
+    if not s.is_symmetric(1e-9 * max(1.0, float(np.max(np.abs(s.coeffs))))):
         raise ValueError("s must be symmetric")
     S = s.support[1]
     if S == 0:

@@ -18,7 +18,7 @@ report path; multi_layer_map remains the dense reference.
 
 The exact oracle evaluates the translation-invariant ground-state covariance
 gamma_p(k) = omega/2, gamma_q(k) = 1/(2 omega) by periodic quadrature with
-Richardson extrapolation, sampling omega once per grid for all profiles and
+Richardson extrapolation from one transform per integrand for all profiles and
 norms of a report; for gapless dispersions the q-block exists only in the
 regulated form gamma_q[n,m] - gamma_q[n,n].  The rigorous error bound is
 delta_p <= D^2 (C 2^{-L/2} + 3 eps D log2(C/eps)) with C = 4 B^2 M^{3/2}
@@ -238,30 +238,42 @@ def _half_inverse(w: np.ndarray) -> np.ndarray:
         return np.where(w > 0, 1.0 / (2.0 * np.maximum(w, 1e-300)), 0.0)
 
 
+def _riemann_sums(f: np.ndarray):
+    """S(d) = sum_j f_j cos(k_j d) / n on k = kgrid(n), n = len(f), as a
+    function of integer offsets d.  S is a DFT, (-1)^d Re rfft(f)[d'] / n
+    with d' = min(d mod n, n - d mod n), so one rfft serves every offset; S
+    is even and n-periodic in d."""
+    n = len(f)
+    spectrum = np.fft.rfft(f).real / n
+
+    def read(d):
+        folded = d % n
+        sign = np.where(d % 2 == 0, 1.0, -1.0)
+        return sign * spectrum[np.minimum(folded, n - folded)]
+    return read
+
+
 class _Quadrature:
     """Periodic quadrature of functions of omega, Richardson-extrapolated.
 
-    omega is sampled once on each grid k_j = -pi + 2 pi j/n, n = quad_points
-    and 2 quad_points, when a profile or norm first needs it; every profile
-    and norm read from one instance shares those samples.  On a grid the
-    Riemann sum sum_j f_j cos(k_j d) / n is a DFT,
-    (-1)^d Re rfft(f)[d'] / n with d' = min(d mod n, n - d mod n), so one
-    rfft serves every integer offset.  An offset with 2|d| >= quad_points is
-    refused, since the coarse grid aliases it.  fine + (fine - coarse) / 3
-    cancels the h^2 term, and max |fine - coarse| / 3 is the certified error.
+    omega is sampled once, on the fine grid kgrid(2q), q = quad_points; the
+    coarse grid kgrid(q) is its even samples.  Each integrand is transformed
+    once per instance, and its fine sums S (_riemann_sums) give both grids:
+    the odd samples cancel in S(d) + (-1)^q S(d + q), the coarse sum at d.
+    So fine + (fine - coarse) / 3, which cancels the h^2 term, is
+    S(d) - (-1)^q S(d + q) / 3, and |S(d + q)| / 3 is the certified error.
+    An offset with 2|d| >= q is refused, since the coarse grid aliases it.
     """
 
     def __init__(self, d: Dispersion, quad_points: int):
         self.d = d
         self.quad_points = quad_points
+        self._sums = {}  # integrand -> its _riemann_sums on the fine grid
 
     @cached_property
-    def grids(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        out = []
-        for n in (self.quad_points, 2 * self.quad_points):
-            k = kgrid(n)
-            out.append((k, np.asarray(self.d(k), dtype=np.float64)))
-        return out
+    def omega(self) -> np.ndarray:
+        k = kgrid(2 * self.quad_points)
+        return np.asarray(self.d(k), dtype=np.float64)
 
     def _offsets(self, offsets) -> np.ndarray:
         offsets = np.asarray(offsets)
@@ -276,35 +288,20 @@ class _Quadrature:
                 f"2 max|offset| = {reach}: the grid would alias the offsets")
         return offsets
 
-    @staticmethod
-    def _read(spectrum: np.ndarray, offsets: np.ndarray, n: int) -> np.ndarray:
-        """sum_j f_j cos(k_j d) / n per offset d, from rfft(f).real / n."""
-        folded = offsets % n
-        sign = np.where(offsets % 2 == 0, 1.0, -1.0)
-        return sign * spectrum[np.minimum(folded, n - folded)]
-
-    @staticmethod
-    def _extrapolate(coarse, fine) -> tuple[np.ndarray, np.ndarray]:
-        return fine + (fine - coarse) / 3.0, np.abs(fine - coarse) / 3.0
-
     def profile(self, integrand, offsets,
                 regulated: bool = False) -> tuple[np.ndarray, float]:
         """(1/2pi) integral of integrand(omega(k)) cos(k d) per offset d, and
-        its certified error.  ``regulated`` zeroes the k = 0 sample and
-        returns the differences value(d) - value(0), and certifies those."""
+        its certified error.  ``regulated`` returns the differences
+        value(d) - value(0), and certifies those."""
         offsets = self._offsets(offsets)
-        results = []
-        for k, w in self.grids:
-            f = integrand(w)
-            if regulated:
-                f[np.abs(k) < 1e-15] = 0.0
-            spectrum = np.fft.rfft(f).real / len(k)
-            values = self._read(spectrum, offsets, len(k))
-            if regulated:
-                values = values - spectrum[0]
-            results.append(values)
-        values, err = self._extrapolate(*results)
-        return values, float(np.max(err))
+        if integrand not in self._sums:
+            self._sums[integrand] = _riemann_sums(integrand(self.omega))
+        S, q = self._sums[integrand], self.quad_points
+        values, alias = S(offsets), S(offsets + q)
+        if regulated:
+            values, alias = values - S(0), alias - S(q)
+        return (values - (-1) ** q * alias / 3.0,
+                float(np.max(np.abs(alias))) / 3.0)
 
     def q_difference_norms(self, deltas) -> tuple[np.ndarray, float]:
         """||gamma_q (delta_n - delta_m)|| for |n - m| = delta, per delta, and
@@ -320,13 +317,15 @@ class _Quadrature:
         delta/2 times the Fejer kernel, a trigonometric polynomial of degree
         delta - 1 < n whose k = 0 value is delta^2 / 2, so the grid sums
         its part to g(0) delta / 2 exactly, and one rfft of the bounded
-        remainder h - g(0) s, read at every delta, gives the rest.
+        remainder h - g(0) s, read at every delta, gives the rest.  g(0)
+        differs between the grids, so each transforms its own remainder.
         """
         deltas = self._offsets(deltas)
         if np.any(deltas == 0):
             raise ValueError("delta must be nonzero")
+        k_fine = kgrid(2 * self.quad_points)
         results = []
-        for k, w in self.grids:
+        for k, w in ((k_fine[::2], self.omega[::2]), (k_fine, self.omega)):
             at0 = np.abs(k) < 1e-15
             w2 = w * w
             h = np.where(w2 > 0, 1.0 / (2.0 * np.maximum(w2, 1e-300)), 0.0)
@@ -338,11 +337,11 @@ class _Quadrature:
             with np.errstate(divide="ignore", invalid="ignore"):
                 rest = h - g0 / (4.0 * np.sin(k / 2.0) ** 2)
             rest[at0] = 0.0
-            spectrum = np.fft.rfft(rest).real / len(k)
-            results.append(g0 * deltas / 2.0 + spectrum[0]
-                           - self._read(spectrum, deltas, len(k)))
-        squares, err = self._extrapolate(*results)
-        norms = np.sqrt(np.maximum(squares, 0.0))
+            S = _riemann_sums(rest)
+            results.append(g0 * deltas / 2.0 + S(0) - S(deltas))
+        coarse, fine = results
+        err = np.abs(fine - coarse) / 3.0
+        norms = np.sqrt(np.maximum(fine + (fine - coarse) / 3.0, 0.0))
         # |sqrt(a) - sqrt(b)| <= min(sqrt(|a - b|), |a - b| / sqrt(a))
         return norms, float(np.max(np.minimum(
             np.sqrt(err), err / np.maximum(norms, 1e-300))))
@@ -430,14 +429,14 @@ def wavelet_channel_deviation(stack: LayerStack, N: int) -> list[float]:
     deeper channel; the per-level measurement isolates the flattening trend.)
 
     The blocks come from filter symbols, with no N x N map.  On the ring
-    momenta k_j = -pi + 2 pi j / N the exact covariance C is circulant, and
-    the wavelet rows of W_a place a_w at stride 2, so the wavelet block of
-    W_a C W_a^T is circulant on Z_{N/2} with symbol
-    (sigma(k) + sigma(k + pi)) / 2 at k_j, j < N/2; sigma is
+    momenta k = kgrid(N) the exact covariance C is circulant, and the wavelet
+    rows of W_a place a_w at stride 2, so the wavelet block of W_a C W_a^T is
+    circulant on Z_{N/2}: its entry at lag lambda is the ring sum of sigma at
+    the even offset 2 lambda (_riemann_sums, one rfft per block), with sigma
     omega_l(pi) |g_w|^2 / (2 omega_l) for q and |h_w|^2 omega_l /
-    (2 omega_l(pi)) for p.  One inverse FFT per block gives its entries by
-    lag.  As for ring_covariance and decomposition_map, a gapless level is
-    refused, and so is an odd N or one below twice the support.
+    (2 omega_l(pi)) for p.  As for ring_covariance and decomposition_map, a
+    gapless level is refused, and so is an odd N or one below twice the
+    support.
     """
     k = kgrid(N)
     out = []
@@ -452,7 +451,7 @@ def wavelet_channel_deviation(stack: LayerStack, N: int) -> list[float]:
         dev = 0.0
         for sigma in (s2 * np.abs(pair.g_w(k)) ** 2 / (2.0 * w),
                       np.abs(pair.h_w(k)) ** 2 * w / (2.0 * s2)):
-            lags = np.fft.ifft(sigma.reshape(2, N // 2).mean(axis=0)).real
+            lags = _riemann_sums(sigma)(np.arange(0, N, 2))
             lags[0] -= 0.5
             dev = max(dev, float(np.max(np.abs(lags))))
         out.append(dev)

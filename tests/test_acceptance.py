@@ -25,11 +25,12 @@ from waverg import (DesignParams, Flat, Harmonic, LayerStack, NoSolution,
                     descendant_spectrum, design_pair, error_report,
                     exact_p_profile, fitted_mass, flow, haar_pair,
                     inner_product, mass_flow, massless_relation_error,
-                    mera_covariance, multi_layer_map, refinement_residual,
+                    mera_covariance, refinement_residual,
                     renormalize, scaling_function, superoperator_check,
                     superoperator_spectrum, to_lattice_symplectic,
                     wavelet_channel_deviation, wavelet_function)
 from waverg.continuum import dual_wavelet_pairing, translate_gram
+from waverg.filters import _place_rows, level_filters
 
 GRID_K = (1, 2, 3)
 GRID_L = (1, 2, 3, 4)
@@ -63,19 +64,23 @@ def truncation_deviation(stack, N, p_prof):
     the exact state is R_g^T (R_h gamma_p R_h^T) R_g).  The difference is the
     part of the MERA p-deviation that comes from putting the top scaling
     channel in I/2; ``p_prof`` is the oracle's profile at offsets 0..N/2,
-    indexed by circular distance.  The window is error_report's.
+    indexed by circular distance.  The window is error_report's.  The top
+    rows of a map are its top scaling filter placed at stride 2^L, as
+    multi_layer_map places them, and the circulant gamma_p is applied by
+    FFT, so no N x N array is formed.
     """
-    top = N >> stack.depth
-    R_top = multi_layer_map(stack.pairs, "g", N,
-                            scales=list(stack.squeezes)).matrix[:top]
-    H_top = multi_layer_map(stack.pairs, "h", N,
-                            scales=[1.0 / s for s in stack.squeezes]
-                            ).matrix[:top]
-    dist = np.abs(np.subtract.outer(np.arange(N), np.arange(N)))
-    C_top = H_top @ p_prof[np.minimum(dist, N - dist)] @ H_top.T
+    R_top, H_top = (
+        _place_rows(level_filters(stack.pairs, channel, scales)[0], N,
+                    1 << stack.depth)
+        for channel, scales in (("g", list(stack.squeezes)),
+                                ("h", [1.0 / s for s in stack.squeezes])))
+    dist = np.arange(N)
+    symbol = np.fft.rfft(p_prof[np.minimum(dist, N - dist)])
+    C_top = np.fft.irfft(np.fft.rfft(H_top, axis=1) * symbol, N,
+                         axis=1) @ H_top.T
     half = N // 4
     R_win = R_top[:, np.arange(-half, half + 1) % N]
-    return float(np.max(np.abs(R_win.T @ (0.5 * np.eye(top) - C_top)
+    return float(np.max(np.abs(R_win.T @ (0.5 * np.eye(len(R_top)) - C_top)
                                @ R_win)))
 
 

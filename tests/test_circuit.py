@@ -189,6 +189,24 @@ def test_decompose_rejects_broken_pr(haar):
         decompose(bad)
 
 
+@pytest.mark.parametrize("which", ["haar", "k2l2"])
+def test_decompose_odd_shift_is_not_called_a_pr_defect(which, haar, designs):
+    # an odd shift widens the canonical window past halfwidth; the peel must
+    # see every tap of the PR pair, then factor it or name a degenerate corner
+    pair = haar if which == "haar" else designs[(2, 2)][0]
+    shifted = derive_wavelet(pair.g_s.shift(1), pair.h_s.shift(1))
+    assert shifted.pr_residual < 1e-12
+    try:
+        circ = decompose(shifted)
+    except DegenerateFactorization as err:
+        assert "PR defect" not in str(err)
+        assert "degenerate corner determinant" in str(err)
+        return
+    rec = compose(circ)
+    assert max_coeff_diff(rec.g_s.shift(-circ.shift), shifted.g_s) <= 1e-12
+    assert max_coeff_diff(rec.h_s.shift(-circ.shift), shifted.h_s) <= 1e-12
+
+
 def test_decompose_rejects_nonfinite_tap(haar):
     bad = derive_wavelet(FirFilter(0, [np.nan, haar.g_s.coeffs[1]]), haar.h_s)
     with pytest.raises(DegenerateFactorization, match="nan"):

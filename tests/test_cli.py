@@ -67,10 +67,35 @@ def test_sweep_combined_specifier(tmp_path):
     assert len(out.read_text().strip().splitlines()) == 1 + 4
 
 
-@pytest.mark.parametrize("spec", ["L=1..2", "K=1..2", "K=1..2;L=1"])
+def test_sweep_specifier_keeps_lists_inside_a_range(capsys):
+    assert main(["sweep", "--sweep", "K=1..2,3,L=1"]) == 0
+    combined = capsys.readouterr().out
+    assert main(["sweep", "--K", "1..2,3", "--L", "1"]) == 0
+    assert combined == capsys.readouterr().out
+    assert [l.split(",")[0] for l in combined.splitlines()[1:]] == \
+        ["1", "2", "3"]
+
+
+@pytest.mark.parametrize("spec", ["L=1..2", "K=1..2", "K=1..2;L=1",
+                                  "K=1,L=1,K=2", "K=1,M=2,L=1"])
 def test_sweep_specifier_missing_range_is_usage_error(spec, capsys):
     assert main(["sweep", "--sweep", spec]) == 1
-    assert "K=<range>,L=<range>" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--sweep takes K=<range>,L=<range>" in captured.err
+
+
+def test_large_K_is_a_numerical_failure(capsys):
+    # the taps of s grow like C(2K, K); an absolute symmetry tolerance used
+    # to refuse them with a bare ValueError
+    assert main(["design", "--K", "13", "--L", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "NotNonnegative"
+    assert main(["sweep", "--K", "11..16", "--L", "1"]) == 0
+    rows = [l.split(",") for l in capsys.readouterr().out.splitlines()[1:]]
+    assert [r[0] for r in rows] == [str(K) for K in range(11, 17)]
+    assert [r[2] == "nan" for r in rows] == [False, False] + [True] * 4
 
 
 def test_circuit_verb(tmp_path, pair_file, capsys):
@@ -317,11 +342,17 @@ def test_usage_error_missing_file(tmp_path, capsys):
 
 
 def test_usage_error_json_flag(tmp_path, capsys):
-    code = main(["cascade", "--pair", str(tmp_path / "nope.json"),
-                 "--json-errors"])
-    assert code == 1
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["error"] == "FileNotFoundError"
+    for argv, error in [
+            (["cascade", "--pair", str(tmp_path / "nope.json")],
+             "FileNotFoundError"),
+            # refused by the argument parser itself
+            (["design", "--K", "x", "--L", "1"], "UsageError"),
+            (["design", "--K", "1", "--L", "1", "--grid", "0"], "UsageError")]:
+        assert main(argv + ["--json-errors"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last = captured.err.strip().splitlines()[-1]
+        assert json.loads(last)["error"] == error
 
 
 @pytest.mark.parametrize("argv", [

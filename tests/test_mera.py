@@ -14,7 +14,7 @@ from waverg import (DesignParams, Flat, GaplessUnregulated, Harmonic,
                     q_difference_norm, ring_covariance, stack_operator_bound,
                     theorem_bound, wavelet_channel_deviation)
 from waverg.errors import LatticeTooSmall
-from waverg.filters import decomposition_map, placed_gram_rows
+from waverg.filters import decomposition_map, kgrid, placed_gram_rows
 
 
 # -- stacks ----------------------------------------------------------------
@@ -153,6 +153,109 @@ def test_profile_refuses_aliasing_grid(massless, quad_points):
     assert np.all(np.isfinite(vals))
 
 
+class _TwoGridQuadrature:
+    """The oracle as two Richardson grids, kgrid(q) and kgrid(2q), each
+    sampled and transformed on its own, with the k = 0 sample of a
+    regulated integrand zeroed: the reference for _Quadrature."""
+
+    def __init__(self, d, quad_points):
+        self.grids = [(k, np.asarray(d(k))) for k in
+                      (kgrid(quad_points), kgrid(2 * quad_points))]
+
+    @staticmethod
+    def _read(spectrum, offsets, n):
+        folded = offsets % n
+        sign = np.where(offsets % 2 == 0, 1.0, -1.0)
+        return sign * spectrum[np.minimum(folded, n - folded)]
+
+    def profile(self, integrand, offsets, regulated=False):
+        results = []
+        for k, w in self.grids:
+            f = integrand(w)
+            if regulated:
+                f[np.abs(k) < 1e-15] = 0.0
+            spectrum = np.fft.rfft(f).real / len(k)
+            values = self._read(spectrum, offsets, len(k))
+            results.append(values - spectrum[0] if regulated else values)
+        coarse, fine = results
+        return (fine + (fine - coarse) / 3.0,
+                float(np.max(np.abs(fine - coarse) / 3.0)))
+
+    def q_difference_norms(self, deltas):
+        results = []
+        for k, w in self.grids:
+            at0 = np.abs(k) < 1e-15
+            w2 = w * w
+            h = np.where(w2 > 0, 1.0 / (2.0 * np.maximum(w2, 1e-300)), 0.0)
+            g0 = 0.0
+            for i in np.flatnonzero(at0):
+                if not w[i] > 0:
+                    g0 = (4.0 * k[i - 1] ** 2 * h[i - 1]
+                          - k[i - 2] ** 2 * h[i - 2]) / 3.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rest = h - g0 / (4.0 * np.sin(k / 2.0) ** 2)
+            rest[at0] = 0.0
+            spectrum = np.fft.rfft(rest).real / len(k)
+            results.append(g0 * deltas / 2.0 + spectrum[0]
+                           - self._read(spectrum, deltas, len(k)))
+        coarse, fine = results
+        return np.sqrt(np.maximum(fine + (fine - coarse) / 3.0, 0.0))
+
+
+@pytest.mark.parametrize("m", [0.0, 0.5])
+@pytest.mark.parametrize("quad_points", [4096, 4097, 1 << 16])
+def test_oracle_matches_two_grid_reference(m, quad_points):
+    # the coarse grid is the fine grid's even samples, so one transform of
+    # the fine samples gives both grids; an odd q flips the aliased sign
+    d = Harmonic(m)
+    offsets = np.arange(0, 2000, 7)
+    deltas = np.array([1, 4, 16, 1000])
+    oracle = waverg.mera._Quadrature(d, quad_points)
+    ref = _TwoGridQuadrature(d, quad_points)
+    cases = [(waverg.mera._half, False), (waverg.mera._half_inverse, True)]
+    if m > 0:
+        cases.append((waverg.mera._half_inverse, False))
+    for integrand, regulated in cases:
+        values, err = oracle.profile(integrand, offsets, regulated)
+        want, want_err = ref.profile(integrand, offsets, regulated)
+        np.testing.assert_allclose(values, want, rtol=0, atol=1e-15)
+        # the reference's certificate carries the rounding of two transforms
+        assert err == pytest.approx(want_err, rel=1e-6, abs=1e-16)
+    norms, _ = oracle.q_difference_norms(deltas)
+    assert np.array_equal(norms, ref.q_difference_norms(deltas))
+
+
+@pytest.mark.parametrize("which", ["gapless", "gapped"])
+def test_error_report_transforms_each_integrand_once(which, monkeypatch,
+                                                     massless_k2l4_8,
+                                                     massive_stack):
+    # the report_gapless and report_gapped stacks: p, q (plain and regulated
+    # share a transform) and one q-difference remainder per grid
+    stack, N = ((massless_k2l4_8, 2048) if which == "gapless"
+                else (massive_stack, 1024))
+    quad = 1 << 16
+    transforms, samples = [], []
+    rfft, call = np.fft.rfft, Harmonic.__call__
+
+    def counting_rfft(a, *args, **kwargs):
+        if np.ndim(a) == 1 and len(a) >= quad:
+            transforms.append(len(a))
+        return rfft(a, *args, **kwargs)
+
+    def counting_call(self, k):
+        samples.append(np.size(k))
+        return call(self, k)
+
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+    monkeypatch.setattr(Harmonic, "__call__", counting_call)
+    rep = error_report(stack, N, quad_points=quad)
+    assert len(transforms) == 4
+    assert [n for n in samples if n >= quad] == [2 * quad]
+    transforms.clear()
+    rep.exact_profiles(np.arange(1, 33))
+    assert transforms == []
+
+
 def test_ring_matches_infinite_chain_when_gapped():
     d = Harmonic(1.0)
     ring = ring_covariance(d, 64)
@@ -163,17 +266,21 @@ def test_ring_matches_infinite_chain_when_gapped():
 
 
 def test_ring_covariance_matches_dense_cosine_sum():
-    d, N = Harmonic(0.7), 64
-    k = 2.0 * np.pi * np.arange(N) / N
-    w = np.asarray(d(k))
-    cosmat = np.cos(np.outer(np.arange(N), k))
-    dist = np.abs(np.subtract.outer(np.arange(N), np.arange(N)))
-    dist = np.minimum(dist, N - dist)
-    ring = ring_covariance(d, N)
-    np.testing.assert_allclose(ring.q_block, (cosmat @ (0.5 / w) / N)[dist],
-                               rtol=0, atol=1e-14)
-    np.testing.assert_allclose(ring.p_block, (cosmat @ (0.5 * w) / N)[dist],
-                               rtol=0, atol=1e-14)
+    # the ring's momenta 2 pi j / N equal kgrid(N) as a set only for even N
+    d = Harmonic(0.7)
+    for N in (64, 15):
+        k = 2.0 * np.pi * np.arange(N) / N
+        w = np.asarray(d(k))
+        cosmat = np.cos(np.outer(np.arange(N), k))
+        dist = np.abs(np.subtract.outer(np.arange(N), np.arange(N)))
+        dist = np.minimum(dist, N - dist)
+        ring = ring_covariance(d, N)
+        np.testing.assert_allclose(ring.q_block,
+                                   (cosmat @ (0.5 / w) / N)[dist],
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(ring.p_block,
+                                   (cosmat @ (0.5 * w) / N)[dist],
+                                   rtol=0, atol=1e-14)
 
 
 def test_exact_covariance_is_valid_state():
