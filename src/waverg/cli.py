@@ -51,7 +51,12 @@ def _fmt(x: float) -> str:
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with code 2 on bad usage; the contract reserves 2 for
-    numerical failures, so remap usage errors to 1."""
+    numerical failures, so remap usage errors to 1.  Options are matched by
+    their full spelling only: an abbreviation such as --json is refused, as
+    main's look for --json-errors among refused arguments expects."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -92,16 +97,19 @@ def _write(path: str | None, text: str):
 
 def _parse_range(text: str, flag: str) -> list[int]:
     """'1..4' -> [1, 2, 3, 4]; '3' -> [3]; '1,2,4' -> [1, 2, 4]; an empty
-    range such as '3..1' is a usage error naming ``flag``."""
+    range such as '3..1', or a part that is not an integer or a range, is a
+    usage error naming ``flag``."""
     out: list[int] = []
     for part in text.split(","):
-        if ".." in part:
-            lo, hi = part.split("..")
-            if int(hi) < int(lo):
-                raise UsageError(f"{flag}: empty range {part!r}")
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
+        lo, dots, hi = part.partition("..")
+        try:
+            lo, hi = int(lo), int(hi if dots else lo)
+        except ValueError:
+            raise UsageError(f"{flag}: expected an integer or a range lo..hi, "
+                             f"got {part!r}") from None
+        if hi < lo:
+            raise UsageError(f"{flag}: empty range {part!r}")
+        out.extend(range(lo, hi + 1))
     return sorted(set(out))
 
 

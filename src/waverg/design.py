@@ -310,12 +310,26 @@ def _binom_factor(K: int) -> FirFilter:
 
 def epsilon_of(pair: FilterPair, d: Dispersion, grid: int = 4096) -> float:
     """max_k |g_w(k) - (omega(k)/omega(pi)) h_w(k)| on the uniform grid."""
-    wpi = d.omega_pi
-    if wpi <= 0:
-        raise ValueError("dispersion must have omega(pi) > 0")
+    return layer_epsilons([pair], [d], grid)[0]
+
+
+def layer_epsilons(pairs, levels, grid: int = 4096) -> list[float]:
+    """epsilon_of of each (pair, level) of a stack.  The wavelet symbols
+    g_w(k), h_w(k) are evaluated once per distinct pair object, and each
+    level's ratio omega(k)/omega(pi) is applied to the shared arrays."""
     k = kgrid(grid)
-    ratio = np.asarray(d(k)) / wpi
-    return float(np.max(np.abs(pair.g_w(k) - ratio * pair.h_w(k))))
+    symbols = {}  # id(pair) -> (g_w(k), h_w(k)); the pairs outlive the loop
+    out = []
+    for pair, d in zip(pairs, levels):
+        wpi = d.omega_pi
+        if wpi <= 0:
+            raise ValueError("dispersion must have omega(pi) > 0")
+        if id(pair) not in symbols:
+            symbols[id(pair)] = pair.g_w(k), pair.h_w(k)
+        g_w, h_w = symbols[id(pair)]
+        ratio = np.asarray(d(k)) / wpi
+        out.append(float(np.max(np.abs(g_w - ratio * h_w))))
+    return out
 
 
 def _is_massless_shape(d: Dispersion, grid: int, tol: float = 1e-10) -> bool:

@@ -70,6 +70,15 @@ class FirFilter:
         out = np.where(ok, self.coeffs[np.where(ok, i, 0)], 0.0)
         return out if out.ndim else float(out)
 
+    def __iter__(self):
+        """A filter is not a sequence: __getitem__ never raises IndexError,
+        so the legacy iteration protocol (list(), np.array()) would never
+        end.  Read ``coeffs`` or index a range of ``indices()`` instead."""
+        raise TypeError("FirFilter is not iterable; read .coeffs")
+
+    #: numpy defers to __rmul__, so np.float64(2.0) * f is a FirFilter
+    __array_ufunc__ = None
+
     def indices(self) -> np.ndarray:
         return self.offset + np.arange(len(self.coeffs))
 

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .design import DesignParams, design_pair, epsilon_of
+from .design import DesignParams, design_pair, layer_epsilons
 from .dispersion import Dispersion, fitted_mass, flow, flow_report
 from .errors import (GaplessUnregulated, LatticeTooSmall, OutOfHypothesis,
                      WavergError)
@@ -78,8 +78,10 @@ class LayerStack:
 
     @cached_property
     def epsilons(self) -> tuple:
-        """Each layer's filter-relation defect against its level."""
-        return tuple(map(epsilon_of, self.pairs, self.levels))
+        """Each layer's filter-relation defect against its level
+        (epsilon_of), with each distinct pair's wavelet symbols evaluated
+        once."""
+        return tuple(layer_epsilons(self.pairs, self.levels))
 
     def fitted_masses(self) -> list[float]:
         return [fitted_mass(d) for d in self.levels]
@@ -490,26 +492,48 @@ def theorem_bound(B: float, D: float, M: int, Omega: float, eps: float,
     return float(bound_p), float(2.0 * bound_p)
 
 
-def _shift_invariant_norm(block_row: np.ndarray) -> float:
-    """Spectral norm of a map R that commutes with input shifts by P.
+#: relative margin of the Cholesky certificate in stack_operator_bound.  It
+#: is at least the factorization's backward error, 4 P^2 eps relative, for
+#: every P whose P x N Gram rows fit in memory (P <= 2^15), and so also above
+#: the eigvalsh error and the roundings of the sqrt and the ratios.
+_CERTIFY_MARGIN = 2.0 ** -20
+
+
+def _gram_symbols(block_row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian P x P symbols of a map R that commutes with input shifts by
+    P: (the real ones, the complex ones), two batches.
 
     ``block_row`` is the first block row of G = R^T R (see _gram_block_rows);
     G is block-circulant with P x P blocks, so ||R||^2 is the largest
     eigenvalue of its N/P Hermitian symbols, the DFT over the block index.
     The blocks are real, so symbols at theta and -theta are conjugate and
     share their eigenvalues: an rfft gives all of them, and the symbols at
-    theta = 0 and pi are real.
+    theta = 0 and pi are real.  The complex batch is empty when N/P <= 2.
     """
     P, N = block_row.shape
     n = N // P
     blocks = block_row.reshape(P, n, P).swapaxes(0, 1)
     symbols = np.fft.rfft(blocks, axis=0)
     real = [0, n // 2] if n % 2 == 0 else [0]
-    top = np.linalg.eigvalsh(symbols[real].real).max()
-    inner = symbols[1:(n + 1) // 2]
-    if len(inner):
-        top = max(top, np.linalg.eigvalsh(inner).max())
-    return float(np.sqrt(max(top, 0.0)))
+    # copies: a batch is kept until the screen, and a view would keep the
+    # whole transform (and a real batch its imaginary parts) alive with it
+    return symbols.real[real], symbols[1:(n + 1) // 2].copy()
+
+
+def _below(symbols: np.ndarray, t: float) -> bool:
+    """True when one batched Cholesky factorization of t I - S succeeds for
+    every symbol S of the batch, which shows each eigenvalue below t up to
+    the factorization's backward error.  Like eigvalsh, it reads the lower
+    triangles.  OpenBLAS's potrf passes NaN pivots, so a non-finite factor
+    counts as a failure."""
+    shifted = -symbols
+    diagonal = np.arange(symbols.shape[-1])
+    shifted[:, diagonal, diagonal] += t
+    try:
+        factor = np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(factor).all())
 
 
 def _layer_key(pair: FilterPair) -> tuple:
@@ -526,22 +550,34 @@ def stack_operator_bound(stack: LayerStack, N: int = 512) -> float:
     lattice exceeds the filter support.  This is an estimate of the theorem's
     sub-stack constant, not an exact evaluation at the working size.  A
     depth-d sub-stack commutes with input shifts by 2^d, which gives its
-    norm from P x P Gram symbols (see _shift_invariant_norm).  One walk per
-    first layer l0 yields the Gram rows of every sub-stack [l0, l1), and its
-    g and h norms are kept per depth.  A walk from l0 is not run when an
-    earlier run walk from j has the same filters at layers l0.. as at j..
-    and the same squeezes after the first layer: every block of a g map of
-    the walk from l0 is then the walk-j block times c = s[l0] / s[j], so its
-    g norms are walk j's times c and its h norms walk j's divided by c, up
-    to its own depth L - l0.  On a scale-invariant stack, whose layers all
-    share one pair and whose squeezes after the first are alike, one walk
-    per channel remains.
+    norm from P x P Gram symbols (see _gram_symbols).  One walk per first
+    layer l0 yields the Gram rows of every sub-stack [l0, l1), and its g and
+    h symbols are kept per depth.  A walk from l0 is not run when an earlier
+    run walk from j has the same filters at layers l0.. as at j.. and the
+    same squeezes after the first layer: every block of a g map of the walk
+    from l0 is then the walk-j block times c = s[l0] / s[j], so its g norms
+    are walk j's times c and its h norms walk j's divided by c, up to its
+    own depth L - l0.  On a scale-invariant stack, whose layers all share one
+    pair and whose squeezes after the first are alike, one walk per channel
+    remains.
+
+    Only the maximum is returned, so only the symbols that attain it need
+    their eigenvalues.  A depth's symbols form two batches (_gram_symbols),
+    each read under the factors c (g) or 1 / c (h) of the sub-stacks that
+    share it; m is the largest.  Batches are taken in decreasing order of m^2
+    times their largest diagonal entry, a lower bound of m^2 lambda_max.  The
+    first gets eigvalsh.  A later one is ruled out when one batched Cholesky
+    factorization of t I - S succeeds, t = (worst / m)^2 (1 - _CERTIFY_MARGIN):
+    every norm it holds is then below the running maximum.  Otherwise it
+    gets eigvalsh too.  So the result is the maximum of the same
+    floating-point numbers as with eigvalsh on every batch.
     """
     keys = list(map(_layer_key, stack.pairs))
     s = stack.squeezes
     L = stack.depth
-    walks = {}  # first layer of a run walk -> its (g, h) norms per depth
-    worst = 0.0
+    # first layer of a run walk -> its (depth index, channel, symbol batch,
+    # ratios c of the sub-stacks that read it)
+    walks = {}
     for l0 in range(L):
         depth = L - l0
         j = next((j for j in walks if keys[l0:] == keys[j:j + depth]
@@ -549,16 +585,31 @@ def stack_operator_bound(stack: LayerStack, N: int = 512) -> float:
         if j is None:
             j = l0
             walks[j] = [
-                [_shift_invariant_norm(
-                    rows + placed_gram_rows(scaling, N, len(rows)))
-                 for rows, scaling in _gram_block_rows(
-                     stack.pairs[l0:], channel, N, scales)]
+                (d, channel, S, [])
                 for channel, scales in (("g", s[l0:]),
-                                        ("h", [1.0 / x for x in s[l0:]]))]
+                                        ("h", [1.0 / x for x in s[l0:]]))
+                for d, (rows, scaling) in enumerate(_gram_block_rows(
+                    stack.pairs[l0:], channel, N, scales))
+                for S in _gram_symbols(
+                    rows + placed_gram_rows(scaling, N, len(rows)))
+                if len(S)]
         c = s[l0] / s[j]  # 1 for a walk just run
-        g, h = walks[j]
-        worst = max(worst, *(c * x for x in g[:depth]),
-                    *(x / c for x in h[:depth]))
+        for d, _, _, ratios in walks[j]:
+            if d < depth:
+                ratios.append(c)
+    ranked = []
+    for _, channel, S, ratios in (b for walk in walks.values() for b in walk):
+        m = max(ratios) if channel == "g" else max(1.0 / c for c in ratios)
+        low = m * m * S.diagonal(axis1=1, axis2=2).real.max()
+        ranked.append((low, m, channel, S, ratios))
+    ranked.sort(key=lambda b: b[0], reverse=True)
+    worst = 0.0
+    for rank, (_, m, channel, S, ratios) in enumerate(ranked):
+        if rank and _below(S, (worst / m) ** 2 * (1.0 - _CERTIFY_MARGIN)):
+            continue
+        x = float(np.sqrt(max(np.linalg.eigvalsh(S).max(), 0.0)))
+        worst = max(worst, *(c * x if channel == "g" else x / c
+                             for c in ratios))
     return worst
 
 

@@ -355,6 +355,21 @@ def test_usage_error_json_flag(tmp_path, capsys):
         assert json.loads(last)["error"] == error
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["design", "--K", "x", "--L", "1", "--json"],
+     "error: argument --K: invalid int value: 'x'"),
+    (["design", "--K", "1", "--L", "1", "--json"],
+     "error: unrecognized arguments: --json"),
+    (["flow", "--lev", "2"], "error: unrecognized arguments: --lev 2")])
+def test_abbreviated_options_are_refused(argv, message, capsys):
+    # --json is not --json-errors: a refusal prints the plain line, and on
+    # its own it is an unknown argument, refused before any work
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines()[-1] == message
+
+
 @pytest.mark.parametrize("argv", [
     ["cascade", "--pair", "PAIR", "--tol", "1e-3"],
     ["cascade", "--pair", "PAIR", "--quad-points", "8"],
@@ -478,6 +493,12 @@ def test_bad_integer_flag_is_usage_error(argv, message, pair_file, tmp_path,
      "argument --tol: must be a finite number >= 0, got -1"),
     (["sweep", "--K", "1", "--L", "1", "--tol", "inf", "--out", "CSV"],
      "argument --tol: must be a finite number >= 0, got inf"),
+    (["sweep", "--K", "x", "--L", "1", "--out", "CSV"],
+     "--K: expected an integer or a range lo..hi, got 'x'"),
+    (["sweep", "--K", "1", "--L", "1..2..3", "--out", "CSV"],
+     "--L: expected an integer or a range lo..hi, got '1..2..3'"),
+    (["sweep", "--sweep", "K=1..x,L=1", "--out", "CSV"],
+     "--sweep: expected an integer or a range lo..hi, got '1..x'"),
 ])
 def test_refusal_before_any_work(argv, message, pair_file, tmp_path, capsys):
     files = {"PAIR": pair_file, "PAIR_OUT": str(tmp_path / "p.json"),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from waverg import (FirFilter, HAAR_SCALING, LatticeTooSmall, decomposition_map,
                     derive_wavelet, haar_pair, kgrid, multi_layer_map,
                     pr_residual, wavelet_from_scaling)
+from waverg.filters import level_filters
 
 ROOT2 = np.sqrt(2.0)
 
@@ -243,6 +244,31 @@ def test_multi_layer_scales(haar):
     # wavelet rows of layer 1 scale by 2, deeper block by 2 * 3
     np.testing.assert_allclose(R1[8:], 2.0 * R0[8:], atol=1e-12)
     np.testing.assert_allclose(R1[:8], 6.0 * R0[:8], atol=1e-12)
+
+
+def test_numpy_scalar_scales_match_float_scales(pair_k2l4):
+    # the protocol first: a filter is not a sequence (its __getitem__ never
+    # raises IndexError), so a regression fails here instead of iterating
+    # forever in numpy's coercion
+    assert FirFilter.__array_ufunc__ is None
+    with pytest.raises(TypeError, match="not iterable"):
+        iter(pair_k2l4.g_s)
+    with pytest.raises(TypeError):
+        np.array(pair_k2l4.g_s)
+    scaled = np.float64(2.0) * pair_k2l4.g_s
+    assert isinstance(scaled, FirFilter)
+    assert np.array_equal(scaled.coeffs, 2.0 * pair_k2l4.g_s.coeffs)
+    scales = [1.0, 0.5 ** 0.5, 1.3]
+    for channel in "gh":
+        want = level_filters([pair_k2l4] * 3, channel, scales)
+        got = level_filters([pair_k2l4] * 3, channel, np.array(scales))
+        for f, g in zip([want[0], *want[1]], [got[0], *got[1]]):
+            assert (f.offset, f.coeffs.tobytes()) == (g.offset,
+                                                      g.coeffs.tobytes())
+        assert np.array_equal(
+            multi_layer_map([pair_k2l4] * 3, channel, 64,
+                            np.float64(0.9) * np.ones(3)).matrix,
+            multi_layer_map([pair_k2l4] * 3, channel, 64, [0.9] * 3).matrix)
 
 
 def test_pr_residual_grid_independence(pair_k2l4):

@@ -4,10 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import waverg.mera
-from waverg import (DesignParams, Flat, GaplessUnregulated, Harmonic,
-                    LayerStack, NotNonnegative, OutOfHypothesis, build_stack,
+from waverg import (BinaryCircuit, DesignParams, FirFilter, Flat,
+                    GaplessUnregulated, Gate2, Harmonic, LayerStack,
+                    NotNonnegative, OutOfHypothesis, build_stack, compose,
                     epsilon_of, error_report, exact_covariance,
                     exact_p_profile, exact_q_profile, flow, haar_pair,
                     mass_flow, mera_covariance, multi_layer_map,
@@ -43,6 +46,25 @@ def test_build_stack_with_pair_serves_every_layer(m, pair_k2l4):
     assert stack.epsilons == tuple(epsilon_of(pair_k2l4, dl)
                                    for dl in levels)
     assert stack.reports == ()
+
+
+def test_stack_epsilons_evaluate_each_pair_once(monkeypatch, pair_k2l4,
+                                               pair_k2l1):
+    stack = LayerStack([pair_k2l4, pair_k2l1, pair_k2l4, pair_k2l4],
+                       [1.0, 0.8, 0.7, 0.7], Harmonic(0.3))
+    want = tuple(epsilon_of(p, dl) for p, dl in zip(stack.pairs, stack.levels))
+    evaluated = []
+    call = FirFilter.__call__
+
+    def counting(self, k):
+        evaluated.append(self)
+        return call(self, k)
+
+    monkeypatch.setattr(FirFilter, "__call__", counting)
+    assert stack.epsilons == want
+    # g_w and h_w of each of the two distinct pairs
+    assert evaluated == [pair_k2l4.g_w, pair_k2l4.h_w,
+                         pair_k2l1.g_w, pair_k2l1.h_w]
 
 
 def test_designed_stack_epsilons_match_reports(massive_stack):
@@ -391,6 +413,21 @@ def test_operator_bound_matches_dense_svd(which, N, massless_k2l4_8,
     assert stack_operator_bound(stack, N) == pytest.approx(want, rel=1e-12)
 
 
+def _shift_invariant_norm(block_row):
+    """Spectral norm of a map R that commutes with input shifts by P, from
+    the first block row of G = R^T R: eigvalsh on every symbol."""
+    P, N = block_row.shape
+    n = N // P
+    blocks = block_row.reshape(P, n, P).swapaxes(0, 1)
+    symbols = np.fft.rfft(blocks, axis=0)
+    real = [0, n // 2] if n % 2 == 0 else [0]
+    top = np.linalg.eigvalsh(symbols[real].real).max()
+    inner = symbols[1:(n + 1) // 2]
+    if len(inner):
+        top = max(top, np.linalg.eigvalsh(inner).max())
+    return float(np.sqrt(max(top, 0.0)))
+
+
 def _all_walks_operator_bound(stack, N):
     """The operator bound with one Gram walk per first layer, no reuse."""
     worst = 0.0
@@ -400,8 +437,41 @@ def _all_walks_operator_bound(stack, N):
             for rows, scaling in waverg.mera._gram_block_rows(
                     stack.pairs[l0:], channel, N, scales):
                 rows = rows + placed_gram_rows(scaling, N, len(rows))
-                worst = max(worst, waverg.mera._shift_invariant_norm(rows))
+                worst = max(worst, _shift_invariant_norm(rows))
     return worst
+
+
+def _eigvalsh_norms(stack, N):
+    """(c, channel, norm) per sub-stack read by stack_operator_bound, with
+    the same walk reuse and eigvalsh on every symbol of every walk run."""
+    keys = list(map(waverg.mera._layer_key, stack.pairs))
+    s = stack.squeezes
+    L = stack.depth
+    walks, out = {}, []
+    for l0 in range(L):
+        depth = L - l0
+        j = next((j for j in walks if keys[l0:] == keys[j:j + depth]
+                  and s[l0 + 1:] == s[j + 1:j + depth]), None)
+        if j is None:
+            j = l0
+            walks[j] = [
+                [_shift_invariant_norm(
+                    rows + placed_gram_rows(scaling, N, len(rows)))
+                 for rows, scaling in waverg.mera._gram_block_rows(
+                     stack.pairs[l0:], channel, N, scales)]
+                for channel, scales in (("g", s[l0:]),
+                                        ("h", [1.0 / x for x in s[l0:]]))]
+        c = s[l0] / s[j]
+        g, h = walks[j]
+        out += [(c, "g", c * x) for x in g[:depth]]
+        out += [(c, "h", x / c) for x in h[:depth]]
+    return out
+
+
+def _eigvalsh_operator_bound(stack, N):
+    """The exhaustive maximum that the certified bound must reproduce bit
+    for bit (a NaN norm is passed over, as max(0.0, nan) passes it)."""
+    return max(0.0, *(norm for _, _, norm in _eigvalsh_norms(stack, N)))
 
 
 @pytest.mark.parametrize("case, N, walks", [
@@ -439,6 +509,107 @@ def test_operator_bound_reuses_walks_exactly(case, N, walks, monkeypatch,
         assert got == want
     else:  # reused norms are scaled by a ratio of squeezes
         assert got == pytest.approx(want, rel=1e-14)
+
+
+def _random_gate(draw, parity):
+    a = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    b, c = draw(st.floats(-1.5, 1.5)), draw(st.floats(-1.5, 1.5))
+    return Gate2(np.array([[a, b], [c, (1.0 + b * c) / a]]), parity)
+
+
+@st.composite
+def pr_stacks(draw):
+    """A random perfect-reconstruction stack and a ring: each layer composes
+    1 to 4 random det-1 gates, squeezes lie in [0.5, 2], and the ring runs
+    from twice the support up.  Half the stacks repeat one pair with alike
+    squeezes after the first, so that walks are reused with c != 1."""
+    depth = draw(st.integers(1, 4))
+    shared = draw(st.booleans())
+    pairs = []
+    for _ in range(1 if shared else depth):
+        gates = [_random_gate(draw, ("even", "odd")[i % 2])
+                 for i in range(draw(st.integers(1, 4)))]
+        pairs.append(compose(BinaryCircuit(gates)))
+    squeezes = draw(st.lists(st.floats(0.5, 2.0), min_size=depth,
+                             max_size=depth))
+    if shared:
+        pairs *= depth
+        squeezes[2:] = squeezes[1:2] * (depth - 2)
+    stack = LayerStack(pairs, squeezes, Harmonic(0.0))
+    P = 1 << depth
+    least = -(-2 * stack.max_support // P)
+    return stack, P * draw(st.integers(least, least + 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pr_stacks())
+def test_certified_operator_bound_is_the_eigvalsh_maximum(case):
+    stack, N = case
+    got = stack_operator_bound(stack, N)
+    assert got == _eigvalsh_operator_bound(stack, N)
+    assert got == pytest.approx(_dense_operator_bound(stack, N), rel=1e-12)
+
+
+def _outcome(bound, stack, N):
+    try:
+        return repr(bound(stack, N))
+    except np.linalg.LinAlgError as err:
+        return f"LinAlgError: {err}"
+
+
+@pytest.mark.parametrize("case", ["massless_tie", "haar_tie", "reused_max",
+                                  "nan_squeeze", "nan_entry"])
+def test_certified_operator_bound_fixed_cases(case, monkeypatch, haar,
+                                              massless_k2l4_8, pair_k2l4):
+    N = 256
+    if case == "massless_tie":  # g norms 1.0 to rounding from depth 2 on
+        stack, N = massless_k2l4_8, 512
+        g = [norm for c, channel, norm in _eigvalsh_norms(stack, N)
+             if c == 1.0 and channel == "g"]
+        np.testing.assert_allclose(g[1:], 1.0, rtol=0, atol=1e-15)
+    elif case == "haar_tie":  # orthogonal layers: the maximum is a tie
+        stack, N = LayerStack((haar,) * 5, (1.0,) * 5, Harmonic(0.0)), 64
+        norms = [norm for _, _, norm in _eigvalsh_norms(stack, N)]
+        np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-15)
+    elif case == "reused_max":
+        stack = LayerStack((pair_k2l4,) * 6, (1.3,) + (0.5 ** 0.5,) * 5,
+                           Harmonic(0.0))
+        c, _, _ = max(_eigvalsh_norms(stack, N), key=lambda e: e[2])
+        assert c != 1.0
+    elif case == "nan_squeeze":
+        stack = LayerStack((pair_k2l4,) * 3, (1.0, 0.7, float("nan")),
+                           Harmonic(0.0))
+    else:  # a NaN in one lower-triangle entry of the depth-2 Gram rows
+        stack = LayerStack((pair_k2l4,) * 3, (1.0, 0.7, 1.2), Harmonic(0.0))
+        place = waverg.mera.placed_gram_rows
+
+        def with_nan(filt, N, stride):
+            rows = place(filt, N, stride)
+            if stride == 4:
+                rows = rows.copy()
+                rows[-1, 0] = np.nan
+            return rows
+        monkeypatch.setattr(waverg.mera, "placed_gram_rows", with_nan)
+    got = _outcome(stack_operator_bound, stack, N)
+    assert got == _outcome(_eigvalsh_operator_bound, stack, N)
+    if case.startswith("nan"):  # eigvalsh refuses the NaN symbol, as before
+        assert got.startswith("LinAlgError")
+
+
+def test_operator_bound_eigvalsh_calls(monkeypatch, massless_k2l4_8):
+    # one walk per channel holds 30 symbol batches; the one that attains the
+    # maximum gets eigvalsh, and Cholesky factorizations rule out the rest
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    want = stack_operator_bound(massless_k2l4_8, 512)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert stack_operator_bound(massless_k2l4_8, 512) == want
+    assert 1 <= len(calls) <= 2
 
 
 def test_covariance_rows_place_one_top_scaling_gram(monkeypatch,
