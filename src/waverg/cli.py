@@ -343,7 +343,7 @@ def build_parser() -> _Parser:
     p.add_argument("--pair", required=True, help="pair JSON path")
     # 2^layers divides N, and N < --quad-points <= 2^20
     p.add_argument("--layers", type=_int_in(1, 19), required=True)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_int_in(1, MAX_POINTS - 1), required=True)
     p.add_argument("--dispersion", default="harmonic:m=0")
     p.add_argument("--report", default=None, help="error report JSON path")
     p.add_argument("--csv", default=None, help="correlation CSV path")

@@ -17,7 +17,8 @@ import numpy as np
 from .design import stability_spectrum
 from .errors import (NoUnitEigenvalue, NotAdmissible, NotDivisible,
                      UnstableFilter)
-from .filters import ROOT2, FirFilter, FilterPair, level_filters
+from .filters import (ROOT2, FirFilter, FilterPair, dilated_convolve,
+                      level_filters)
 
 #: default dyadic quadrature depth for inner products
 DEFAULT_J = 12
@@ -195,13 +196,12 @@ def refine_with(f: SampledFunction, taps: FirFilter) -> SampledFunction:
     """g(x) = sqrt(2) sum_n taps[n] f(2x - n), sampled one level finer than f.
 
     On the new grid x_i = (f.x0 + n0) / 2 + i / 2^(level+1) the point 2x_i - n
-    is f's own sample i - t 2^level (t = n - n0), so each tap adds f's samples,
-    scaled, at offset t 2^level; no interpolation is involved.
+    is f's own sample i - t 2^level (t = n - n0), so g's samples are f's
+    convolved with the taps at stride 2^level (filters.dilated_convolve, the
+    two-scale step that also composes level filters); no interpolation is
+    involved.
     """
-    step = 1 << f.level
-    acc = np.zeros(f.values.size + (len(taps) - 1) * step)
-    for t, c in enumerate(taps.coeffs):
-        acc[t * step:t * step + f.values.size] += c * f.values
+    acc = dilated_convolve(f.values, taps.coeffs, 1 << f.level)
     return SampledFunction(f.level + 1, (f.x0 + taps.offset) / 2.0, ROOT2 * acc)
 
 

@@ -201,14 +201,26 @@ class FilterPair:
 
     @staticmethod
     def from_json(d: dict) -> "FilterPair":
+        """The pair that to_json wrote; ValueError naming the first filter
+        field that is missing or malformed."""
+        if not isinstance(d, dict):
+            raise ValueError("pair JSON must be an object with g_s and h_s, "
+                             f"got {type(d).__name__}")
         filters = []
         for name in ("g_s", "h_s"):
-            c = np.asarray(d[name]["coeffs"], dtype=np.float64)
+            try:
+                offset = d[name]["offset"]
+                c = np.asarray(d[name]["coeffs"], dtype=np.float64)
+            except (KeyError, TypeError, ValueError, OverflowError):
+                offset, c = None, np.zeros(0)
+            if type(offset) is not int or c.ndim != 1 or c.size == 0:
+                raise ValueError(f"{name} must hold an integer offset and a "
+                                 "nonempty list of numbers as coeffs")
             bad = np.flatnonzero(~np.isfinite(c))
             if bad.size:
                 raise ValueError(f"{name} tap {bad[0]} is {c[bad[0]]}; "
                                  "filter taps must be finite")
-            filters.append(FirFilter(int(d[name]["offset"]), c))
+            filters.append(FirFilter(offset, c))
         return FilterPair(*filters)
 
     def save(self, path: str | Path, name: str = "", meta: dict | None = None):
@@ -291,22 +303,21 @@ def _place_rows(filt: FirFilter, N: int, stride: int) -> np.ndarray:
 def placed_gram_rows(filt: FirFilter, N: int, stride: int) -> np.ndarray:
     """First ``stride`` rows of B^T B, B = _place_rows(filt, N, stride).
 
-    (B^T B)[x, y] = sum_j f[x + stride j] f[y + stride j] over j in
-    Z_{N/stride}, with f folded onto Z_N.  So the rows are W[:, :stride].T @ W
-    for the strided view W[j, y] = f[stride j + y]: n^2 flops on a ring Z_n
-    and no N x N map.  B^T B commutes with shifts by ``stride``, so these
-    rows determine it.
+    (B^T B)[x, y] = sum_j f[x - stride j] f[y - stride j] over j in
+    Z_{N/stride}, with f folded onto Z_N.  B^T B commutes with shifts by
+    ``stride``, so these rows determine it.
 
     Row x holds the lags y - x in (-len, len) of the filter's strided
-    autocorrelation, summed mod N.  They are computed on the smallest ring
-    Z_n, n a multiple of ``stride`` below N, that keeps the 2 len - 1 lags
-    apart, and scattered into the N columns: about min(N, 2 len)^2 flops.
-    A filter whose lags would alias on Z_N is folded onto Z_N itself.
+    autocorrelation, summed mod N.  They are B[:, :stride].T @ B for the
+    block B placed on the smallest ring Z_n, n a multiple of ``stride`` below
+    N, that keeps the 2 len - 1 lags apart, scattered into the N columns:
+    about min(N, 2 len)^2 flops and no N x N map.  A filter whose lags would
+    alias on Z_N is placed on Z_N itself.
     """
     taps = len(filt)
     n = min(N, -(-(2 * taps - 1) // stride) * stride)
-    W = sliding_window_view(np.tile(_fold(filt, n), 2), n)[:n:stride]
-    rows = W[:, :stride].T @ W
+    B = _place_rows(filt, n, stride)
+    rows = B[:, :stride].T @ B
     if n == N:
         return rows
     x = np.arange(stride)[:, None]
@@ -316,22 +327,42 @@ def placed_gram_rows(filt: FirFilter, N: int, stride: int) -> np.ndarray:
     return out
 
 
+def dilated_convolve(x: np.ndarray, taps: np.ndarray,
+                     stride: int) -> np.ndarray:
+    """Full convolution of x with ``taps`` placed ``stride`` apart,
+    out[n] = sum_t taps[t] x[n - stride t]: one two-scale step.
+
+    This is np.convolve of x with the taps upsampled by ``stride``, but it
+    multiplies no inserted zero: it adds len(taps) scaled copies of x,
+    shifted by stride t, in tap order.  level_walk composes level filters
+    with it, and continuum.refine_with refines sampled functions with it.
+    """
+    out = np.zeros(x.size + (len(taps) - 1) * stride)
+    for t, c in enumerate(taps):
+        out[t * stride:t * stride + x.size] += c * x
+    return out
+
+
 def level_walk(pairs, channel: str, scales: list[float] | None = None):
     """Composed analysis filters of a layer stack, one level at a time.
 
     Level l's wavelet rows apply one filter at stride 2^l,
     s_1...s_l a_s^1(k) a_s^2(2k) ... a_s^{l-1}(2^{l-2} k) a_w^l(2^{l-1} k)
     (noble identity), and the scaling rows of the stack cut after layer l
-    apply s_1...s_l a_s^1(k) ... a_s^l(2^{l-1} k) at stride 2^l.  ``scales``
-    are the per-layer factors s_l (default 1).  Yields (scaling, wavelet) for
-    levels 1, 2, ..., so all prefixes of a stack share one walk.
+    apply s_1...s_l a_s^1(k) ... a_s^l(2^{l-1} k) at stride 2^l.  Each level
+    multiplies the scaling filter so far by a layer filter of argument
+    2^{l-1} k, which is dilated_convolve with the layer's taps at stride
+    2^{l-1}.  ``scales`` are the per-layer factors s_l (default 1).  Yields
+    (scaling, wavelet) for levels 1, 2, ..., so all prefixes of a stack share
+    one walk.
     """
     scaling = FirFilter.delta()
     for l, pair in enumerate(pairs):
         s = 1.0 if scales is None else scales[l]
-        a_s, a_w = (f.upsample(1 << l) for f in pair.channel(channel))
-        wavelet = s * scaling.convolve(a_w)
-        scaling = s * scaling.convolve(a_s)
+        a_s, a_w = (FirFilter(scaling.offset + (f.offset << l),
+                              dilated_convolve(scaling.coeffs, f.coeffs, 1 << l))
+                    for f in pair.channel(channel))
+        wavelet, scaling = s * a_w, s * a_s
         yield scaling, wavelet
 
 

@@ -159,6 +159,16 @@ def test_simulate_csv_rolls_out_no_covariance(tmp_path, pair_file,
     assert calls == []
 
 
+def test_simulate_lattice_below_support_is_numerical_failure(pair_file,
+                                                            capsys):
+    # N = 8 is in --N's range but below twice the K=2/L=2 support
+    assert main(["simulate", "--pair", pair_file, "--layers", "1", "--N", "8",
+                 "--quad-points", "4096"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "LatticeTooSmall"
+
+
 @pytest.mark.parametrize("quad", ["0", "-4", "1", "2", "3", "64",
                                   str(10 ** 12), str((1 << 20) + 1)])
 def test_simulate_refuses_quad_points(quad, pair_file, capsys):
@@ -317,10 +327,11 @@ def test_flat_value_prefix(capsys):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("verb", [["circuit", "--in"], ["cascade", "--pair"],
-                                  ["spectrum", "--pair"],
-                                  ["simulate", "--layers", "1", "--N", "64",
-                                   "--pair"]])
+PAIR_VERBS = [["circuit", "--in"], ["cascade", "--pair"], ["spectrum", "--pair"],
+              ["simulate", "--layers", "1", "--N", "64", "--pair"]]
+
+
+@pytest.mark.parametrize("verb", PAIR_VERBS)
 @pytest.mark.parametrize("name, tap, value", [("g_s", 1, float("nan")),
                                               ("h_s", 0, float("inf"))])
 def test_nonfinite_pair_tap_is_usage_error(verb, name, tap, value, designs,
@@ -334,6 +345,40 @@ def test_nonfinite_pair_tap_is_usage_error(verb, name, tap, value, designs,
     assert captured.out == ""
     assert captured.err == (f"error: {name} tap {tap} is {value}; "
                             "filter taps must be finite\n")
+
+
+TAPS = {"offset": 0, "coeffs": [0.5, 0.5]}
+HOLD = " must hold an integer offset and a nonempty list of numbers as coeffs"
+
+
+@pytest.mark.parametrize("verb", PAIR_VERBS)
+@pytest.mark.parametrize("content, message", [
+    ({}, "g_s" + HOLD),
+    ({"g_s": 5, "h_s": 5}, "g_s" + HOLD),
+    ({"g_s": TAPS}, "h_s" + HOLD),
+    ({"g_s": TAPS, "h_s": {"coeffs": [1.0]}}, "h_s" + HOLD),
+    ({"g_s": {"offset": "0", "coeffs": [1.0]}, "h_s": TAPS}, "g_s" + HOLD),
+    ({"g_s": {"offset": True, "coeffs": [1.0]}, "h_s": TAPS}, "g_s" + HOLD),
+    ({"g_s": TAPS, "h_s": {"offset": 0, "coeffs": "taps"}}, "h_s" + HOLD),
+    ({"g_s": {"offset": 0, "coeffs": []}, "h_s": TAPS}, "g_s" + HOLD),
+    ({"g_s": {"offset": 0, "coeffs": [[1.0]]}, "h_s": TAPS}, "g_s" + HOLD),
+    ([TAPS, TAPS], "pair JSON must be an object with g_s and h_s, got list"),
+])
+@pytest.mark.parametrize("json_errors", [False, True])
+def test_malformed_pair_json_is_usage_error(verb, content, message,
+                                            json_errors, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(content))
+    argv = verb + [str(path)] + ["--json-errors"] * json_errors
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if json_errors:
+        assert json.loads(captured.err) == {"error": "ValueError",
+                                            "message": message}
+    else:
+        assert captured.err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_usage_error_missing_file(tmp_path, capsys):
@@ -464,6 +509,9 @@ CASCADE = ["cascade", "--pair", "PAIR", "--out", "CSV", "--J"]
     (CASCADE + ["-1"], "argument --J: must be 1..20, got -1"),
     (CASCADE + ["21"], "argument --J: must be 1..20, got 21"),
     (CASCADE + [str(10 ** 11)], "argument --J: must be 1..20"),
+    (SIMULATE + ["--N", "0"], "argument --N: must be 1..1048575, got 0"),
+    (SIMULATE + ["--N", "-256"],
+     "argument --N: must be 1..1048575, got -256"),
 ])
 def test_bad_integer_flag_is_usage_error(argv, message, pair_file, tmp_path,
                                          capsys):
@@ -531,6 +579,8 @@ def test_spectrum_failure_prints_no_partial_output(pair_file, capsys):
     (["simulate", "--N", "64", "--quad-points", "4096", "--pair"],
      "--layers"),
     (["spectrum", "--pair"], "--K"),
+    (["simulate", "--layers", "1", "--quad-points", "4096", "--pair"],
+     "--N"),
 ])
 @settings(deadline=None, max_examples=40)
 @given(value=st.integers())

@@ -208,6 +208,16 @@ def test_refine_with_bit_identical_to_lookup_loop(pair_k2l4, shift):
         assert np.array_equal(got.values, want.values)
 
 
+def test_cascade_forms_no_zero_stuffed_filter(monkeypatch, pair_k2l4):
+    def refuse(self, factor):
+        raise AssertionError("zero-stuffed filter in the cascade")
+
+    monkeypatch.setattr(FirFilter, "upsample", refuse)
+    for channel in "gh":
+        assert cascade(pair_k2l4.channel(channel)[0], 8).level == 8
+        assert wavelet_function(pair_k2l4, channel, 8).level == 8
+
+
 @pytest.mark.parametrize("function", [scaling_function, wavelet_function])
 @pytest.mark.parametrize("channel", ["x", "G", ""])
 def test_unknown_channel_is_refused(function, channel, pair_k2l4):

@@ -10,6 +10,9 @@ from waverg import (FirFilter, HAAR_SCALING, LatticeTooSmall, decomposition_map,
                     pr_residual, wavelet_from_scaling)
 from waverg.filters import level_filters
 
+from stack_references import (placed, pr_stacks, reference_chain,
+                              zero_stuffed_level_filters)
+
 ROOT2 = np.sqrt(2.0)
 
 taps = st.lists(st.floats(-4, 4, allow_nan=False, width=32),
@@ -154,22 +157,13 @@ def test_decomposition_biorthogonality(pair_k2l4):
     np.testing.assert_allclose(Wg @ Wh.T, np.eye(N), atol=1e-10)
 
 
-def _placed(filt, N, stride):
-    """Reference placement: one tap at a time, so taps on one site add."""
-    out = np.zeros((N // stride, N))
-    for n in range(N // stride):
-        for i, c in zip(filt.indices(), filt.coeffs):
-            out[n, (stride * n + i) % N] += c
-    return out
-
-
 @pytest.mark.parametrize("N", [8, 16, 64])
 def test_coarse_layer_folds_aliased_taps(pair_k2l4, N):
     from waverg.filters import _place_rows
     for stride in (2, 4):
         for filt in (pair_k2l4.g_s, pair_k2l4.g_w):
             np.testing.assert_array_equal(_place_rows(filt, N, stride),
-                                          _placed(filt, N, stride))
+                                          placed(filt, N, stride))
 
 
 @pytest.mark.parametrize("taps", [1, 2, 20, 40, 62, 63, 64, 65, 127, 300])
@@ -187,19 +181,6 @@ def test_placed_gram_rows_match_dense_gram(taps):
                                    (B.T @ B)[:stride], rtol=0, atol=1e-15)
 
 
-def _reference_chain(pairs, channel, N, scales):
-    """Per-layer placed maps w, each acting as w (+) identity on the rows
-    already produced: multi_layer_map without composed filters."""
-    total = np.eye(N)
-    size = N
-    for pair, s in zip(pairs, scales):
-        a_s, a_w = getattr(pair, channel + "_s"), getattr(pair, channel + "_w")
-        w = s * np.vstack([_placed(a_s, size, 2), _placed(a_w, size, 2)])
-        total[:size] = w @ total[:size]
-        size //= 2
-    return total
-
-
 @pytest.mark.parametrize("case", ["folded_k2l4", "massive"])
 def test_multi_layer_map_matches_per_layer_product(case, pair_k2l4, massive_stack):
     if case == "folded_k2l4":
@@ -210,8 +191,43 @@ def test_multi_layer_map_matches_per_layer_product(case, pair_k2l4, massive_stac
         scales = list(massive_stack.squeezes)
     for channel, sc in (("g", scales), ("h", [1.0 / s for s in scales])):
         got = multi_layer_map(pairs, channel, N, scales=sc).matrix
-        np.testing.assert_allclose(got, _reference_chain(pairs, channel, N, sc),
+        np.testing.assert_allclose(got, reference_chain(pairs, channel, N, sc),
                                    rtol=0, atol=1e-14)
+
+
+def _assert_walks_agree(got, want):
+    """Composed filters with the same supports and taps within 1e-14 of the
+    largest tap (the summation order differs, so not bit for bit)."""
+    for f, g in zip([got[0], *got[1]], [want[0], *want[1]]):
+        assert (f.offset, len(f)) == (g.offset, len(g))
+        np.testing.assert_allclose(f.coeffs, g.coeffs, rtol=0,
+                                   atol=1e-14 * np.max(np.abs(g.coeffs)))
+
+
+def _channel_scales(squeezes):
+    return (("g", list(squeezes)), ("h", [1.0 / s for s in squeezes]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pr_stacks())
+def test_composed_filters_match_references_on_random_stacks(case):
+    stack, N = case
+    for channel, scales in _channel_scales(stack.squeezes):
+        _assert_walks_agree(
+            level_filters(stack.pairs, channel, scales),
+            zero_stuffed_level_filters(stack.pairs, channel, scales))
+        want = reference_chain(stack.pairs, channel, N, scales)
+        np.testing.assert_allclose(
+            multi_layer_map(stack.pairs, channel, N, scales).matrix, want,
+            rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
+
+def test_level_filters_match_zero_stuffed_walk_on_designs(designs):
+    for pair, _ in designs.values():
+        for channel, scales in _channel_scales([1.0] + [0.5 ** 0.5] * 9):
+            _assert_walks_agree(
+                level_filters([pair] * 10, channel, scales),
+                zero_stuffed_level_filters([pair] * 10, channel, scales))
 
 
 def test_decomposition_size_guard(pair_k2l4):

@@ -5,19 +5,19 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import waverg.mera
-from waverg import (BinaryCircuit, DesignParams, FirFilter, Flat,
-                    GaplessUnregulated, Gate2, Harmonic, LayerStack,
-                    NotNonnegative, OutOfHypothesis, build_stack, compose,
-                    epsilon_of, error_report, exact_covariance,
+from waverg import (DesignParams, FirFilter, Flat, GaplessUnregulated,
+                    Harmonic, LayerStack, NotNonnegative, OutOfHypothesis,
+                    build_stack, epsilon_of, error_report, exact_covariance,
                     exact_p_profile, exact_q_profile, flow, haar_pair,
                     mass_flow, mera_covariance, multi_layer_map,
                     q_difference_norm, ring_covariance, stack_operator_bound,
                     theorem_bound, wavelet_channel_deviation)
 from waverg.errors import LatticeTooSmall
 from waverg.filters import decomposition_map, kgrid, placed_gram_rows
+
+from stack_references import pr_stacks, reference_chain
 
 
 # -- stacks ----------------------------------------------------------------
@@ -511,36 +511,6 @@ def test_operator_bound_reuses_walks_exactly(case, N, walks, monkeypatch,
         assert got == pytest.approx(want, rel=1e-14)
 
 
-def _random_gate(draw, parity):
-    a = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
-    b, c = draw(st.floats(-1.5, 1.5)), draw(st.floats(-1.5, 1.5))
-    return Gate2(np.array([[a, b], [c, (1.0 + b * c) / a]]), parity)
-
-
-@st.composite
-def pr_stacks(draw):
-    """A random perfect-reconstruction stack and a ring: each layer composes
-    1 to 4 random det-1 gates, squeezes lie in [0.5, 2], and the ring runs
-    from twice the support up.  Half the stacks repeat one pair with alike
-    squeezes after the first, so that walks are reused with c != 1."""
-    depth = draw(st.integers(1, 4))
-    shared = draw(st.booleans())
-    pairs = []
-    for _ in range(1 if shared else depth):
-        gates = [_random_gate(draw, ("even", "odd")[i % 2])
-                 for i in range(draw(st.integers(1, 4)))]
-        pairs.append(compose(BinaryCircuit(gates)))
-    squeezes = draw(st.lists(st.floats(0.5, 2.0), min_size=depth,
-                             max_size=depth))
-    if shared:
-        pairs *= depth
-        squeezes[2:] = squeezes[1:2] * (depth - 2)
-    stack = LayerStack(pairs, squeezes, Harmonic(0.0))
-    P = 1 << depth
-    least = -(-2 * stack.max_support // P)
-    return stack, P * draw(st.integers(least, least + 3))
-
-
 @settings(max_examples=40, deadline=None)
 @given(pr_stacks())
 def test_certified_operator_bound_is_the_eigvalsh_maximum(case):
@@ -548,6 +518,22 @@ def test_certified_operator_bound_is_the_eigvalsh_maximum(case):
     got = stack_operator_bound(stack, N)
     assert got == _eigvalsh_operator_bound(stack, N)
     assert got == pytest.approx(_dense_operator_bound(stack, N), rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pr_stacks())
+def test_mera_covariance_matches_reference_chain_on_random_stacks(case):
+    stack, N = case
+    cov = mera_covariance(stack, N)
+    for block, channel, scales in (
+            (cov.p_block, "g", list(stack.squeezes)),
+            (cov.q_block, "h", [1.0 / s for s in stack.squeezes])):
+        R = reference_chain(stack.pairs, channel, N, scales)
+        want = 0.5 * (R.T @ R)
+        # a Gram's largest entry is on its diagonal, a sum of squares
+        np.testing.assert_allclose(block, want, rtol=0,
+                                   atol=1e-14 * np.max(np.abs(want)))
+        assert np.array_equal(block, block.T)
 
 
 def _outcome(bound, stack, N):
@@ -687,6 +673,15 @@ def test_error_report_builds_no_dense_map(monkeypatch, massive_stack):
     assert np.array_equal(rep.covariance.q_block, want.q_block)
     assert np.array_equal(rep.covariance.p_block, want.p_block)
     assert np.array_equal(rep.covariance.p_block, rep.covariance.p_block.T)
+
+
+def test_error_report_forms_no_zero_stuffed_filter(monkeypatch,
+                                                   massless_k2l4_8):
+    def refuse(self, factor):
+        raise AssertionError("zero-stuffed filter on the report path")
+
+    monkeypatch.setattr(FirFilter, "upsample", refuse)
+    assert error_report(massless_k2l4_8, 512, quad_points=1 << 12).dominated()
 
 
 def _dense_window_deviation(profile, block, window):
