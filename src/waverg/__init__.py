@@ -2,16 +2,15 @@
 
 from .dispersion import (Dispersion, Flat, Harmonic, Renormalized, Tabulated,
                          fitted_mass, flow, flow_report, mass_flow,
-                         parse_dispersion, renormalize)
+                         parse_dispersion)
 from .errors import (DegenerateFactorization, FlowOutOfRange,
                      GaplessUnregulated, LatticeTooSmall, NegativeMass,
-                     NoSolution, NotAdmissible, NotDivisible, NotNonnegative,
-                     NoUnitEigenvalue, NormalizationFailure, OutOfHypothesis,
-                     UnstableFilter, WavergError)
+                     NonFiniteFilter, NoSolution, NotAdmissible, NotDivisible,
+                     NotNonnegative, NoUnitEigenvalue, NormalizationFailure,
+                     OutOfHypothesis, UnstableFilter, WavergError)
 from .filters import (HAAR_SCALING, FilterPair, FirFilter, LatticeMap,
-                      decomposition_map, derive_wavelet, haar_pair, kgrid,
-                      level_filters, multi_layer_map, pr_residual,
-                      wavelet_from_scaling)
+                      decomposition_map, haar_pair, kgrid, level_filters,
+                      multi_layer_map, pr_residual, wavelet_from_scaling)
 from .design import (DesignParams, DesignReport, design_pair, epsilon_of,
                      halfband_solve, rational_approx_fit,
                      rational_approx_massless, spectral_factorize,

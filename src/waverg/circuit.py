@@ -235,8 +235,8 @@ def decompose(pair: FilterPair, tol_pr: float = 1e-8,
     3 to 10 steps reach the 10^-(dps-10) target.
     """
     pair_c, shift = canonicalize_support(pair)
-    # the window canonicalize_support chose: wider than halfwidth when only
-    # an odd shift would fit the support into 2 halfwidth sites
+    # the window canonicalize_support chose: wider than half the support
+    # when only an odd shift would fit the support into it
     lo = min(pair_c.g_s.support[0], pair_c.h_s.support[0])
     M = max(1 - lo, pair_c.g_s.support[1], pair_c.h_s.support[1])
     gd, hd = _window_arrays(pair_c, M)  # indices -M+1 .. M

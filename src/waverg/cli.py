@@ -42,6 +42,10 @@ MAX_LEVELS = 62
 #: largest cascade --J: a unit interval of the depth-J dyadic grid holds 2^J
 #: samples, so at most MAX_POINTS; each level of J doubles time and memory
 MAX_J = MAX_POINTS.bit_length() - 1
+#: largest design --K and --L: at L = 1 the moment factor's C(2K, K) is a
+#: finite double up to K = 513, and at K = 1 the all-pass self-convolution
+#: up to L = 261; a joint (K, L) past the double range is a NonFiniteFilter
+MAX_K, MAX_L = 513, 261
 
 
 def _fmt(x: float) -> str:
@@ -74,6 +78,7 @@ def _int_in(lo: int, hi: float = float("inf")):
         if not lo <= n <= hi:
             raise argparse.ArgumentTypeError(f"must be {lo}..{hi}, got {n}")
         return n
+    parse.__name__ = "int"  # argparse: "invalid int value: 'x'"
     return parse
 
 
@@ -95,10 +100,10 @@ def _write(path: str | None, text: str):
         sys.stdout.write(text)
 
 
-def _parse_range(text: str, flag: str) -> list[int]:
+def _parse_range(text: str, flag: str, top: int) -> list[int]:
     """'1..4' -> [1, 2, 3, 4]; '3' -> [3]; '1,2,4' -> [1, 2, 4]; an empty
-    range such as '3..1', or a part that is not an integer or a range, is a
-    usage error naming ``flag``."""
+    range such as '3..1', a part that is not an integer or a range, or one
+    that leaves 1..top, is a usage error naming ``flag``."""
     out: list[int] = []
     for part in text.split(","):
         lo, dots, hi = part.partition("..")
@@ -109,6 +114,8 @@ def _parse_range(text: str, flag: str) -> list[int]:
                              f"got {part!r}") from None
         if hi < lo:
             raise UsageError(f"{flag}: empty range {part!r}")
+        if lo < 1 or hi > top:
+            raise UsageError(f"{flag}: {part!r} leaves 1..{top}")
         out.extend(range(lo, hi + 1))
     return sorted(set(out))
 
@@ -144,9 +151,11 @@ def cmd_sweep(args) -> int:
         if sorted(key for key, _ in parts) != ["K", "L"]:
             raise UsageError(f"--sweep takes K=<range>,L=<range>, each key "
                              f"once, got {args.sweep!r}")
-        Ks, Ls = (_parse_range(dict(parts)[p], "--sweep") for p in "KL")
+        Ks, Ls = (_parse_range(dict(parts)[p], "--sweep", top)
+                  for p, top in (("K", MAX_K), ("L", MAX_L)))
     else:
-        Ks, Ls = _parse_range(args.K, "--K"), _parse_range(args.L, "--L")
+        Ks, Ls = (_parse_range(args.K, "--K", MAX_K),
+                  _parse_range(args.L, "--L", MAX_L))
     lines = ["K,L,epsilon,pr_residual,stability_max_abs_eig,positivity_min"]
     for K in Ks:
         for L in Ls:
@@ -315,8 +324,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("design", parents=[common, grid, tol],
                        help="design one filter pair")
     p.add_argument("--dispersion", default="harmonic:m=0")
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
+    p.add_argument("--K", type=_int_in(1, MAX_K), required=True,
+                   help=f"vanishing moments, at most {MAX_K}")
+    p.add_argument("--L", type=_int_in(1, MAX_L), required=True,
+                   help=f"all-pass / rational degree, at most {MAX_L}")
     p.add_argument("--out", default=None, help="pair JSON path")
     p.add_argument("--report", default=None, help="design report JSON path")
     p.set_defaults(func=cmd_design)
@@ -324,8 +335,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", parents=[common, grid, tol],
                        help="design a (K, L) grid, emit quality CSV")
     p.add_argument("--dispersion", default="harmonic:m=0")
-    p.add_argument("--K", default="1..3", help="range, e.g. 1..3")
-    p.add_argument("--L", default="1..5", help="range, e.g. 1..5")
+    p.add_argument("--K", default="1..3",
+                   help=f"range, e.g. 1..3, within 1..{MAX_K}")
+    p.add_argument("--L", default="1..5",
+                   help=f"range, e.g. 1..5, within 1..{MAX_L}")
     p.add_argument("--sweep", default=None, help="combined form K=1..3,L=1..5")
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=cmd_sweep)

@@ -237,7 +237,16 @@ def massless_relation_error(pair: FilterPair, J: int = DEFAULT_J,
 # ---------------------------------------------------------------------------
 
 def _ascend_block(taps: FirFilter, weight: float, half: int) -> np.ndarray:
-    """Transfer block T[m, n] = weight * taps[n - 2m], indices in [-half, half]."""
+    """Transfer block T[m, n] = weight * taps[n - 2m], indices in [-half, half].
+
+    For taps on [a, b] the ascent's eigenvectors live on [-b, -a], so taps
+    that leave the window are refused (ValueError): the block would cut the
+    eigenvectors and report wrong eigenvalues.
+    """
+    a, b = taps.support
+    if not -half <= a <= b <= half:
+        raise ValueError(f"filter support [{a}, {b}] does not fit the "
+                         f"spectrum window [{-half}, {half}]")
     idx = np.arange(-half, half + 1)
     return weight * taps[idx - 2 * idx[:, None]]
 

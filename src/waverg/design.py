@@ -15,13 +15,13 @@ approximately satisfies the disentangling relation g_w = (omega/omega(pi)) h_w.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, lgamma
 
 import numpy as np
 
 from .dispersion import Dispersion, Harmonic
-from .errors import (NoSolution, NormalizationFailure, NotAdmissible,
-                     NotNonnegative)
+from .errors import (NonFiniteFilter, NoSolution, NormalizationFailure,
+                     NotAdmissible, NotNonnegative)
 from .filters import ROOT2, FilterPair, FirFilter, halfband_defect, kgrid
 
 
@@ -183,6 +183,12 @@ def rational_approx_fit(d: Dispersion, L: int,
 # half-band solve and spectral factorization
 # ---------------------------------------------------------------------------
 
+def _finite(stage: str, *values):
+    """NonFiniteFilter naming ``stage`` unless every value is finite."""
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise NonFiniteFilter(stage)
+
+
 def halfband_solve(s: FirFilter, tol: float = 1e-9,
                    max_growth: int = 8) -> FirFilter:
     """Symmetric r with sum_l s[2n - l] r[l] = delta_0[n] (s * r half-band).
@@ -190,8 +196,10 @@ def halfband_solve(s: FirFilter, tol: float = 1e-9,
     Starts from the minimal symmetric window [-(S-1), S-1] for s on [-S, S]
     and grows by 2 until the substituted residual passes.  Symmetry is
     checked relative to the largest tap (at least 1), since the taps of s
-    grow like the binomials C(2K, K).
+    grow like the binomials C(2K, K); an s or a system past the double
+    range is a NonFiniteFilter.
     """
+    _finite("half-band target s", s.coeffs)
     if not s.is_symmetric(1e-9 * max(1.0, float(np.max(np.abs(s.coeffs))))):
         raise ValueError("s must be symmetric")
     S = s.support[1]
@@ -202,7 +210,9 @@ def halfband_solve(s: FirFilter, tol: float = 1e-9,
         # unknowns r[0..R]; rows are the even-index entries of s * r
         nmax = (S + R - 1) // 2
         n, jj = np.ogrid[:nmax + 1, :R + 1]
-        A = s[2 * n - jj] + np.where(jj > 0, s[2 * n + jj], 0.0)
+        with np.errstate(over="ignore"):
+            A = s[2 * n - jj] + np.where(jj > 0, s[2 * n + jj], 0.0)
+        _finite("half-band system of s", A)
         rhs = np.zeros(nmax + 1)
         rhs[0] = 1.0
         sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
@@ -346,13 +356,23 @@ def _is_massless_shape(d: Dispersion, grid: int, tol: float = 1e-10) -> bool:
 
 
 def design_pair(d: Dispersion, params: DesignParams) -> tuple[FilterPair, DesignReport]:
-    """Run the full design pipeline against omega/omega(pi)."""
+    """Run the full design pipeline against omega/omega(pi).
+
+    A stage that leaves the double range (large K or L) is refused as
+    NonFiniteFilter before the half-band solve, with no numpy warning.
+    """
     K, L = params.K, params.L
-    if _is_massless_shape(d, params.grid_size // 4):
-        a, b = rational_approx_massless(L)
-    else:
-        a, b = rational_approx_fit(d, L, grid=params.grid_size // 2)
-    a0, b0 = float(np.real(a(0.0))), float(np.real(b(0.0)))
+    # log C(2K, K), the largest tap of the moment factor (2 + 2 cos k)^K
+    if lgamma(2 * K + 1) - 2 * lgamma(K + 1) > np.log(np.finfo(float).max):
+        raise NonFiniteFilter(f"moment factor (2 + 2 cos k)^{K}")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        if _is_massless_shape(d, params.grid_size // 4):
+            a, b = rational_approx_massless(L)
+        else:
+            a, b = rational_approx_fit(d, L, grid=params.grid_size // 2)
+        a0, b0 = float(np.real(a(0.0))), float(np.real(b(0.0)))
+    _finite(f"rational approximation a/b of degree {L}", a.coeffs, b.coeffs,
+            a0, b0)
     if a0 <= 0 or b0 <= 0:
         raise NormalizationFailure(f"a(0) = {a0:.3e}, b(0) = {b0:.3e}")
     # joint rescale (preserves a/b) keeps coefficients O(1) for the linear

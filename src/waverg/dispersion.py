@@ -179,11 +179,6 @@ class Renormalized(Dispersion):
         return f"renormalized({self.base.describe()})"
 
 
-def renormalize(d: Dispersion) -> Dispersion:
-    """One renormalization step of d (see Renormalized)."""
-    return Renormalized(d)
-
-
 def flow(d: Dispersion, levels: int) -> list[Dispersion]:
     """[omega^(0), ..., omega^(levels)] under repeated renormalization."""
     out = [d]

@@ -81,6 +81,20 @@ class FlowOutOfRange(WavergError):
         return d
 
 
+class NonFiniteFilter(WavergError):
+    """Design stage whose filter left the double range: the moment factor
+    grows like C(2K, K) and the all-pass taps like C(L, L/2)^2."""
+
+    def __init__(self, stage: str):
+        super().__init__(f"{stage} is not finite in double precision")
+        self.stage = stage
+
+    def payload(self) -> dict:
+        d = super().payload()
+        d["stage"] = self.stage
+        return d
+
+
 class NotAdmissible(WavergError):
     """Filter lacks the vanishing moment needed for the transfer-operator check."""
 

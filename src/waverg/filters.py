@@ -159,8 +159,7 @@ class FilterPair:
     """Biorthogonal pair (g, h) of scaling filters plus derived wavelets.
 
     ``pr_residual`` is the perfect-reconstruction defect recorded at
-    construction; ``halfwidth`` M is the smallest window half-size so that
-    both scaling filters fit in a length-2M interval.
+    construction.
     """
 
     g_s: FirFilter
@@ -168,14 +167,11 @@ class FilterPair:
     g_w: FirFilter = field(init=False)
     h_w: FirFilter = field(init=False)
     pr_residual: float = field(init=False)
-    halfwidth: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "g_w", wavelet_from_scaling(self.h_s))
         object.__setattr__(self, "h_w", wavelet_from_scaling(self.g_s))
         object.__setattr__(self, "pr_residual", pr_residual(self))
-        object.__setattr__(self, "halfwidth",
-                           max(1, (self.support_length() + 1) // 2))
 
     def support_length(self) -> int:
         lo = min(self.g_s.support[0], self.h_s.support[0])
@@ -216,6 +212,9 @@ class FilterPair:
             if type(offset) is not int or c.ndim != 1 or c.size == 0:
                 raise ValueError(f"{name} must hold an integer offset and a "
                                  "nonempty list of numbers as coeffs")
+            if abs(offset) >= 1 << 31:
+                raise ValueError(f"{name} offset {offset} is out of range; "
+                                 "|offset| must be below 2^31")
             bad = np.flatnonzero(~np.isfinite(c))
             if bad.size:
                 raise ValueError(f"{name} tap {bad[0]} is {c[bad[0]]}; "
@@ -234,11 +233,6 @@ class FilterPair:
 def haar_pair() -> FilterPair:
     """Orthogonal Haar pair: both scaling filters (1, 1) / sqrt(2)."""
     return FilterPair(HAAR_SCALING, HAAR_SCALING)
-
-
-def derive_wavelet(g_s: FirFilter, h_s: FirFilter) -> FilterPair:
-    """Assemble a FilterPair; wavelets follow the fixed modulation rule."""
-    return FilterPair(g_s, h_s)
 
 
 def pr_residual(pair: FilterPair, grid_size: int | None = None) -> float:

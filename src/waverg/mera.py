@@ -192,23 +192,28 @@ def _symmetrized(row: np.ndarray) -> np.ndarray:
     return out.reshape(P, N)
 
 
+def _row_reader(row: np.ndarray, width: int = 1):
+    """read(n, start): entries start .. start + width - 1 (mod N) of rows n
+    of the N x N matrix G that commutes with shifts by P and has first block
+    row ``row`` (P x N).  Row n of G is row[n mod P] rolled by n - n mod P,
+    so they are the window from (start - n + n mod P) mod N of a strided
+    view of the rows, wrapped by width - 1 columns (at width 1: no copy).
+    """
+    P, N = row.shape
+    if width > 1:
+        row = np.concatenate([row, row[:, :width - 1]], axis=1)
+    windows = sliding_window_view(row, width, axis=1)
+
+    def read(n, start):
+        r = n % P
+        return windows[r, (start - n + r) % N]
+    return read
+
+
 def _roll_out(row: np.ndarray) -> np.ndarray:
     """The N x N matrix that commutes with shifts by P and has first block
-    row ``row`` (P x N)."""
-    P, N = row.shape
-    G = np.empty((N, N))
-    for q in range(0, N, P):  # rows q..q+P-1 are the row rolled by q
-        G[q:q + P, q:] = row[:, :N - q]
-        G[q:q + P, :q] = row[:, N - q:]
-    return G
-
-
-def _entry(row: np.ndarray, n, m):
-    """Entry (n, m) on Z_N of the matrix rolled out from ``row``:
-    row[n mod P, (m - n + n mod P) mod N]."""
-    P, N = row.shape
-    r = n % P
-    return row[r, (m - n + r) % N]
+    row ``row`` (P x N), read through _row_reader."""
+    return _row_reader(row, row.shape[1])(np.arange(row.shape[1]), 0)
 
 
 def _covariance_rows(stack: LayerStack, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -240,18 +245,19 @@ def _half_inverse(w: np.ndarray) -> np.ndarray:
         return np.where(w > 0, 1.0 / (2.0 * np.maximum(w, 1e-300)), 0.0)
 
 
-def _riemann_sums(f: np.ndarray):
+def _riemann_sums(f: np.ndarray, alternate: bool = True):
     """S(d) = sum_j f_j cos(k_j d) / n on k = kgrid(n), n = len(f), as a
     function of integer offsets d.  S is a DFT, (-1)^d Re rfft(f)[d'] / n
     with d' = min(d mod n, n - d mod n), so one rfft serves every offset; S
-    is even and n-periodic in d."""
+    is even and n-periodic in d.  The sign (-1)^d comes from kgrid's start
+    at -pi; ``alternate=False`` sums on the ring momenta k_j = 2 pi j / n."""
     n = len(f)
     spectrum = np.fft.rfft(f).real / n
 
     def read(d):
         folded = d % n
-        sign = np.where(d % 2 == 0, 1.0, -1.0)
-        return sign * spectrum[np.minimum(folded, n - folded)]
+        sums = spectrum[np.minimum(folded, n - folded)]
+        return np.where(d % 2 == 0, sums, -sums) if alternate else sums
     return read
 
 
@@ -263,7 +269,7 @@ class _Quadrature:
     once per instance, and its fine sums S (_riemann_sums) give both grids:
     the odd samples cancel in S(d) + (-1)^q S(d + q), the coarse sum at d.
     So fine + (fine - coarse) / 3, which cancels the h^2 term, is
-    S(d) - (-1)^q S(d + q) / 3, and |S(d + q)| / 3 is the certified error.
+    S(d) - (-1)^q S(d + q) / 3 (_extrapolated), certified by |S(d + q)| / 3.
     An offset with 2|d| >= q is refused, since the coarse grid aliases it.
     """
 
@@ -290,6 +296,17 @@ class _Quadrature:
                 f"2 max|offset| = {reach}: the grid would alias the offsets")
         return offsets
 
+    def _extrapolated(self, S, offsets: np.ndarray,
+                      regulated: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The Richardson value S(d) - (-1)^q S(d + q) / 3 of fine sums S
+        per offset d, and its certified error |S(d + q)| / 3.  ``regulated``
+        extrapolates the differences S(d) - S(0)."""
+        q = self.quad_points
+        values, alias = S(offsets), S(offsets + q)
+        if regulated:
+            values, alias = values - S(0), alias - S(q)
+        return values - (-1) ** q * alias / 3.0, np.abs(alias) / 3.0
+
     def profile(self, integrand, offsets,
                 regulated: bool = False) -> tuple[np.ndarray, float]:
         """(1/2pi) integral of integrand(omega(k)) cos(k d) per offset d, and
@@ -298,12 +315,9 @@ class _Quadrature:
         offsets = self._offsets(offsets)
         if integrand not in self._sums:
             self._sums[integrand] = _riemann_sums(integrand(self.omega))
-        S, q = self._sums[integrand], self.quad_points
-        values, alias = S(offsets), S(offsets + q)
-        if regulated:
-            values, alias = values - S(0), alias - S(q)
-        return (values - (-1) ** q * alias / 3.0,
-                float(np.max(np.abs(alias))) / 3.0)
+        values, err = self._extrapolated(self._sums[integrand], offsets,
+                                         regulated)
+        return values, float(np.max(err))
 
     def q_difference_norms(self, deltas) -> tuple[np.ndarray, float]:
         """||gamma_q (delta_n - delta_m)|| for |n - m| = delta, per delta, and
@@ -312,38 +326,29 @@ class _Quadrature:
         By Parseval, norm^2 = (1/2pi) integral (1 - cos k delta) h(k) dk with
         h = 1 / (2 omega^2).  At k = 0 the integrand tends to
         delta^2 g(0) / 2, g = k^2 h, which is not 0 on a gapless chain; the
-        Riemann sum takes that limit as its k = 0 sample, with g(0)
-        extrapolated as (4 g(h) - g(2h)) / 3 from the samples at k = -h and
-        -2h (g(0) = 0 where omega(0) > 0).  The sum is formed without
+        Riemann sums take that limit as their k = 0 sample, with g(0)
+        extrapolated as (4 g(h) - g(2h)) / 3 from the fine samples at k = -h
+        and -2h (g(0) = 0 where omega(0) > 0).  The sums are formed without
         cancellation: with s = 1 / (4 sin^2(k/2)), (1 - cos k delta) s is
         delta/2 times the Fejer kernel, a trigonometric polynomial of degree
-        delta - 1 < n whose k = 0 value is delta^2 / 2, so the grid sums
-        its part to g(0) delta / 2 exactly, and one rfft of the bounded
-        remainder h - g(0) s, read at every delta, gives the rest.  g(0)
-        differs between the grids, so each transforms its own remainder.
+        delta - 1 < q whose k = 0 value is delta^2 / 2, so either grid sums
+        its part to g(0) delta / 2 exactly.  One rfft of the bounded
+        remainder h - g(0) s on the fine grid gives the rest, extrapolated
+        as the regulated profile -(S(delta) - S(0)) is.
         """
         deltas = self._offsets(deltas)
         if np.any(deltas == 0):
             raise ValueError("delta must be nonzero")
-        k_fine = kgrid(2 * self.quad_points)
-        results = []
-        for k, w in ((k_fine[::2], self.omega[::2]), (k_fine, self.omega)):
-            at0 = np.abs(k) < 1e-15
-            w2 = w * w
-            h = np.where(w2 > 0, 1.0 / (2.0 * np.maximum(w2, 1e-300)), 0.0)
-            g0 = 0.0
-            for i in np.flatnonzero(at0):
-                if not w[i] > 0:
-                    g0 = (4.0 * k[i - 1] ** 2 * h[i - 1]
-                          - k[i - 2] ** 2 * h[i - 2]) / 3.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rest = h - g0 / (4.0 * np.sin(k / 2.0) ** 2)
-            rest[at0] = 0.0
-            S = _riemann_sums(rest)
-            results.append(g0 * deltas / 2.0 + S(0) - S(deltas))
-        coarse, fine = results
-        err = np.abs(fine - coarse) / 3.0
-        norms = np.sqrt(np.maximum(fine + (fine - coarse) / 3.0, 0.0))
+        k, w, i = kgrid(2 * self.quad_points), self.omega, self.quad_points
+        w2 = w * w
+        h = np.where(w2 > 0, 1.0 / (2.0 * np.maximum(w2, 1e-300)), 0.0)
+        g0 = 0.0 if w[i] > 0 else (4.0 * k[i - 1] ** 2 * h[i - 1]
+                                   - k[i - 2] ** 2 * h[i - 2]) / 3.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rest = h - g0 / (4.0 * np.sin(k / 2.0) ** 2)
+        rest[i] = 0.0  # k_i = 0 up to rounding
+        values, err = self._extrapolated(_riemann_sums(rest), deltas, True)
+        norms = np.sqrt(np.maximum(g0 * deltas / 2.0 - values, 0.0))
         # |sqrt(a) - sqrt(b)| <= min(sqrt(|a - b|), |a - b| / sqrt(a))
         return norms, float(np.max(np.minimum(
             np.sqrt(err), err / np.maximum(norms, 1e-300))))
@@ -370,6 +375,11 @@ def exact_q_profile(d: Dispersion, offsets: np.ndarray,
                                                regulated)
 
 
+def _toeplitz(profile: np.ndarray, W: int) -> np.ndarray:
+    """W x W read-only view with entry (n, m) = profile[|n - m|]."""
+    return sliding_window_view(profile[np.abs(np.arange(1 - W, W))], W)[::-1]
+
+
 def exact_covariance(d: Dispersion, N: int, quad_points: int = 1 << 16,
                      regulated: bool | None = None) -> CovariancePair:
     """Toeplitz ground-state covariance of the infinite chain, rows 0..N-1."""
@@ -378,8 +388,8 @@ def exact_covariance(d: Dispersion, N: int, quad_points: int = 1 << 16,
     offsets = np.arange(N)
     p_prof, p_err = exact_p_profile(d, offsets, quad_points)
     q_prof, q_err = exact_q_profile(d, offsets, quad_points, regulated)
-    idx = np.abs(np.subtract.outer(np.arange(N), np.arange(N)))
-    return CovariancePair(N, q_prof[idx], p_prof[idx], regulated=regulated,
+    return CovariancePair(N, _toeplitz(q_prof, N).copy(),
+                          _toeplitz(p_prof, N).copy(), regulated=regulated,
                           quad_error=max(p_err, q_err))
 
 
@@ -407,15 +417,11 @@ def ring_covariance(d: Dispersion, N: int) -> CovariancePair:
     if d.gapless:
         raise GaplessUnregulated(
             "periodic-chain covariance requires a gapped dispersion")
-    k = 2.0 * np.pi * np.arange(N) / N
-    w = np.asarray(d(k))
-    # sum_j f(k_j) cos(k_j d) / N is Re fft(f)[d] / N
-    q_prof = np.fft.fft(1.0 / (2.0 * w)).real / N
-    p_prof = np.fft.fft(w / 2.0).real / N
-    delta = np.arange(N)
-    idx = np.abs(np.subtract.outer(delta, delta))
-    idx = np.minimum(idx, N - idx)
-    return CovariancePair(N, q_prof[idx], p_prof[idx])
+    w = np.asarray(d(2.0 * np.pi * np.arange(N) / N))
+    # a circulant: entry (n, m) is the ring sum at offset m - n (P = 1)
+    q_row, p_row = (_riemann_sums(f, alternate=False)(np.arange(N))[None]
+                    for f in (1.0 / (2.0 * w), w / 2.0))
+    return CovariancePair(N, _roll_out(q_row), _roll_out(p_row))
 
 
 def wavelet_channel_deviation(stack: LayerStack, N: int) -> list[float]:
@@ -696,23 +702,16 @@ class ErrorReport:
 def _window_deviation(profile: np.ndarray, row: np.ndarray,
                       window: np.ndarray) -> float:
     """max over n, m in window of |profile[|n - m|] - G[n, m]|, where G on
-    Z_N is rolled out from its first block row ``row`` (see _entry).
+    Z_N is rolled out from its first block row ``row``.
 
-    Along a window row n the entries G[n, m] sit in consecutive columns
-    (mod N) of row[n mod P], so each is a slice of a strided view of the
-    rows, and the exact side is a row of a Toeplitz view of the profile.
-    Taken over chunks of 64 rows: no N x N or (window x window) array is
-    formed.
+    Along a window row n the entries G[n, m] are one read of _row_reader,
+    and the exact side is a row of the _toeplitz view of the profile.  Taken
+    over chunks of 64 rows: no N x N or (window x window) array is formed.
     """
-    P, N = row.shape
     W = len(window)
-    wrapped = np.concatenate([row, row[:, :W - 1]], axis=1)
-    mera = sliding_window_view(wrapped, W, axis=1)
-    exact = sliding_window_view(profile[np.abs(np.arange(1 - W, W))], W)[::-1]
-    r = window % P
-    start = (window[0] - window + r) % N
+    read, exact = _row_reader(row, W), _toeplitz(profile, W)
     maxima = [np.max(np.abs(exact[i:i + 64]
-                            - mera[r[i:i + 64], start[i:i + 64]]))
+                            - read(window[i:i + 64], window[0])))
               for i in range(0, W, 64)]
     return float(np.max(maxima))
 
@@ -731,7 +730,7 @@ def error_report(stack: LayerStack, N: int, quad_points: int = 1 << 16,
     infinite-lattice value (1.194548259e-3) to about 1e-11.  The entries
     are read from the covariance's first block rows (P x N, P = 2^depth);
     no N x N array is formed unless ``covariance`` is read.
-    The oracle samples the dispersion once per quadrature grid for all its
+    The oracle samples the dispersion once, on its fine grid, for all its
     profiles and norms; quad_points must exceed N, so that the grid does not
     alias the window's offsets.  ``quad_error`` is the largest certified
     error of the oracle profiles and norms.
@@ -762,10 +761,11 @@ def error_report(stack: LayerStack, N: int, quad_points: int = 1 << 16,
         reg_prof = dict(zip(deltas, vals))
         norm_of = dict(zip(deltas, norms.tolist()))
     delta_q_reg, q_norms = {}, {}
+    read = _row_reader(q_rows)
     for n, m in pairs_to_check:
         if n == m:
             continue
-        mera_reg = _entry(q_rows, n, m) - _entry(q_rows, n, n)
+        mera_reg = read(n, m)[0] - read(n, n)[0]
         delta_q_reg[(n, m)] = float(abs(reg_prof[abs(n - m)] - mera_reg))
         q_norms[(n, m)] = norm_of[abs(n - m)]
 

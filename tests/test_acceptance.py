@@ -21,12 +21,12 @@ import numpy as np
 import pytest
 
 from waverg import (DesignParams, Flat, Harmonic, LayerStack, NoSolution,
-                    NotNonnegative, build_stack, decompose, compose,
+                    NotNonnegative, Renormalized, build_stack, decompose, compose,
                     descendant_spectrum, design_pair, error_report,
                     exact_p_profile, fitted_mass, flow, haar_pair,
                     inner_product, mass_flow, massless_relation_error,
                     mera_covariance, refinement_residual,
-                    renormalize, scaling_function, superoperator_check,
+                    scaling_function, superoperator_check,
                     superoperator_spectrum, to_lattice_symplectic,
                     wavelet_channel_deviation, wavelet_function)
 from waverg.continuum import dual_wavelet_pairing, translate_gram
@@ -107,7 +107,7 @@ def test_criterion_01_perfect_reconstruction(massless):
 
 
 def test_criterion_02_massless_fixed_point(massless):
-    r = renormalize(massless)
+    r = Renormalized(massless)
     k = -np.pi + 2.0 * np.pi * np.arange(4096) / 4096
     sup = float(np.max(np.abs(np.asarray(r.normalized(k))
                               - np.asarray(massless.normalized(k)))))

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waverg import (BinaryCircuit, DegenerateFactorization, DesignParams,
-                    FirFilter, Gate2, Harmonic, LatticeTooSmall, compose,
-                    composed_wavelets, decompose, derive_wavelet, design_pair,
+                    FilterPair, FirFilter, Gate2, Harmonic, LatticeTooSmall,
+                    compose, composed_wavelets, decompose, design_pair,
                     to_lattice_symplectic)
 from waverg import circuit
 from waverg.circuit import canonicalize_support, gate_alpha_identity_check
@@ -171,17 +171,17 @@ def test_circuit_json_roundtrip(tmp_path, pair_k2l4):
 
 
 def test_canonicalize_support(pair_k2l4):
-    shifted = derive_wavelet(pair_k2l4.g_s.shift(4), pair_k2l4.h_s.shift(4))
+    shifted = FilterPair(pair_k2l4.g_s.shift(4), pair_k2l4.h_s.shift(4))
     canon, t = canonicalize_support(shifted)
     assert t % 2 == 0
-    M = canon.halfwidth
+    M = (canon.support_length() + 1) // 2  # the narrowest window [-M+1, M]
     lo = min(canon.g_s.support[0], canon.h_s.support[0])
     hi = max(canon.g_s.support[1], canon.h_s.support[1])
     assert lo >= -M + 1 and hi <= M
 
 
 def test_decompose_rejects_broken_pr(haar):
-    bad = derive_wavelet(haar.g_s, haar.h_s.scale(1.3))
+    bad = FilterPair(haar.g_s, haar.h_s.scale(1.3))
     with pytest.raises(DegenerateFactorization,
                        match=r"^PR defect 3\.000e-01 exceeds tol_pr \* scale "
                              r"= 9\.192e-09: the pair is not perfect "
@@ -191,10 +191,11 @@ def test_decompose_rejects_broken_pr(haar):
 
 @pytest.mark.parametrize("which", ["haar", "k2l2"])
 def test_decompose_odd_shift_is_not_called_a_pr_defect(which, haar, designs):
-    # an odd shift widens the canonical window past halfwidth; the peel must
-    # see every tap of the PR pair, then factor it or name a degenerate corner
+    # an odd shift widens the canonical window past half the support; the
+    # peel must see every tap of the PR pair, then factor it or name a
+    # degenerate corner
     pair = haar if which == "haar" else designs[(2, 2)][0]
-    shifted = derive_wavelet(pair.g_s.shift(1), pair.h_s.shift(1))
+    shifted = FilterPair(pair.g_s.shift(1), pair.h_s.shift(1))
     assert shifted.pr_residual < 1e-12
     try:
         circ = decompose(shifted)
@@ -208,7 +209,7 @@ def test_decompose_odd_shift_is_not_called_a_pr_defect(which, haar, designs):
 
 
 def test_decompose_rejects_nonfinite_tap(haar):
-    bad = derive_wavelet(FirFilter(0, [np.nan, haar.g_s.coeffs[1]]), haar.h_s)
+    bad = FilterPair(FirFilter(0, [np.nan, haar.g_s.coeffs[1]]), haar.h_s)
     with pytest.raises(DegenerateFactorization, match="nan"):
         decompose(bad)
 
@@ -272,7 +273,9 @@ def test_decompose_gates_equal_lu_newton_reference(designs, massive_pairs,
 def _window(pair):
     """The canonical window of a pair and decompose's working precision."""
     pair_c, _ = canonicalize_support(pair)
-    M = pair_c.halfwidth
+    # the window decompose takes from the canonical pair
+    lo = min(pair_c.g_s.support[0], pair_c.h_s.support[0])
+    M = max(1 - lo, pair_c.g_s.support[1], pair_c.h_s.support[1])
     gd, hd = circuit._window_arrays(pair_c, M)
     return M, gd, hd, max(60, 30 + 8 * M)
 

@@ -489,6 +489,7 @@ def test_flow_exit_code_contract(kind, x):
 SIMULATE = ["simulate", "--layers", "1", "--N", "64", "--quad-points", "4096",
             "--report", "REPORT", "--csv", "CSV", "--pair", "PAIR"]
 CASCADE = ["cascade", "--pair", "PAIR", "--out", "CSV", "--J"]
+DESIGN = ["design", "--out", "CSV", "--report", "REPORT"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -512,6 +513,21 @@ CASCADE = ["cascade", "--pair", "PAIR", "--out", "CSV", "--J"]
     (SIMULATE + ["--N", "0"], "argument --N: must be 1..1048575, got 0"),
     (SIMULATE + ["--N", "-256"],
      "argument --N: must be 1..1048575, got -256"),
+    # design orders past the double range: C(2K, K) at L = 1, the all-pass
+    # self-convolution at K = 1
+    (DESIGN + ["--K", "514", "--L", "1"],
+     "argument --K: must be 1..513, got 514"),
+    (DESIGN + ["--K", "1030", "--L", "1"],
+     "argument --K: must be 1..513, got 1030"),
+    (DESIGN + ["--K", "100000", "--L", "1"],
+     "argument --K: must be 1..513, got 100000"),
+    (DESIGN + ["--dispersion", "harmonic:m=0.5", "--K", "514", "--L", "1"],
+     "argument --K: must be 1..513, got 514"),
+    (DESIGN + ["--K", "0", "--L", "1"], "argument --K: must be 1..513, got 0"),
+    (DESIGN + ["--K", "1", "--L", "262"],
+     "argument --L: must be 1..261, got 262"),
+    (DESIGN + ["--K", "1", "--L", "-1"],
+     "argument --L: must be 1..261, got -1"),
 ])
 def test_bad_integer_flag_is_usage_error(argv, message, pair_file, tmp_path,
                                          capsys):
@@ -547,6 +563,18 @@ def test_bad_integer_flag_is_usage_error(argv, message, pair_file, tmp_path,
      "--L: expected an integer or a range lo..hi, got '1..2..3'"),
     (["sweep", "--sweep", "K=1..x,L=1", "--out", "CSV"],
      "--sweep: expected an integer or a range lo..hi, got '1..x'"),
+    (["sweep", "--K", "1..514", "--L", "1", "--out", "CSV"],
+     "--K: '1..514' leaves 1..513"),
+    (["sweep", "--K", "0..2", "--L", "1", "--out", "CSV"],
+     "--K: '0..2' leaves 1..513"),
+    (["sweep", "--K", "1", "--L", "1,262", "--out", "CSV"],
+     "--L: '262' leaves 1..261"),
+    (["sweep", "--K", "1", "--L", "1..100000000000", "--out", "CSV"],
+     "--L: '1..100000000000' leaves 1..261"),
+    (["sweep", "--sweep", "K=1,L=1..262", "--out", "CSV"],
+     "--sweep: '1..262' leaves 1..261"),
+    (["sweep", "--sweep", "K=514,L=1", "--out", "CSV"],
+     "--sweep: '514' leaves 1..513"),
 ])
 def test_refusal_before_any_work(argv, message, pair_file, tmp_path, capsys):
     files = {"PAIR": pair_file, "PAIR_OUT": str(tmp_path / "p.json"),
@@ -557,6 +585,85 @@ def test_refusal_before_any_work(argv, message, pair_file, tmp_path, capsys):
     assert captured.out == ""
     assert message in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, error, stage", [
+    # the joint case: each order is in range, the rational fit overflows
+    (["design", "--K", "513", "--L", "261"], "NonFiniteFilter",
+     "rational approximation a/b of degree 261"),
+    (["design", "--K", "1", "--L", "261"], "NonFiniteFilter",
+     "rational approximation a/b of degree 261"),
+    (["design", "--K", "513", "--L", "1"], "NoSolution", None),
+    (["design", "--dispersion", "harmonic:m=0.5", "--K", "513", "--L", "1"],
+     "NoSolution", None),
+])
+@pytest.mark.parametrize("json_errors", [False, True])
+def test_design_at_the_order_caps_is_a_typed_failure(argv, error, stage,
+                                                      json_errors, capfd):
+    # capfd: a LAPACK message would be written to the process's stderr
+    argv = argv + ["--json-errors"] * json_errors
+    assert main(argv) == 2
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["error"] == error
+    assert payload.get("stage") == stage
+
+
+def _shifted_pair(tmp_path, pair_file, **offsets):
+    d = json.loads(open(pair_file).read())
+    for name, offset in offsets.items():
+        d[name]["offset"] = offset
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps(d))
+    return str(path)
+
+
+@pytest.mark.parametrize("shift", [24, 26, 100, -40])
+def test_spectrum_refuses_a_support_outside_its_window(shift, pair_file,
+                                                       tmp_path, capsys):
+    # the K2/L2 pair sits on [-5, 6] and the window is [-24, 24]; the
+    # ascent's eigenvectors live on [-b, -a], and a shifted pair whose
+    # support leaves the window printed wrong eigenvalues with exit 0
+    path = _shifted_pair(tmp_path, pair_file, g_s=shift - 5, h_s=shift - 5)
+    assert main(["spectrum", "--pair", path, "--K", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: filter support [{shift - 5}, "
+                            f"{shift + 6}] does not fit the spectrum window "
+                            "[-24, 24]\n")
+
+
+def test_spectrum_of_a_shifted_pair_inside_its_window(pair_file, tmp_path,
+                                                      capsys):
+    assert main(["spectrum", "--pair", pair_file, "--K", "2"]) == 0
+    want = capsys.readouterr().out
+    path = _shifted_pair(tmp_path, pair_file, g_s=-5 + 18, h_s=-5 + 18)
+    assert main(["spectrum", "--pair", path]) == 0
+    got = capsys.readouterr().out
+    # the same spectra, up to the rounding of another block
+    for line in (0, 2):
+        head, _, values = got.splitlines()[line].partition(":")
+        assert head == want.splitlines()[line].partition(":")[0]
+        np.testing.assert_allclose(
+            np.array(values.split(), dtype=float),
+            np.array(want.splitlines()[line].split(":")[1].split(),
+                     dtype=float), rtol=0, atol=1e-12)
+    assert "scaling dimension 0" in got and "scaling dimension 1" in got
+
+
+@pytest.mark.parametrize("offsets, name", [
+    ({"g_s": 10 ** 30}, "g_s"), ({"g_s": 2 ** 62, "h_s": 2 ** 62}, "g_s"),
+    ({"h_s": -(2 ** 31)}, "h_s")])
+@pytest.mark.parametrize("verb", PAIR_VERBS)
+def test_pair_offset_past_2_31_is_usage_error(offsets, name, verb, pair_file,
+                                              tmp_path, capsys):
+    path = _shifted_pair(tmp_path, pair_file, **offsets)
+    assert main(verb + [path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {name} offset {offsets[name]} is out of "
+                            "range; |offset| must be below 2^31\n")
 
 
 def test_spectrum_failure_prints_no_partial_output(pair_file, capsys):

@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from waverg import (DesignParams, FirFilter, Harmonic, NotDivisible,
-                    NoUnitEigenvalue, UnstableFilter, adaptive_family, cascade,
+from waverg import (DesignParams, FilterPair, FirFilter, Harmonic,
+                    NotDivisible, NoUnitEigenvalue, UnstableFilter,
+                    adaptive_family, cascade,
                     descendant_spectrum, design_pair, discretize_smeared,
                     inner_product, massless_relation_error,
                     refinement_residual, scaling_function, superoperator_check,
@@ -285,6 +286,23 @@ def test_descendant_spectrum_k2(pair_k2l4):
     eigs = descendant_spectrum(pair_k2l4, 2)
     for want in (1.0, 0.5, 0.25):
         assert np.min(np.abs(eigs - want)) < 1e-8
+
+
+@pytest.mark.parametrize("shift", [0, 7, 10, -9])
+def test_spectra_refuse_a_support_outside_the_window(shift, pair_k2l4):
+    # taps on [a, b] ascend eigenvectors on [-b, -a]; the K2/L4 pair sits on
+    # [-9, 10], so half = 10 holds it only unshifted
+    pair = FilterPair(pair_k2l4.g_s.shift(shift), pair_k2l4.h_s.shift(shift))
+    a, b = pair.h_s.support
+    if shift == 0:
+        superoperator_spectrum(pair, half=10)
+        descendant_spectrum(pair, 2, half=10)
+        return
+    window = r"does not fit the spectrum window \[-10, 10\]"
+    with pytest.raises(ValueError, match=rf"\[{a}, {b}\] {window}"):
+        superoperator_spectrum(pair, half=10)
+    with pytest.raises(ValueError, match=window):
+        descendant_spectrum(pair, 2, half=10)
 
 
 def test_descendant_not_divisible(pair_k2l4, haar):

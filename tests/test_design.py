@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from waverg import (DesignParams, Harmonic, NoSolution, NotAdmissible,
-                    NotNonnegative, WavergError, design_pair, epsilon_of,
+from waverg import (DesignParams, Harmonic, NonFiniteFilter, NoSolution,
+                    NotAdmissible, NotNonnegative, WavergError, design_pair, epsilon_of,
                     flow, halfband_solve, kgrid, rational_approx_fit,
                     rational_approx_massless, spectral_factorize,
                     stability_spectrum, thiran_allpass)
@@ -144,3 +144,26 @@ def test_design_params_validation():
     with pytest.raises(ValueError, match="grid_size must be >= 4, got 3"):
         DesignParams(1, 1, grid_size=3)
     assert DesignParams(2, 4).M == 10
+
+
+@pytest.mark.parametrize("m, K, L, stage", [
+    (0.0, 515, 1, "moment factor (2 + 2 cos k)^515"),
+    (0.0, 100000, 1, "moment factor (2 + 2 cos k)^100000"),
+    (0.0, 514, 1, "half-band target s"),
+    (0.0, 513, 200, "half-band target s"),
+    (0.5, 514, 1, "half-band system of s"),
+    (0.0, 1, 262, "rational approximation a/b of degree 262"),
+    (0.0, 1, 261, "rational approximation a/b of degree 261"),  # a(0)
+])
+def test_design_past_the_double_range_names_its_stage(m, K, L, stage):
+    # refused before the half-band lstsq, which printed LAPACK messages on
+    # a non-finite system; tier-1 turns any numpy RuntimeWarning into an error
+    with pytest.raises(NonFiniteFilter) as exc:
+        design_pair(Harmonic(m), DesignParams(K, L))
+    assert exc.value.stage == stage
+    assert exc.value.payload()["stage"] == stage
+
+
+def test_halfband_solve_refuses_non_finite_target():
+    with pytest.raises(NonFiniteFilter, match="half-band target s"):
+        halfband_solve(FirFilter(-1, [1.0, np.inf, 1.0]))

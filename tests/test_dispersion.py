@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from waverg import (Flat, Harmonic, NegativeMass, Tabulated, exact_q_profile,
-                    fitted_mass, flow, flow_report, mass_flow,
-                    parse_dispersion, renormalize)
+from waverg import (Flat, Harmonic, NegativeMass, Renormalized, Tabulated,
+                    exact_q_profile, fitted_mass, flow, flow_report,
+                    mass_flow, parse_dispersion)
 
 
 def test_harmonic_values():
@@ -89,7 +89,7 @@ def test_gap_test_is_relative():
 
 def test_renormalize_definition():
     d = Harmonic(0.7)
-    r = renormalize(d)
+    r = Renormalized(d)
     k = np.linspace(-np.pi, np.pi, 65)
     want = d(k / 2) * d(k / 2 + np.pi) / d(np.pi) ** 2
     np.testing.assert_allclose(r(k), want, atol=1e-14)
@@ -97,7 +97,7 @@ def test_renormalize_definition():
 
 def test_massless_shape_fixed_point():
     d = Harmonic(0.0)
-    r = renormalize(d)
+    r = Renormalized(d)
     k = -np.pi + 2 * np.pi * np.arange(4096) / 4096
     assert np.max(np.abs(r.normalized(k) - d.normalized(k))) < 1e-12
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waverg import (FirFilter, HAAR_SCALING, LatticeTooSmall, decomposition_map,
-                    derive_wavelet, haar_pair, kgrid, multi_layer_map,
+from waverg import (FilterPair, FirFilter, HAAR_SCALING, LatticeTooSmall,
+                    decomposition_map, haar_pair, kgrid, multi_layer_map,
                     pr_residual, wavelet_from_scaling)
 from waverg.filters import level_filters
 
@@ -129,7 +129,7 @@ def test_haar_pair_is_perfect_reconstruction():
 
 
 def test_pr_residual_detects_broken_pair(haar):
-    bad = derive_wavelet(haar.g_s, haar.h_s.scale(1.1))
+    bad = FilterPair(haar.g_s, haar.h_s.scale(1.1))
     assert bad.pr_residual > 0.05
 
 
