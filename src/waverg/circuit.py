@@ -215,8 +215,7 @@ def _pr_project_mp(gd: np.ndarray, hd: np.ndarray, M: int, tol: float,
     return g, h
 
 
-def decompose(pair: FilterPair, tol_pr: float = 1e-8,
-              tol_degenerate_rel: float = 1e-14) -> BinaryCircuit:
+def decompose(pair: FilterPair) -> BinaryCircuit:
     """Peel a canonical pair into gates a_M .. a_1 (returned in order a_1..a_M).
 
     Each step extracts the outer 2x2 corner of the scaling filters,
@@ -232,7 +231,9 @@ def decompose(pair: FilterPair, tol_pr: float = 1e-8,
     projection takes one float64 pseudo-inverse of its Jacobian J and
     refines in the working precision (``_pr_project_mp``).  On designed
     pairs (m in [0, 1], K 1..3, L 1..4) cond(J) runs from 1.9 to 6.4e4 and
-    3 to 10 steps reach the 10^-(dps-10) target.
+    3 to 10 steps reach the 10^-(dps-10) target.  A PR defect above tol_pr *
+    scale (tol_pr = 1e-8, scale the largest tap) or a corner determinant
+    within 1e-14 scale^2 of 0 is a ``DegenerateFactorization``.
     """
     pair_c, shift = canonicalize_support(pair)
     # the window canonicalize_support chose: wider than half the support
@@ -243,7 +244,7 @@ def decompose(pair: FilterPair, tol_pr: float = 1e-8,
     scale = float(max(np.max(np.abs(gd)), np.max(np.abs(hd))))
     gates: list[Gate2] = []
     with mp.workdps(max(60, 30 + 8 * M)):
-        g, h = _pr_project_mp(gd, hd, M, tol_pr * scale)
+        g, h = _pr_project_mp(gd, hd, M, 1e-8 * scale)
         vanish_tol = mp.mpf(scale) * mp.mpf(10) ** (-(mp.mp.dps // 3))
         for m in range(M, 1, -1):
             off = M - m  # array position of lattice site -m+1
@@ -251,7 +252,7 @@ def decompose(pair: FilterPair, tol_pr: float = 1e-8,
             gm1, gm = g[top - 1], g[top]            # g[m-1], g[m]
             glo, glo1 = g[off], g[off + 1]          # g[-m+1], g[-m+2]
             det = gm1 * glo1 - gm * glo
-            if abs(det) <= tol_degenerate_rel * scale ** 2:
+            if abs(det) <= 1e-14 * scale ** 2:
                 raise DegenerateFactorization(m, float(det))
             alpha = 1 / mp.sqrt(abs(det))
             beta = mp.sign(det) * alpha

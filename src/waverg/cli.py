@@ -27,7 +27,7 @@ import numpy as np
 from .circuit import compose, decompose, to_lattice_symplectic
 from .continuum import (descendant_spectrum, scaling_function,
                         superoperator_spectrum, wavelet_function)
-from .design import DesignParams, design_pair, epsilon_of
+from .design import DesignParams, design_pair
 from .dispersion import flow_report, parse_dispersion
 from .errors import WavergError
 from .filters import FilterPair
@@ -131,14 +131,14 @@ def _design_params(args, K: int, L: int) -> DesignParams:
 def cmd_design(args) -> int:
     d = parse_dispersion(args.dispersion)
     pair, report = design_pair(d, _design_params(args, args.K, args.L))
-    eps = epsilon_of(pair, d)
     if args.out:
         pair.save(args.out)
     if args.report:
-        _write(args.report, json.dumps(report.to_json() | {"epsilon": eps},
-                                       indent=2, sort_keys=True) + "\n")
+        _write(args.report, json.dumps(report.to_json(), indent=2,
+                                       sort_keys=True) + "\n")
     print(f"designed K={args.K} L={args.L} support={pair.support_length()} "
-          f"epsilon={_fmt(eps)} pr_residual={_fmt(pair.pr_residual)}")
+          f"epsilon={_fmt(report.epsilon)} "
+          f"pr_residual={_fmt(pair.pr_residual)}")
     return 0
 
 
@@ -160,14 +160,14 @@ def cmd_sweep(args) -> int:
     for K in Ks:
         for L in Ls:
             try:
-                pair, report = design_pair(d, _design_params(args, K, L))
+                report = design_pair(d, _design_params(args, K, L))[1]
             except WavergError as err:
                 print(json.dumps(err.payload() | {"K": K, "L": L},
                                  sort_keys=True), file=sys.stderr)
                 lines.append(f"{K},{L},nan,nan,nan,nan")
                 continue
             lines.append(",".join([str(K), str(L),
-                                   _fmt(epsilon_of(pair, d)),
+                                   _fmt(report.epsilon),
                                    _fmt(report.pr_residual),
                                    _fmt(report.stability_max_abs),
                                    _fmt(report.positivity_min)]))
@@ -242,6 +242,12 @@ def cmd_cascade(args) -> int:
     lo = min(f.support[0] for f in funcs.values())
     hi = max(f.support[1] for f in funcs.values())
     n = int(np.rint((hi - lo) * 2 ** J)) + 1
+    samples = sum(f.values.size for f in funcs.values())
+    if n > samples:  # phi moves with the pair's shift, psi does not
+        raise UsageError(f"the phi and psi supports span [{_fmt(lo)}, "
+                         f"{_fmt(hi)}], {n} grid points at J = {J}, more than "
+                         f"the {samples} samples of the four functions; "
+                         "shift the pair toward the origin")
     x = lo + np.arange(n) * 0.5 ** J
     cols = {name: f.at(x) for name, f in funcs.items()}
     lines = ["x,phi_g,phi_h,psi_g,psi_h"]
@@ -252,11 +258,10 @@ def cmd_cascade(args) -> int:
     return 0
 
 
-def _matched(eigs: np.ndarray, targets: dict[str, float],
-             tol: float = 1e-6) -> list[str]:
+def _matched(eigs: np.ndarray, targets: dict[str, float]) -> list[str]:
     out = []
     for label, want in targets.items():
-        close = eigs[np.abs(eigs - want) < tol]
+        close = eigs[np.abs(eigs - want) < 1e-6]
         if close.size:
             best = close[np.argmin(np.abs(close - want))]
             out.append(f"  eigenvalue {_fmt(best)} ~ {_fmt(want)}"
@@ -412,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
         return _usage_error(err, "--json-errors" in argv)
     try:
         return args.func(args)
-    except (UsageError, FileNotFoundError, ValueError) as err:
+    except (UsageError, OSError, ValueError) as err:
         return _usage_error(err, args.json_errors)
     except WavergError as err:
         print(json.dumps(err.payload(), sort_keys=True), file=sys.stderr)

@@ -216,10 +216,8 @@ def scaling_function(pair: FilterPair, channel: str, J: int = DEFAULT_J
 # massless continuum relation
 # ---------------------------------------------------------------------------
 
-def massless_relation_error(pair: FilterPair, J: int = DEFAULT_J,
-                            k_max: float = 2.0 * np.pi,
-                            n_k: int = 257) -> float:
-    """max over |k| <= k_max of |psi_hat^g(k) - (|k|/4) psi_hat^h(k)|.
+def massless_relation_error(pair: FilterPair, J: int = DEFAULT_J) -> float:
+    """max over 257 k in [-2 pi, 2 pi] of |psi_hat^g - (|k|/4) psi_hat^h|.
 
     For pairs designed against the gapless dispersion the two wavelet
     functions represent the same continuum field up to the dispersion factor,
@@ -227,7 +225,7 @@ def massless_relation_error(pair: FilterPair, J: int = DEFAULT_J,
     """
     psi_g = wavelet_function(pair, "g", J)
     psi_h = wavelet_function(pair, "h", J)
-    k = np.linspace(-k_max, k_max, n_k)
+    k = np.linspace(-2.0 * np.pi, 2.0 * np.pi, 257)
     return float(np.max(np.abs(psi_g.fourier(k)
                                - (np.abs(k) / 4.0) * psi_h.fourier(k))))
 
@@ -296,7 +294,7 @@ def superoperator_spectrum(pair: FilterPair, half: int | None = None
 # descendant spectrum
 # ---------------------------------------------------------------------------
 
-def _divide_moment(a: FirFilter, l: int, tol: float = 1e-9) -> FirFilter:
+def _divide_moment(a: FirFilter, l: int) -> FirFilter:
     """Laurent division of a(k) by (1 + e^{ik})^l; NotDivisible on residue."""
     coeffs = a.coeffs.copy()
     offset = a.offset
@@ -304,7 +302,7 @@ def _divide_moment(a: FirFilter, l: int, tol: float = 1e-9) -> FirFilter:
     for _ in range(l):
         # (1 + e^{ik}) has taps {(-1): 1, 0: 1}; dividing shifts the offset up
         q, r = np.polydiv(coeffs, np.array([1.0, 1.0]))
-        if np.max(np.abs(r)) > tol * scale:
+        if np.max(np.abs(r)) > 1e-9 * scale:
             raise NotDivisible(
                 f"moment-factor division residue {np.max(np.abs(r)):.3e}")
         coeffs = q
@@ -339,7 +337,7 @@ def descendant_spectrum(pair: FilterPair, K: int,
 # exact dual-basis pairings via the transfer-matrix method
 # ---------------------------------------------------------------------------
 
-def translate_gram(pair: FilterPair, half: int | None = None) -> FirFilter:
+def translate_gram(pair: FilterPair) -> FirFilter:
     """c[d] = <phi^g(. - d), phi^h> for all integer translates d, exactly.
 
     The cross-Gram of the two scaling-function translate systems is a fixed
@@ -351,8 +349,7 @@ def translate_gram(pair: FilterPair, half: int | None = None) -> FirFilter:
     scaling function, which is impractically slow for low-moment designs.
     """
     corr = pair.g_s.correlate(pair.h_s)
-    if half is None:
-        half = max(abs(corr.support[0]), abs(corr.support[1])) + 1
+    half = max(abs(corr.support[0]), abs(corr.support[1])) + 1
     return FirFilter(-half, _unit_eigenvector(
         _ascend_block(corr, 1.0, half), 1e-6,
         "translate cross-Gram transfer block"))
@@ -457,20 +454,18 @@ def adaptive_family(stack, J_prod: int, J: int = DEFAULT_J) -> AdaptiveFamily:
 # field discretization
 # ---------------------------------------------------------------------------
 
-def discretize_smeared(f: SampledFunction, phi: SampledFunction, level: int,
-                       n_range=None) -> tuple[np.ndarray, np.ndarray]:
+def discretize_smeared(f: SampledFunction, phi: SampledFunction,
+                       level: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients <phi_{level,n}, f> with phi_{l,n}(x) = 2^{-l/2} phi(2^{-l}x - n).
 
-    Returns (n values, coefficients); the n range defaults to every translate
-    whose support meets the support of f.
+    Returns (n values, coefficients) over every translate whose support
+    meets the support of f.
     """
     phi_l = phi.dilate(level)
     step = 2 ** level
-    if n_range is None:
-        lo = int(np.floor((f.support[0] - phi_l.support[1]) / step)) - 1
-        hi = int(np.ceil((f.support[1] - phi_l.support[0]) / step)) + 1
-        n_range = np.arange(lo, hi + 1)
-    n_range = np.asarray(n_range, dtype=np.int64)
+    lo = int(np.floor((f.support[0] - phi_l.support[1]) / step)) - 1
+    hi = int(np.ceil((f.support[1] - phi_l.support[0]) / step)) + 1
+    n_range = np.arange(lo, hi + 1)
     coeffs = np.array([inner_product(phi_l.shift(int(n) * step), f)
                        for n in n_range])
     return n_range, coeffs

@@ -27,12 +27,12 @@ from .filters import ROOT2, FilterPair, FirFilter, halfband_defect, kgrid
 
 @dataclass(frozen=True)
 class DesignParams:
-    """K vanishing moments, all-pass / rational degree L; support is 2(K+2L)."""
+    """K vanishing moments, all-pass / rational degree L; support is 2(K+2L).
+    ``grid_size`` sets the fit and positivity grids, not epsilon's."""
 
     K: int
     L: int
     tol_positivity: float = 1e-10
-    tol_linear_system: float = 1e-9
     grid_size: int = 4096
 
     def __post_init__(self):
@@ -114,9 +114,9 @@ def allpass_response(d: FirFilter, L: int, k: np.ndarray) -> np.ndarray:
     return np.exp(-1j * L * k) * np.conj(dk) / dk
 
 
-def allpass_phase_error(d: FirFilter, L: int, kmax: float = 0.9 * np.pi,
-                        grid: int = 2048) -> float:
-    k = np.linspace(-kmax, kmax, grid)
+def allpass_phase_error(d: FirFilter, L: int,
+                        kmax: float = 0.9 * np.pi) -> float:
+    k = np.linspace(-kmax, kmax, 2048)
     return float(np.max(np.abs(allpass_response(d, L, k) - np.exp(-0.5j * k))))
 
 
@@ -189,15 +189,14 @@ def _finite(stage: str, *values):
         raise NonFiniteFilter(stage)
 
 
-def halfband_solve(s: FirFilter, tol: float = 1e-9,
-                   max_growth: int = 8) -> FirFilter:
+def halfband_solve(s: FirFilter) -> FirFilter:
     """Symmetric r with sum_l s[2n - l] r[l] = delta_0[n] (s * r half-band).
 
     Starts from the minimal symmetric window [-(S-1), S-1] for s on [-S, S]
-    and grows by 2 until the substituted residual passes.  Symmetry is
-    checked relative to the largest tap (at least 1), since the taps of s
-    grow like the binomials C(2K, K); an s or a system past the double
-    range is a NonFiniteFilter.
+    and grows by 2, at most 8 times, until the substituted residual is
+    below 1e-9.  Symmetry is checked relative to the largest tap (at least
+    1), since the taps of s grow like the binomials C(2K, K); an s or a
+    system past the double range is a NonFiniteFilter.
     """
     _finite("half-band target s", s.coeffs)
     if not s.is_symmetric(1e-9 * max(1.0, float(np.max(np.abs(s.coeffs))))):
@@ -206,7 +205,7 @@ def halfband_solve(s: FirFilter, tol: float = 1e-9,
     if S == 0:
         return FirFilter.delta(0, 1.0 / s[0])
     best = None
-    for R in range(max(S - 1, 1), S - 1 + 2 * max_growth + 1, 2):
+    for R in range(max(S - 1, 1), S + 16, 2):
         # unknowns r[0..R]; rows are the even-index entries of s * r
         nmax = (S + R - 1) // 2
         n, jj = np.ogrid[:nmax + 1, :R + 1]
@@ -221,17 +220,17 @@ def halfband_solve(s: FirFilter, tol: float = 1e-9,
         res = halfband_defect(s.convolve(r))
         if best is None or res < best[0]:
             best = (res, r)
-        if res < tol:
+        if res < 1e-9:
             return r
-    raise NoSolution(best[0], S - 1 + 2 * max_growth)
+    raise NoSolution(best[0], S + 15)
 
 
 def spectral_factorize(r: FirFilter, tol_positivity: float = 1e-10,
-                       grid: int = 4096, root_tol: float = 1e-7) -> FirFilter:
+                       grid: int = 4096) -> FirFilter:
     """Real f with f(k) f(-k) = r(k), roots taken inside the closed unit disk.
 
-    Unit-circle roots must occur with even multiplicity and are split evenly;
-    conjugate pairs stay together so f is real.  Requires r(k) >= 0 on the
+    Roots within 1e-7 of the unit circle must occur with even multiplicity
+    and are split evenly; conjugate pairs stay together so f is real.  Requires r(k) >= 0 on the
     grid (up to tol), which is not guaranteed by the construction upstream.
     """
     if not r.is_symmetric(1e-9):
@@ -247,8 +246,8 @@ def spectral_factorize(r: FirFilter, tol_positivity: float = 1e-10,
     # p(z) = z^R r(k) with z = e^{ik}; roots pair as (z, 1/z)
     poly = r.coeffs[::-1]  # highest power of z first
     roots = np.roots(poly)
-    inside = roots[np.abs(roots) < 1.0 - root_tol]
-    on_circle = roots[np.abs(np.abs(roots) - 1.0) <= root_tol]
+    inside = roots[np.abs(roots) < 1.0 - 1e-7]
+    on_circle = roots[np.abs(np.abs(roots) - 1.0) <= 1e-7]
     selected = list(inside)
     # cluster circle roots by angle; take half of each cluster
     if on_circle.size:
@@ -284,19 +283,17 @@ def spectral_factorize(r: FirFilter, tol_positivity: float = 1e-10,
 # transfer-operator stability
 # ---------------------------------------------------------------------------
 
-def stability_spectrum(a_s: FirFilter, M: int | None = None,
-                       tol_pi: float = 1e-6) -> np.ndarray:
+def stability_spectrum(a_s: FirFilter) -> np.ndarray:
     """Eigenvalues of the downsampled autocorrelation operator on zero-mean polys.
 
     T[n, m] = 2 c[2n - m] with c the autocorrelation of a_s, restricted to the
     span of {delta_n - delta_{n+1}}; all moduli below 2 certify square-integrable
     scaling functions and uniformly bounded decomposition maps.
     """
-    if abs(a_s(np.pi)) > tol_pi:
+    if abs(a_s(np.pi)) > 1e-6:
         raise NotAdmissible(
             f"filter has a_s(pi) = {abs(a_s(np.pi)):.3e}, needs a vanishing moment")
-    if M is None:
-        M = max(1, (a_s.support[1] - a_s.support[0] + 2) // 2)
+    M = max(1, (a_s.support[1] - a_s.support[0] + 2) // 2)
     c = a_s.correlate(a_s)
     dim = 4 * M + 1
     idx = np.arange(-2 * M, 2 * M + 1)
@@ -318,16 +315,17 @@ def _binom_factor(K: int) -> FirFilter:
                                   dtype=np.float64))
 
 
-def epsilon_of(pair: FilterPair, d: Dispersion, grid: int = 4096) -> float:
-    """max_k |g_w(k) - (omega(k)/omega(pi)) h_w(k)| on the uniform grid."""
-    return layer_epsilons([pair], [d], grid)[0]
+def epsilon_of(pair: FilterPair, d: Dispersion) -> float:
+    """max_k |g_w(k) - (omega(k)/omega(pi)) h_w(k)| on the uniform grid
+    ``kgrid()`` of 4096 points."""
+    return layer_epsilons([pair], [d])[0]
 
 
-def layer_epsilons(pairs, levels, grid: int = 4096) -> list[float]:
+def layer_epsilons(pairs, levels) -> list[float]:
     """epsilon_of of each (pair, level) of a stack.  The wavelet symbols
     g_w(k), h_w(k) are evaluated once per distinct pair object, and each
     level's ratio omega(k)/omega(pi) is applied to the shared arrays."""
-    k = kgrid(grid)
+    k = kgrid()
     symbols = {}  # id(pair) -> (g_w(k), h_w(k)); the pairs outlive the loop
     out = []
     for pair, d in zip(pairs, levels):
@@ -342,7 +340,7 @@ def layer_epsilons(pairs, levels, grid: int = 4096) -> list[float]:
     return out
 
 
-def _is_massless_shape(d: Dispersion, grid: int, tol: float = 1e-10) -> bool:
+def _is_massless_shape(d: Dispersion, grid: int) -> bool:
     """True if omega(k)/omega(pi) equals |sin(k/2)| (the gapless fixed point).
 
     Renormalized gapless dispersions keep this shape with a different overall
@@ -352,7 +350,7 @@ def _is_massless_shape(d: Dispersion, grid: int, tol: float = 1e-10) -> bool:
         return d.m == 0.0
     k = kgrid(grid)
     return bool(np.max(np.abs(np.asarray(d.normalized(k)) -
-                              np.abs(np.sin(k / 2.0)))) < tol)
+                              np.abs(np.sin(k / 2.0)))) < 1e-10)
 
 
 def design_pair(d: Dispersion, params: DesignParams) -> tuple[FilterPair, DesignReport]:
@@ -383,7 +381,7 @@ def design_pair(d: Dispersion, params: DesignParams) -> tuple[FilterPair, Design
     binom = _binom_factor(K)
     cosfac = binom.convolve(binom.reflect())        # (2 + 2 cos k)^... per K
     s = a.convolve(b).convolve(cosfac)
-    r = halfband_solve(s, tol=params.tol_linear_system)
+    r = halfband_solve(s)
     f = spectral_factorize(r, tol_positivity=params.tol_positivity,
                            grid=params.grid_size)
     k = kgrid(params.grid_size)
@@ -407,7 +405,7 @@ def design_pair(d: Dispersion, params: DesignParams) -> tuple[FilterPair, Design
     pair = FilterPair(g_s, h_s)
     report = DesignReport(
         K=K, L=L,
-        epsilon=epsilon_of(pair, d, params.grid_size),
+        epsilon=epsilon_of(pair, d),
         pr_residual=pair.pr_residual,
         positivity_min=positivity_min,
         stability_eigs_g=stability_spectrum(g_s),

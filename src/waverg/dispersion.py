@@ -43,9 +43,6 @@ class Dispersion:
     def gapless(self) -> bool:
         return bool(abs(self(0.0)) <= 1e-12 * abs(self.omega_pi))
 
-    def describe(self) -> str:
-        return type(self).__name__
-
 
 @dataclass(frozen=True)
 class Harmonic(Dispersion):
@@ -66,9 +63,6 @@ class Harmonic(Dispersion):
         k = np.asarray(k, dtype=np.float64)
         val = np.sqrt(self.m ** 2 + np.sin(k / 2.0) ** 2)
         return float(val) if val.ndim == 0 else val
-
-    def describe(self) -> str:
-        return f"harmonic:m={self.m:g}"
 
 
 @dataclass(frozen=True)
@@ -94,18 +88,14 @@ class Flat(Dispersion):
         val = np.full_like(k, self.value)
         return float(val) if val.ndim == 0 else val
 
-    def describe(self) -> str:
-        return f"flat:{self.value:g}"
-
 
 class Tabulated(Dispersion):
     """omega sampled on a grid over [-pi, pi), linearly interpolated, periodic."""
 
-    def __init__(self, ks: np.ndarray, values: np.ndarray, name: str = "tabulated"):
+    def __init__(self, ks: np.ndarray, values: np.ndarray):
         order = np.argsort(ks)
         self._ks = np.asarray(ks, dtype=np.float64)[order]
         self._values = np.asarray(values, dtype=np.float64)[order]
-        self._name = name
         steps = np.diff(self._ks)
         if not (np.all(np.isfinite(self._ks))
                 and np.allclose(steps, steps[:1], rtol=1e-3, atol=0)):
@@ -124,22 +114,24 @@ class Tabulated(Dispersion):
                         period=2 * np.pi)
         return float(val) if val.ndim == 0 else val
 
-    def describe(self) -> str:
-        return self._name
-
     @staticmethod
     def from_csv(path: str | Path) -> "Tabulated":
         ks, vals = [], []
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
+            rows = csv.reader(fh)
+            for row in rows:
                 if not row or row[0].strip().startswith("#"):
                     continue
                 try:
-                    ks.append(float(row[0]))
+                    k = float(row[0])
                 except ValueError:
                     continue  # header line
+                if len(row) < 2:
+                    raise ValueError(f"{path}:{rows.line_num}: expected two "
+                                     "columns k, omega")
+                ks.append(k)
                 vals.append(float(row[1]))
-        return Tabulated(np.array(ks), np.array(vals), name=f"tabulated:{path}")
+        return Tabulated(np.array(ks), np.array(vals))
 
 
 class Renormalized(Dispersion):
@@ -174,9 +166,6 @@ class Renormalized(Dispersion):
             val = np.asarray(self.base(k / 2.0)) \
                 * np.asarray(self.base(k / 2.0 + np.pi)) / self._base_pi2
         return float(val) if val.ndim == 0 else val
-
-    def describe(self) -> str:
-        return f"renormalized({self.base.describe()})"
 
 
 def flow(d: Dispersion, levels: int) -> list[Dispersion]:

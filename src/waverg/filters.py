@@ -10,7 +10,8 @@ g_w(k) = exp(-ik) conj(h_s(k + pi)).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -158,20 +159,24 @@ def wavelet_from_scaling(dual_scaling: FirFilter) -> FirFilter:
 class FilterPair:
     """Biorthogonal pair (g, h) of scaling filters plus derived wavelets.
 
-    ``pr_residual`` is the perfect-reconstruction defect recorded at
-    construction.
+    The wavelets and ``pr_residual``, the perfect-reconstruction defect,
+    are derived from the scaling filters on first read.
     """
 
     g_s: FirFilter
     h_s: FirFilter
-    g_w: FirFilter = field(init=False)
-    h_w: FirFilter = field(init=False)
-    pr_residual: float = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "g_w", wavelet_from_scaling(self.h_s))
-        object.__setattr__(self, "h_w", wavelet_from_scaling(self.g_s))
-        object.__setattr__(self, "pr_residual", pr_residual(self))
+    @cached_property
+    def g_w(self) -> FirFilter:
+        return wavelet_from_scaling(self.h_s)
+
+    @cached_property
+    def h_w(self) -> FirFilter:
+        return wavelet_from_scaling(self.g_s)
+
+    @cached_property
+    def pr_residual(self) -> float:
+        return pr_residual(self)
 
     def support_length(self) -> int:
         lo = min(self.g_s.support[0], self.h_s.support[0])

@@ -380,14 +380,14 @@ def _toeplitz(profile: np.ndarray, W: int) -> np.ndarray:
     return sliding_window_view(profile[np.abs(np.arange(1 - W, W))], W)[::-1]
 
 
-def exact_covariance(d: Dispersion, N: int, quad_points: int = 1 << 16,
+def exact_covariance(d: Dispersion, N: int,
                      regulated: bool | None = None) -> CovariancePair:
     """Toeplitz ground-state covariance of the infinite chain, rows 0..N-1."""
     if regulated is None:
         regulated = d.gapless
     offsets = np.arange(N)
-    p_prof, p_err = exact_p_profile(d, offsets, quad_points)
-    q_prof, q_err = exact_q_profile(d, offsets, quad_points, regulated)
+    p_prof, p_err = exact_p_profile(d, offsets)
+    q_prof, q_err = exact_q_profile(d, offsets, regulated=regulated)
     return CovariancePair(N, _toeplitz(q_prof, N).copy(),
                           _toeplitz(p_prof, N).copy(), regulated=regulated,
                           quad_error=max(p_err, q_err))
@@ -619,8 +619,8 @@ def stack_operator_bound(stack: LayerStack, N: int = 512) -> float:
     return worst
 
 
-def stack_amplitude_bound(stack: LayerStack, J: int = 10) -> float:
-    """Max sup-norm of the scaling functions of all filters in the stack."""
+def stack_amplitude_bound(stack: LayerStack) -> float:
+    """Max sup-norm of the depth-10 cascades of all filters in the stack."""
     worst = 0.0
     seen = set()
     for pair in stack.pairs:
@@ -630,7 +630,7 @@ def stack_amplitude_bound(stack: LayerStack, J: int = 10) -> float:
                 continue
             seen.add(key)
             a0 = float(np.real(a_s(0.0)))
-            phi = cascade(a_s.scale(np.sqrt(2.0) / a0), J)
+            phi = cascade(a_s.scale(np.sqrt(2.0) / a0), 10)
             worst = max(worst, float(np.max(np.abs(phi.values))))
     return worst
 

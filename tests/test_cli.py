@@ -446,6 +446,37 @@ def test_tabulated_overflow_is_usage_error(tmp_path, capsys):
     assert "finite square" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--pair", "DIR"], ["circuit", "--in", "DIR"],
+    ["design", "--K", "1", "--L", "1", "--out", "DIR"],
+    ["sweep", "--K", "1", "--L", "1", "--out", "DIR"],
+    ["simulate", "--pair", "PAIR", "--layers", "1", "--N", "64",
+     "--quad-points", "4096", "--report", "DIR"],
+    ["flow", "--dispersion", "tabulated:DIR"]])
+@pytest.mark.parametrize("json_errors", [False, True])
+def test_directory_path_is_usage_error(argv, json_errors, pair_file,
+                                       tmp_path, capsys):
+    argv = [pair_file if a == "PAIR" else a.replace("DIR", str(tmp_path))
+            for a in argv] + ["--json-errors"] * json_errors
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if json_errors:
+        assert json.loads(captured.err)["error"] == "IsADirectoryError"
+    else:
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+
+def test_one_column_tabulated_csv_is_usage_error(tmp_path, capsys):
+    disp = tmp_path / "one.csv"
+    disp.write_text("k,omega\n-3.0,1.0\n-1.0\n")
+    code = main(["flow", "--dispersion", f"tabulated:{disp}", "--levels", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == (f"error: {disp}:3: expected two "
+                                       "columns k, omega\n")
+
+
 def test_flow_overflow_at_a_level_is_numerical_failure(tmp_path, capsys):
     # every square is finite, so Tabulated accepts the table, but level 1
     # has omega(pi) = 1e308 and level 2 would divide by its square
@@ -664,6 +695,27 @@ def test_pair_offset_past_2_31_is_usage_error(offsets, name, verb, pair_file,
     assert captured.out == ""
     assert captured.err == (f"error: {name} offset {offsets[name]} is out of "
                             "range; |offset| must be below 2^31\n")
+
+
+@pytest.mark.parametrize("shift, span", [
+    (2 ** 30, "[-5, 1073741830], 17179869361 grid points"),
+    (100, "[-5, 106], 1777 grid points"), (10, None)])
+def test_cascade_refuses_a_grid_past_its_samples(shift, span, pair_file,
+                                                 tmp_path, capsys):
+    # phi moves with the pair's shift and psi does not: the 2^30 shift
+    # asked for a 128 GiB grid
+    path = _shifted_pair(tmp_path, pair_file, g_s=shift - 5, h_s=shift - 5)
+    out = tmp_path / "c.csv"
+    code = main(["cascade", "--pair", path, "--J", "4", "--out", str(out)])
+    captured = capsys.readouterr()
+    if span is None:
+        assert code == 0 and captured.err == ""
+        assert out.read_text().startswith("x,phi_g,phi_h,psi_g,psi_h\n")
+        return
+    assert code == 1 and captured.out == "" and not out.exists()
+    assert captured.err == (f"error: the phi and psi supports span {span} "
+                            "at J = 4, more than the 708 samples of the four "
+                            "functions; shift the pair toward the origin\n")
 
 
 def test_spectrum_failure_prints_no_partial_output(pair_file, capsys):

@@ -125,6 +125,14 @@ def test_design_epsilon_independent_recomputation(designs, massless):
     assert report.epsilon == pytest.approx(direct, rel=1e-9)
 
 
+@pytest.mark.parametrize("d", [Harmonic(0.0), Harmonic(0.5)])
+@pytest.mark.parametrize("grid_size", [1024, 8192])
+def test_design_epsilon_is_measured_on_one_grid(d, grid_size):
+    # the report's epsilon is the one the CLI prints, whatever grid_size
+    pair, report = design_pair(d, DesignParams(2, 2, grid_size=grid_size))
+    assert report.epsilon == epsilon_of(pair, d)
+
+
 def test_design_massive_level_failure_is_diagnosed():
     # deep renormalized massive levels are nearly flat; at this degree the
     # factorization target goes negative and must fail loudly

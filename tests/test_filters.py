@@ -222,6 +222,26 @@ def test_composed_filters_match_references_on_random_stacks(case):
             rtol=0, atol=1e-14 * np.max(np.abs(want)))
 
 
+@settings(max_examples=40, deadline=None)
+@given(pr_stacks(), st.integers(0, 3))
+def test_placed_gram_rows_match_dense_gram_on_random_stacks(case, widen):
+    # the drawn ring is the smallest that fits; the deeper level filters
+    # alias on it (2 len - 1 > N), and a ring 2^widen times wider keeps the
+    # shallow ones apart
+    from waverg.filters import level_walk, placed_gram_rows
+    stack, N = case
+    N <<= widen
+    for channel, scales in _channel_scales(stack.squeezes):
+        for l, filters in enumerate(level_walk(stack.pairs, channel, scales)):
+            stride = 2 << l
+            for f in filters:
+                B = placed(f, N, stride)
+                want = (B.T @ B)[:stride]
+                np.testing.assert_allclose(
+                    placed_gram_rows(f, N, stride), want, rtol=0,
+                    atol=1e-14 * np.max(np.abs(want)))
+
+
 def test_level_filters_match_zero_stuffed_walk_on_designs(designs):
     for pair, _ in designs.values():
         for channel, scales in _channel_scales([1.0] + [0.5 ** 0.5] * 9):

@@ -840,6 +840,20 @@ def test_wavelet_channel_deviation_matches_dense_maps(N, massive_stack):
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-15
 
 
+@settings(max_examples=40, deadline=None)
+@given(pr_stacks(), st.floats(0.05, 1.0))
+def test_wavelet_channel_deviation_matches_dense_maps_on_random_stacks(
+        case, m):
+    drawn, N = case
+    stack = LayerStack(drawn.pairs, drawn.squeezes, Harmonic(m))
+    got = wavelet_channel_deviation(stack, N)
+    want = _dense_channel_deviation(stack, N)
+    # the deviations are differences of block entries from 1/2, so their
+    # rounding scales with the largest entry
+    largest = 0.5 + max(want)
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-14 * largest
+
+
 @pytest.mark.parametrize("which, N, error", [
     ("massless", 256, GaplessUnregulated),
     ("massless", 7, GaplessUnregulated),
