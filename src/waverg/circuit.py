@@ -8,19 +8,21 @@ sublattice convention is recorded in the circuit JSON).  The q-sector lattice
 map A and its symplectic partner B = (A^T)^{-1} are built gate by gate, the
 inverse-transpose taken per 2x2 block rather than numerically.
 
-The peel runs in extended precision (mpmath) on the pair projected onto exact
+The peel runs in fixed-point Python integers on the pair projected onto exact
 perfect reconstruction.  The projection is mixed-precision iterative
-refinement: one float64 pseudo-inverse of the PR Jacobian, then residuals and
-corrections in the working precision, a few steps per pair.
+refinement: one float64 pseudo-inverse of the PR Jacobian, then exact integer
+residuals and corrections rounded to the fixed point, a few steps per pair.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
-import mpmath as mp
 import numpy as np
 
 from .errors import DegenerateFactorization, LatticeTooSmall
@@ -132,16 +134,54 @@ def _window_arrays(pair: FilterPair, M: int) -> tuple[np.ndarray, np.ndarray]:
     return pair.g_s[idx], pair.h_s[idx]
 
 
-def _pr_residual(g: list, h: list, M: int) -> list:
+def _fraction_bits(dps: int, gd: np.ndarray, hd: np.ndarray) -> int:
+    """Fraction bits of the fixed-point peel of window taps (gd, hd) at
+    ``dps`` decimal digits: the binary precision of a dps-digit float (203
+    bits at 60 digits), plus 64 guard bits, plus as many bits as the
+    smallest nonzero tap lies below 1.  Every tap then keeps that precision
+    relative to itself, and every finite float tap is a whole number of
+    units 2^-bits."""
+    taps = np.abs(np.concatenate([gd, hd]))
+    below = -int(np.frexp(np.min(taps[taps > 0], initial=1.0))[1])
+    return round((dps + 1) * 3.3219280948873626) + 64 + max(0, below)
+
+
+def _to_fixed(values: np.ndarray, bits: int) -> list:
+    """Finite floats as integers in units of 2^-bits, exactly when ``bits``
+    comes from ``_fraction_bits`` of these values (a float's denominator is
+    a power of two)."""
+    out = []
+    for v in values:
+        num, den = float(v).as_integer_ratio()
+        out.append((num << bits) // den)
+    return out
+
+
+def _to_float(x: int, bits: int) -> float:
+    """x 2^-bits correctly rounded (int / int true division); +-inf past
+    the float range."""
+    try:
+        return x / (1 << bits)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _exceeds(x: int, bits: int, bound: Fraction) -> bool:
+    """x 2^-bits > bound, decided exactly."""
+    return x * bound.denominator > bound.numerator << bits
+
+
+def _pr_residual(g: list, h: list, M: int, one: int) -> list:
     """PR defect [n = 0] - sum_j g[2n + j] h[j], n = -(M-1) .. M-1, of the
-    window lists (index 0 is site -M+1), each sum one exact ``mp.fdot``."""
+    fixed-point window lists (index 0 is site -M+1); ``one`` is 1 in the
+    units of a product, and each sum is exact."""
     out = []
     for n in range(-(M - 1), M):
         if n >= 0:
-            acc = mp.fdot(g[2 * n:], h[:2 * M - 2 * n])
+            acc = sum(map(operator.mul, g[2 * n:], h[:2 * M - 2 * n]))
         else:
-            acc = mp.fdot(g[:2 * M + 2 * n], h[-2 * n:])
-        out.append((1 if n == 0 else 0) - acc)
+            acc = sum(map(operator.mul, g[:2 * M + 2 * n], h[-2 * n:]))
+        out.append((one if n == 0 else 0) - acc)
     return out
 
 
@@ -157,11 +197,12 @@ def _pr_jacobian(gd: np.ndarray, hd: np.ndarray, M: int) -> np.ndarray:
     return J
 
 
-def _pr_project_mp(gd: np.ndarray, hd: np.ndarray, M: int, tol: float,
-                   max_steps: int | None = None) -> tuple[list, list]:
+def _pr_project(gd: np.ndarray, hd: np.ndarray, M: int, tol: float,
+                dps: int, max_steps: int | None = None) -> tuple[list, list]:
     """The window taps (gd, hd) projected onto the exact-PR manifold, as
-    lists of mpf in the working precision; a pair whose PR defect exceeds
-    ``tol`` is refused as degenerate.
+    integers in units of 2^-b, b = _fraction_bits(dps, gd, hd); a pair whose
+    PR defect exceeds ``tol``, or that has a tap that is not finite, is
+    refused as degenerate.
 
     PR is bilinear in (g, h); each step is a minimum-norm linearized
     correction of both filters jointly.  One-sided projection (adjusting h
@@ -170,48 +211,62 @@ def _pr_project_mp(gd: np.ndarray, hd: np.ndarray, M: int, tol: float,
     the joint correction stays at the size of the PR defect itself.
 
     Mixed-precision refinement: the Jacobian J is formed and pseudo-inverted
-    once in float64 at the input taps.  Each step computes the residual in
-    the working precision, applies the float pseudo-inverse to it scaled to
-    unit size, and adds the correction back in the working precision.  A
-    step leaves about eps * cond(J) of the residual, so the step cap is
-    set from the working precision and cond(J).  A residual that does not
-    halve in one step, or the cap running out, raises
-    ``DegenerateFactorization`` with the residual reached.
+    once in float64 at the input taps.  Each step computes the residual
+    exactly, applies the float pseudo-inverse to it scaled to unit size, and
+    adds the correction back rounded to the fixed point.  A step leaves
+    about eps * cond(J) of the residual, so the step cap is set from dps and
+    cond(J), and the target is 10^-(dps-10).  A residual that does not halve
+    in one step, or the cap running out, raises ``DegenerateFactorization``
+    with the residual reached.
     """
-    g = [mp.mpf(float(v)) for v in gd]
-    h = [mp.mpf(float(v)) for v in hd]
-    r = _pr_residual(g, h, M)
-    worst = max(abs(v) for v in r)
-    if not worst <= tol:  # also refuses NaN
+    if not (np.all(np.isfinite(gd)) and np.all(np.isfinite(hd))):
         raise DegenerateFactorization(
-            M, float(worst), f"PR defect {float(worst):.3e} exceeds "
-            f"tol_pr * scale = {tol:.3e}: the pair is not perfect "
-            "reconstruction")
+            M, math.nan, f"PR defect nan exceeds tol_pr * scale = {tol:.3e}: "
+            "the pair is not perfect reconstruction")
+    bits = _fraction_bits(dps, gd, hd)
+    g, h = _to_fixed(gd, bits), _to_fixed(hd, bits)
+    # residuals are sums of products, in units of 2^-(2 bits)
+    one = 1 << 2 * bits
+    r = _pr_residual(g, h, M, one)
+    worst = max(abs(v) for v in r)
+    if _exceeds(worst, 2 * bits, Fraction(tol)):
+        defect = _to_float(worst, 2 * bits)
+        raise DegenerateFactorization(
+            M, defect, f"PR defect {defect:.3e} exceeds tol_pr * scale = "
+            f"{tol:.3e}: the pair is not perfect reconstruction")
     J = _pr_jacobian(gd, hd, M)
     pinv = np.linalg.pinv(J)
     if max_steps is None:
         # digits gained per step, so the cap covers all dps digits
         gain = max(1.0, -np.log10(np.finfo(float).eps * np.linalg.cond(J)))
-        max_steps = 2 + int(np.ceil(mp.mp.dps / gain))
-    target = mp.mpf(10) ** (-(mp.mp.dps - 10))
+        max_steps = 2 + int(np.ceil(dps / gain))
     steps = 0
-    while worst >= target:
+    while worst * 10 ** (dps - 10) >= one:  # worst >= 10^-(dps-10), exactly
         if steps == max_steps:
+            reached = _to_float(worst, 2 * bits)
             raise DegenerateFactorization(
-                M, float(worst), f"PR refinement reached residual "
-                f"{float(worst):.3e}, not {float(target):.0e}, within its "
-                f"step cap {max_steps}")
-        delta = pinv @ np.array([float(v / worst) for v in r])
-        for j in range(2 * M):
-            g[j] += worst * delta[j]
-            h[j] += worst * delta[2 * M + j]
-        r = _pr_residual(g, h, M)
+                M, reached, f"PR refinement reached residual {reached:.3e}, "
+                f"not {10.0 ** -(dps - 10):.0e}, within its step cap "
+                f"{max_steps}")
+        delta = pinv @ np.array([v / worst for v in r])
+        for j, d in enumerate(delta.tolist()):
+            # worst * d, from units 2^-(2 bits) to 2^-bits
+            num, den = d.as_integer_ratio()
+            den <<= bits
+            corr = (2 * worst * num + den) // (2 * den)
+            if j < 2 * M:
+                g[j] += corr
+            else:
+                h[j - 2 * M] += corr
+        r = _pr_residual(g, h, M, one)
         steps += 1
         last, worst = worst, max(abs(v) for v in r)
-        if worst > last / 2:
+        if 2 * worst > last:
+            reached = _to_float(worst, 2 * bits)
             raise DegenerateFactorization(
-                M, float(worst), f"PR refinement stalled at residual "
-                f"{float(worst):.3e} (from {float(last):.3e}) in step {steps}")
+                M, reached, f"PR refinement stalled at residual "
+                f"{reached:.3e} (from {_to_float(last, 2 * bits):.3e}) in "
+                f"step {steps}")
     return g, h
 
 
@@ -225,15 +280,18 @@ def decompose(pair: FilterPair) -> BinaryCircuit:
 
     The peel amplifies any PR defect by roughly the gate condition number at
     every step, which double precision does not survive beyond a few layers,
-    so the loop runs in extended precision (max(60, 30 + 8M) digits) on the
-    nearest exactly biorthogonal pair (a distance-``pr_residual``
-    projection); only the emitted gates are rounded back to floats.  The
-    projection takes one float64 pseudo-inverse of its Jacobian J and
-    refines in the working precision (``_pr_project_mp``).  On designed
-    pairs (m in [0, 1], K 1..3, L 1..4) cond(J) runs from 1.9 to 6.4e4 and
-    3 to 10 steps reach the 10^-(dps-10) target.  A PR defect above tol_pr *
-    scale (tol_pr = 1e-8, scale the largest tap) or a corner determinant
-    within 1e-14 scale^2 of 0 is a ``DegenerateFactorization``.
+    so the loop runs in fixed-point integers (Python ints in units of 2^-b,
+    b = _fraction_bits at dps = max(60, 30 + 8M) digits) on the nearest
+    exactly biorthogonal pair (a distance-``pr_residual`` projection).
+    Products are exact before they are rounded back to 2^-b, square roots
+    are ``math.isqrt``, every comparison is exact, and only the emitted
+    gates are rounded to floats, each correctly.  The projection
+    takes one float64 pseudo-inverse of its Jacobian J and refines the
+    integers (``_pr_project``).  On designed pairs (m in [0, 1], K 1..3,
+    L 1..4) cond(J) runs from 1.9 to 6.4e4 and 3 to 10 steps reach the
+    10^-(dps-10) target.  A tap that is not finite, a PR defect above
+    tol_pr * scale (tol_pr = 1e-8, scale the largest tap) or a corner
+    determinant within 1e-14 scale^2 of 0 is a ``DegenerateFactorization``.
     """
     pair_c, shift = canonicalize_support(pair)
     # the window canonicalize_support chose: wider than half the support
@@ -242,45 +300,53 @@ def decompose(pair: FilterPair) -> BinaryCircuit:
     M = max(1 - lo, pair_c.g_s.support[1], pair_c.h_s.support[1])
     gd, hd = _window_arrays(pair_c, M)  # indices -M+1 .. M
     scale = float(max(np.max(np.abs(gd)), np.max(np.abs(hd))))
+    dps = max(60, 30 + 8 * M)
+    bits = _fraction_bits(dps, gd, hd)
+    half = 1 << (bits - 1)
+    g, h = _pr_project(gd, hd, M, 1e-8 * scale, dps)
+    # exact rationals: a float threshold 1e-14 scale^2 overflows at 1e154
+    corner_tol = Fraction(1e-14) * Fraction(scale) ** 2
+    vanish_tol = Fraction(scale) / 10 ** (dps // 3)
     gates: list[Gate2] = []
-    with mp.workdps(max(60, 30 + 8 * M)):
-        g, h = _pr_project_mp(gd, hd, M, 1e-8 * scale)
-        vanish_tol = mp.mpf(scale) * mp.mpf(10) ** (-(mp.mp.dps // 3))
-        for m in range(M, 1, -1):
-            off = M - m  # array position of lattice site -m+1
-            top = 2 * M - off - 1  # array position of lattice site m
-            gm1, gm = g[top - 1], g[top]            # g[m-1], g[m]
-            glo, glo1 = g[off], g[off + 1]          # g[-m+1], g[-m+2]
-            det = gm1 * glo1 - gm * glo
-            if abs(det) <= 1e-14 * scale ** 2:
-                raise DegenerateFactorization(m, float(det))
-            alpha = 1 / mp.sqrt(abs(det))
-            beta = mp.sign(det) * alpha
-            a00, a01 = alpha * gm1, beta * glo
-            a10, a11 = alpha * gm, beta * glo1
-            gates.append(Gate2(np.array([[float(a00), float(a01)],
-                                         [float(a10), float(a11)]]),
-                               _layer_parity(m)))
-            for u in range(off, top, 2):
-                gu, gv = g[u], g[u + 1]
-                g[u] = a11 * gu - a01 * gv      # rows of a^{-1} (det = 1)
-                g[u + 1] = -a10 * gu + a00 * gv
-                hu, hv = h[u], h[u + 1]
-                h[u] = a00 * hu + a10 * hv      # rows of a^T
-                h[u + 1] = a01 * hu + a11 * hv
-            if max(abs(g[off]), abs(g[top]), abs(h[off]), abs(h[top])) \
-                    > vanish_tol:
-                raise DegenerateFactorization(m, float(det))
-            g[off] = g[top] = h[off] = h[top] = mp.mpf(0)
-        # base case on sites (0, 1): columns (g_s, g_w) with g_w from h
-        off = M - 1
-        det = g[off] * h[off] + g[off + 1] * h[off + 1]
-        if det <= 0:
-            raise DegenerateFactorization(1, float(det))
-        root = mp.sqrt(det)
-        a1 = np.array([[float(g[off] / root), float(-h[off + 1] / root)],
-                       [float(g[off + 1] / root), float(h[off] / root)]])
-        gates.append(Gate2(a1, _layer_parity(1)))
+    for m in range(M, 1, -1):
+        off = M - m  # array position of lattice site -m+1
+        top = 2 * M - off - 1  # array position of lattice site m
+        gm1, gm = g[top - 1], g[top]            # g[m-1], g[m]
+        glo, glo1 = g[off], g[off + 1]          # g[-m+1], g[-m+2]
+        det = gm1 * glo1 - gm * glo             # units 2^-(2 bits)
+        if not _exceeds(abs(det), 2 * bits, corner_tol):
+            raise DegenerateFactorization(m, _to_float(det, 2 * bits))
+        # sqrt|det| in units 2^-(2 bits); x / sqrt|det| = (x << 2 bits) / root
+        # in units 2^-bits, and the sign of det goes to the second column
+        root = math.isqrt(abs(det) << 2 * bits)
+        sign = 1 if det > 0 else -1
+        a00, a01, a10, a11 = (
+            (2 * (x << 2 * bits) + root) // (2 * root)
+            for x in (gm1, sign * glo, gm, sign * glo1))
+        gates.append(Gate2(np.array(
+            [[_to_float(a00, bits), _to_float(a01, bits)],
+             [_to_float(a10, bits), _to_float(a11, bits)]]), _layer_parity(m)))
+        for u in range(off, top, 2):
+            gu, gv = g[u], g[u + 1]
+            g[u] = (a11 * gu - a01 * gv + half) >> bits  # rows of a^{-1}
+            g[u + 1] = (a00 * gv - a10 * gu + half) >> bits
+            hu, hv = h[u], h[u + 1]
+            h[u] = (a00 * hu + a10 * hv + half) >> bits  # rows of a^T
+            h[u + 1] = (a01 * hu + a11 * hv + half) >> bits
+        edge = max(abs(g[off]), abs(g[top]), abs(h[off]), abs(h[top]))
+        if _exceeds(edge, bits, vanish_tol):
+            raise DegenerateFactorization(m, _to_float(det, 2 * bits))
+        g[off] = g[top] = h[off] = h[top] = 0
+    # base case on sites (0, 1): columns (g_s, g_w) with g_w from h
+    off = M - 1
+    det = g[off] * h[off] + g[off + 1] * h[off + 1]
+    if det <= 0:
+        raise DegenerateFactorization(1, _to_float(det, 2 * bits))
+    # x / sqrt(det) = (x << bits) / root, a ratio of ints
+    root = math.isqrt(det << 2 * bits)
+    a1 = np.array([[(g[off] << bits) / root, (-h[off + 1] << bits) / root],
+                   [(g[off + 1] << bits) / root, (h[off] << bits) / root]])
+    gates.append(Gate2(a1, _layer_parity(1)))
     # snap each gate to unit determinant in double precision
     snapped = [Gate2(gt.entries / np.sqrt(gt.det), gt.parity) for gt in gates]
     return BinaryCircuit(tuple(reversed(snapped)), squeeze=1.0, shift=shift)

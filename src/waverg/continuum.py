@@ -152,6 +152,13 @@ def cascade(a_s: FirFilter, J: int) -> SampledFunction:
     the integer grid come from the unit eigenvector of the refinement matrix;
     J sweeps of the refinement identity phi(x) = sqrt(2) sum a_s[n] phi(2x - n)
     then fill in the dyadic midpoints exactly.
+
+    Each sweep keeps the coarser samples as they are (recomputing them adds
+    rounding) and computes only the new odd ones, the odd samples of
+    refine_with(phi, a_s) (x0 = a_s.offset is its fixed point).  From level
+    1 on the stride 2^level is even, so an odd sample reads only odd samples
+    of the coarser grid: they are convolved at half the stride, added in the
+    same order.
     """
     if abs(a_s(0.0) - ROOT2) > 1e-9:
         raise ValueError(
@@ -164,13 +171,16 @@ def cascade(a_s: FirFilter, J: int) -> SampledFunction:
         raise UnstableFilter(
             f"transfer spectral radius {np.max(np.abs(eigs)):.6g} >= 2")
     x0, values = _integer_samples(a_s)
-    phi = SampledFunction(0, float(x0), values)
-    for _ in range(J):
-        finer = refine_with(phi, a_s)
-        # the coarser samples stay as they are; recomputing them adds rounding
-        finer.values[::2] = phi.values
-        phi = finer
-    return phi
+    for level in range(J):
+        if level == 0:
+            odd = dilated_convolve(values, a_s.coeffs, 1)[1::2]
+        else:
+            odd = dilated_convolve(values[1::2], a_s.coeffs, 1 << (level - 1))
+        finer = np.empty(2 * values.size - 1)
+        finer[::2] = values
+        finer[1::2] = ROOT2 * odd
+        values = finer
+    return SampledFunction(J, float(x0), values)
 
 
 def refinement_residual(phi: SampledFunction, a_s: FirFilter) -> float:

@@ -129,8 +129,15 @@ class Tabulated(Dispersion):
                 if len(row) < 2:
                     raise ValueError(f"{path}:{rows.line_num}: expected two "
                                      "columns k, omega")
+                try:
+                    vals.append(float(row[1]))
+                except ValueError:
+                    raise ValueError(f"{path}:{rows.line_num}: omega "
+                                     f"{row[1].strip()!r} is not a number"
+                                     ) from None
                 ks.append(k)
-                vals.append(float(row[1]))
+        if not ks:
+            raise ValueError(f"{path}: no k, omega rows")
         return Tabulated(np.array(ks), np.array(vals))
 
 

@@ -353,14 +353,16 @@ def level_walk(pairs, channel: str, scales: list[float] | None = None):
     2^{l-1} k, which is dilated_convolve with the layer's taps at stride
     2^{l-1}.  ``scales`` are the per-layer factors s_l (default 1).  Yields
     (scaling, wavelet) for levels 1, 2, ..., so all prefixes of a stack share
-    one walk.
+    one walk.  Level 1's filters are the first layer's own taps.
     """
-    scaling = FirFilter.delta()
     for l, pair in enumerate(pairs):
         s = 1.0 if scales is None else scales[l]
-        a_s, a_w = (FirFilter(scaling.offset + (f.offset << l),
-                              dilated_convolve(scaling.coeffs, f.coeffs, 1 << l))
-                    for f in pair.channel(channel))
+        a_s, a_w = pair.channel(channel)
+        if l:
+            a_s, a_w = (FirFilter(scaling.offset + (f.offset << l),
+                                  dilated_convolve(scaling.coeffs, f.coeffs,
+                                                   1 << l))
+                        for f in (a_s, a_w))
         wavelet, scaling = s * a_w, s * a_s
         yield scaling, wavelet
 

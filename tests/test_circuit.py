@@ -1,17 +1,22 @@
 """Binary-circuit factorization: round trip, gate identities, symplectic maps."""
 
+import re
+
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from waverg import (BinaryCircuit, DegenerateFactorization, DesignParams,
                     FilterPair, FirFilter, Gate2, Harmonic, LatticeTooSmall,
                     compose, composed_wavelets, decompose, design_pair,
-                    to_lattice_symplectic)
+                    WavergError, to_lattice_symplectic)
 from waverg import circuit
 from waverg.circuit import canonicalize_support, gate_alpha_identity_check
+
+import circuit_reference
+from stack_references import random_gate
 
 
 def max_coeff_diff(a, b):
@@ -258,12 +263,15 @@ def _lu_newton_project(gd, hd, M, tol, max_steps=None):
 
 def test_decompose_gates_equal_lu_newton_reference(designs, massive_pairs,
                                                    monkeypatch):
+    # the extended-precision peel, projected by full Newton steps, emits the
+    # same float gates as the fixed-point peel
     pairs = [designs[K, L][0] for K, L in ((1, 1), (2, 1), (1, 2))]
     pairs += massive_pairs
     got = [decompose(pair) for pair in pairs]
-    monkeypatch.setattr(circuit, "_pr_project_mp", _lu_newton_project)
+    monkeypatch.setattr(circuit_reference, "_pr_project_mp",
+                        _lu_newton_project)
     for pair, circ in zip(pairs, got):
-        want = decompose(pair)
+        want = circuit_reference.decompose(pair)
         assert circ.depth == want.depth
         for a, b in zip(circ.gates, want.gates):
             assert a.parity == b.parity
@@ -283,20 +291,118 @@ def _window(pair):
 def test_projection_reaches_target_with_defect_sized_correction(designs):
     for (K, L), (pair, _) in designs.items():
         M, gd, hd, dps = _window(pair)
-        with mp.workdps(dps):
-            g, h = circuit._pr_project_mp(gd, hd, M, 1e-8)
-            reached = max(abs(v) for v in _mp_pr_residual(g, h, M))
+        g, h = circuit._pr_project(gd, hd, M, 1e-8, dps)
+        bits = circuit._fraction_bits(dps, gd, hd)
+        # the fixed-point taps and their products are exact at this precision
+        with mp.workprec(4 * bits + 64):
+            gm = [mp.ldexp(mp.mpf(v), -bits) for v in g]
+            hm = [mp.ldexp(mp.mpf(v), -bits) for v in h]
+            reached = max(abs(v) for v in _mp_pr_residual(gm, hm, M))
             assert reached < mp.mpf(10) ** (-(dps - 10)), (K, L)
             correction = max(abs(float(a - b)) for a, b in
-                             zip(g + h, np.concatenate([gd, hd])))
+                             zip(gm + hm, np.concatenate([gd, hd])))
         assert 0 < correction <= 10 * pair.pr_residual, (K, L)
 
 
 def test_projection_step_cap_raises_typed_error(pair_k2l4):
     M, gd, hd, dps = _window(pair_k2l4)
-    with mp.workdps(dps):
-        with pytest.raises(DegenerateFactorization,
-                           match="within its step cap 1") as err:
-            circuit._pr_project_mp(gd, hd, M, 1e-8, max_steps=1)
+    with pytest.raises(DegenerateFactorization,
+                       match="within its step cap 1") as err:
+        circuit._pr_project(gd, hd, M, 1e-8, dps, max_steps=1)
     # one step leaves about eps * cond(J) of the defect: far above target
     assert 0 < err.value.det < 1e-3 * pair_k2l4.pr_residual
+
+
+def _outcome(peel, pair):
+    """A peel's gates, or the type and text of its refusal."""
+    try:
+        circ = peel(pair)
+    except DegenerateFactorization as err:
+        return type(err), str(err)
+    return circ.shift, [(g.parity, g.entries) for g in circ.gates]
+
+
+def _assert_same_peel(pair, bit_for_bit=True):
+    """The fixed-point peel emits the mpmath peel's gates, or its refusal.
+
+    Without ``bit_for_bit`` a refusal's numbers may differ, and a gate
+    entry below 1e-20 of the gate's largest entry need only agree to 1e-40
+    of that entry.  The mpmath peel holds each value to 203 bits relative to
+    itself, so where the taps span far more than a float's range of digits
+    (sizes 1 and 1e-48, say) it moves the small ones in the last float bits
+    when it corrects the large ones; the fixed-point peel holds every tap to
+    at least as many bits.
+    """
+    got = _outcome(decompose, pair)
+    want = _outcome(circuit_reference.decompose, pair)
+    if isinstance(want[0], type) or isinstance(got[0], type):
+        if bit_for_bit:
+            assert got == want
+        else:
+            number = re.compile(r"-?\d\.\d{3}e[-+]\d+")
+            assert got[0] == want[0]
+            assert number.sub("#", got[1]) == number.sub("#", want[1])
+        return
+    assert got[0] == want[0]
+    assert [p for p, _ in got[1]] == [p for p, _ in want[1]]
+    for (_, a), (_, b) in zip(got[1], want[1]):
+        if bit_for_bit:
+            assert np.array_equal(a, b)
+            continue
+        large = np.abs(b) >= 1e-20 * np.max(np.abs(b))
+        assert np.array_equal(a[large], b[large])
+        assert np.max(np.abs(a - b)) <= 1e-40 * np.max(np.abs(b))
+
+
+def test_decompose_bit_identical_to_mpmath_peel_on_designs(designs):
+    for pair, _ in designs.values():
+        _assert_same_peel(pair)
+
+
+@given(st.floats(0.05, 1.0), st.integers(1, 3), st.integers(1, 4))
+@settings(max_examples=12, deadline=None)
+def test_decompose_bit_identical_to_mpmath_peel_on_massive_designs(m, K, L):
+    try:
+        pair, _ = design_pair(Harmonic(m), DesignParams(K, L))
+    except WavergError:
+        assume(False)
+    _assert_same_peel(pair)
+
+
+@st.composite
+def random_pr_pairs(draw):
+    gates = [random_gate(draw, ("even", "odd")[i % 2])
+             for i in range(draw(st.integers(1, 6)))]
+    return compose(BinaryCircuit(gates))
+
+
+@given(random_pr_pairs())
+@settings(max_examples=40, deadline=None)
+def test_decompose_matches_mpmath_peel_on_random_pairs(pair):
+    # bit for bit where every tap lies within 1e40 of the largest one
+    taps = np.abs(np.concatenate([pair.g_s.coeffs, pair.h_s.coeffs]))
+    _assert_same_peel(pair, bit_for_bit=bool(
+        np.max(taps) <= 1e40 * np.min(taps[taps > 0])))
+
+
+@pytest.mark.parametrize("c", [1e160, 1e300])
+def test_decompose_pair_scaled_past_the_float_square(c, designs):
+    # the corner threshold 1e-14 scale^2 is past the float range here
+    pair = designs[1, 1][0]
+    big = FilterPair(pair.g_s.scale(c), pair.h_s.scale(1 / c))
+    circ = decompose(big)
+    rec = compose(circ)
+    assert max_coeff_diff(rec.g_s.shift(-circ.shift), big.g_s) < 1e-12 * c
+    assert max_coeff_diff(rec.h_s.shift(-circ.shift), big.h_s) < 1e-12 / c
+
+
+@pytest.mark.parametrize("tap", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("where", ["g", "h"])
+def test_decompose_refuses_every_nonfinite_tap(tap, where, pair_k2l1):
+    g, h = pair_k2l1.g_s.coeffs.copy(), pair_k2l1.h_s.coeffs.copy()
+    (g if where == "g" else h)[1] = tap
+    bad = FilterPair(FirFilter(pair_k2l1.g_s.offset, g),
+                     FirFilter(pair_k2l1.h_s.offset, h))
+    with pytest.raises(DegenerateFactorization,
+                       match=r"^PR defect nan exceeds tol_pr \* scale = "):
+        decompose(bad)

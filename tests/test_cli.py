@@ -477,6 +477,27 @@ def test_one_column_tabulated_csv_is_usage_error(tmp_path, capsys):
                                        "columns k, omega\n")
 
 
+@pytest.mark.parametrize("text", ["k,omega\n", "# comment only\n", ""])
+def test_empty_tabulated_csv_is_usage_error(tmp_path, capsys, text):
+    disp = tmp_path / "empty.csv"
+    disp.write_text(text)
+    code = main(["flow", "--dispersion", f"tabulated:{disp}", "--levels", "1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {disp}: no k, omega rows\n"
+
+
+def test_non_numeric_tabulated_omega_is_usage_error(tmp_path, capsys):
+    disp = tmp_path / "word.csv"
+    disp.write_text("k,omega\n-3.0,1.0\n-1.0, x\n")
+    code = main(["flow", "--dispersion", f"tabulated:{disp}", "--levels", "1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {disp}:3: omega 'x' is not a number\n"
+
+
 def test_flow_overflow_at_a_level_is_numerical_failure(tmp_path, capsys):
     # every square is finite, so Tabulated accepts the table, but level 1
     # has omega(pi) = 1e308 and level 2 would divide by its square

@@ -186,12 +186,15 @@ def pair_m08_k2l3():
     return design_pair(Harmonic(0.8), DesignParams(2, 3))[0]
 
 
-@pytest.mark.parametrize("which", ["k2l4", "m08_k2l3"])
+@pytest.mark.parametrize("which", ["k2l4", "m08_k2l3", "haar", "k2l4_odd"])
 @pytest.mark.parametrize("channel", ["g_s", "h_s"])
 def test_cascade_bit_identical_to_refine_once(which, channel, pair_k2l4,
-                                              pair_m08_k2l3):
-    a_s = getattr(pair_k2l4 if which == "k2l4" else pair_m08_k2l3, channel)
-    J = 9
+                                              pair_m08_k2l3, haar):
+    pair = {"m08_k2l3": pair_m08_k2l3, "haar": haar}.get(which, pair_k2l4)
+    a_s = getattr(pair, channel)
+    if which == "k2l4_odd":
+        a_s = a_s.shift(1)  # the other parity of the offset
+    J = 12
     phi = cascade(a_s, J)
     x0, values = _integer_samples(a_s)
     for level in range(J):
