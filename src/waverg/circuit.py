@@ -197,18 +197,21 @@ def _pr_jacobian(gd: np.ndarray, hd: np.ndarray, M: int) -> np.ndarray:
     return J
 
 
-def _pr_project(gd: np.ndarray, hd: np.ndarray, M: int, tol: float,
+def _pr_project(gd: np.ndarray, hd: np.ndarray, M: int, tol_pr: float,
                 dps: int, max_steps: int | None = None) -> tuple[list, list]:
     """The window taps (gd, hd) projected onto the exact-PR manifold, as
     integers in units of 2^-b, b = _fraction_bits(dps, gd, hd); a pair whose
-    PR defect exceeds ``tol``, or that has a tap that is not finite, is
-    refused as degenerate.
+    PR defect exceeds tol_pr * scale, scale the product of each filter's
+    largest tap (like PR, unchanged by g -> a g, h -> h / a), or that has a
+    tap that is not finite, is refused as degenerate.
 
     PR is bilinear in (g, h); each step is a minimum-norm linearized
     correction of both filters jointly.  One-sided projection (adjusting h
     alone) is avoided: the h-side system is nearly singular for designed
     pairs and the nearest solution can be macroscopically far away, while
-    the joint correction stays at the size of the PR defect itself.
+    the joint correction stays at the size of the PR defect itself.  It is
+    minimum-norm for the pair regauged by g -> 2^k g, h -> 2^-k h to bring
+    both largest taps within a factor 4, so neither filter takes it all.
 
     Mixed-precision refinement: the Jacobian J is formed and pseudo-inverted
     once in float64 at the input taps.  Each step computes the residual
@@ -219,6 +222,8 @@ def _pr_project(gd: np.ndarray, hd: np.ndarray, M: int, tol: float,
     in one step, or the cap running out, raises ``DegenerateFactorization``
     with the residual reached.
     """
+    scale_g, scale_h = float(np.max(np.abs(gd))), float(np.max(np.abs(hd)))
+    tol = tol_pr * scale_g * scale_h  # printed; the test below is exact
     if not (np.all(np.isfinite(gd)) and np.all(np.isfinite(hd))):
         raise DegenerateFactorization(
             M, math.nan, f"PR defect nan exceeds tol_pr * scale = {tol:.3e}: "
@@ -229,13 +234,16 @@ def _pr_project(gd: np.ndarray, hd: np.ndarray, M: int, tol: float,
     one = 1 << 2 * bits
     r = _pr_residual(g, h, M, one)
     worst = max(abs(v) for v in r)
-    if _exceeds(worst, 2 * bits, Fraction(tol)):
+    if _exceeds(worst, 2 * bits,
+                Fraction(tol_pr) * Fraction(scale_g) * Fraction(scale_h)):
         defect = _to_float(worst, 2 * bits)
         raise DegenerateFactorization(
             M, defect, f"PR defect {defect:.3e} exceeds tol_pr * scale = "
             f"{tol:.3e}: the pair is not perfect reconstruction")
-    J = _pr_jacobian(gd, hd, M)
-    pinv = np.linalg.pinv(J)
+    k = (math.frexp(scale_h)[1] - math.frexp(scale_g)[1]) // 2
+    D = np.repeat(np.ldexp(1.0, [-k, k]), 2 * M)  # d(g, h) / d(regauged)
+    J = _pr_jacobian(gd, hd, M) * D
+    pinv = D[:, None] * np.linalg.pinv(J)
     if max_steps is None:
         # digits gained per step, so the cap covers all dps digits
         gain = max(1.0, -np.log10(np.finfo(float).eps * np.linalg.cond(J)))
@@ -290,8 +298,10 @@ def decompose(pair: FilterPair) -> BinaryCircuit:
     integers (``_pr_project``).  On designed pairs (m in [0, 1], K 1..3,
     L 1..4) cond(J) runs from 1.9 to 6.4e4 and 3 to 10 steps reach the
     10^-(dps-10) target.  A tap that is not finite, a PR defect above
-    tol_pr * scale (tol_pr = 1e-8, scale the largest tap) or a corner
-    determinant within 1e-14 scale^2 of 0 is a ``DegenerateFactorization``.
+    tol_pr scale_g scale_h (tol_pr = 1e-8, scale_a the largest tap of a), a
+    corner determinant within 1e-14 scale_g^2 of 0 or a peeled edge above
+    10^-(dps // 3) of its filter's scale is a ``DegenerateFactorization``:
+    like PR, no test changes under the gauge g -> a g, h -> h / a.
     """
     pair_c, shift = canonicalize_support(pair)
     # the window canonicalize_support chose: wider than half the support
@@ -299,14 +309,13 @@ def decompose(pair: FilterPair) -> BinaryCircuit:
     lo = min(pair_c.g_s.support[0], pair_c.h_s.support[0])
     M = max(1 - lo, pair_c.g_s.support[1], pair_c.h_s.support[1])
     gd, hd = _window_arrays(pair_c, M)  # indices -M+1 .. M
-    scale = float(max(np.max(np.abs(gd)), np.max(np.abs(hd))))
     dps = max(60, 30 + 8 * M)
     bits = _fraction_bits(dps, gd, hd)
     half = 1 << (bits - 1)
-    g, h = _pr_project(gd, hd, M, 1e-8 * scale, dps)
-    # exact rationals: a float threshold 1e-14 scale^2 overflows at 1e154
-    corner_tol = Fraction(1e-14) * Fraction(scale) ** 2
-    vanish_tol = Fraction(scale) / 10 ** (dps // 3)
+    g, h = _pr_project(gd, hd, M, 1e-8, dps)
+    scale_g, scale_h = (Fraction(float(np.max(np.abs(a)))) for a in (gd, hd))
+    corner_tol = Fraction(1e-14) * scale_g ** 2  # a float overflows at 1e154
+    vanish_g, vanish_h = (s / 10 ** (dps // 3) for s in (scale_g, scale_h))
     gates: list[Gate2] = []
     for m in range(M, 1, -1):
         off = M - m  # array position of lattice site -m+1
@@ -333,8 +342,8 @@ def decompose(pair: FilterPair) -> BinaryCircuit:
             hu, hv = h[u], h[u + 1]
             h[u] = (a00 * hu + a10 * hv + half) >> bits  # rows of a^T
             h[u + 1] = (a01 * hu + a11 * hv + half) >> bits
-        edge = max(abs(g[off]), abs(g[top]), abs(h[off]), abs(h[top]))
-        if _exceeds(edge, bits, vanish_tol):
+        if (_exceeds(max(abs(g[off]), abs(g[top])), bits, vanish_g)
+                or _exceeds(max(abs(h[off]), abs(h[top])), bits, vanish_h)):
             raise DegenerateFactorization(m, _to_float(det, 2 * bits))
         g[off] = g[top] = h[off] = h[top] = 0
     # base case on sites (0, 1): columns (g_s, g_w) with g_w from h

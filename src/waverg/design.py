@@ -49,7 +49,10 @@ class DesignParams:
 @dataclass
 class DesignReport:
     """Quality record of one designed pair: filter-relation defect, PR
-    residual, positivity margin and transfer spectra of both channels."""
+    defect d = max_n |c[2n] - delta_0[n]| of c = g_s correlated with h_s
+    (2 d <= sup_k |g(k) conj(h(k)) + g(k+pi) conj(h(k+pi)) - 2| <=
+    2 sum_n |c[2n] - delta_0[n]|), positivity margin and both transfer
+    spectra."""
 
     K: int
     L: int

@@ -159,8 +159,10 @@ def wavelet_from_scaling(dual_scaling: FirFilter) -> FirFilter:
 class FilterPair:
     """Biorthogonal pair (g, h) of scaling filters plus derived wavelets.
 
-    The wavelets and ``pr_residual``, the perfect-reconstruction defect,
-    are derived from the scaling filters on first read.
+    The wavelets and ``pr_residual``, the PR defect d = max_n |c[2n] -
+    delta_0[n]| of c = g_s correlated with h_s (2 d <= sup_k |g(k) conj(h(k))
+    + g(k+pi) conj(h(k+pi)) - 2| <= 2 sum_n |c[2n] - delta_0[n]|), are
+    derived from the scaling filters on first read.
     """
 
     g_s: FirFilter
@@ -240,20 +242,15 @@ def haar_pair() -> FilterPair:
     return FilterPair(HAAR_SCALING, HAAR_SCALING)
 
 
-def pr_residual(pair: FilterPair, grid_size: int | None = None) -> float:
-    """Perfect-reconstruction defect, max of the Fourier and time-domain forms.
+def pr_residual(pair: FilterPair) -> float:
+    """Perfect-reconstruction defect max_n |c[2n] - delta_0[n]| of the
+    correlation c[m] = sum_l g_s[m + l] h_s[l], read from the taps alone.
 
-    Fourier: sup_k |g(k) conj(h(k)) + g(k+pi) conj(h(k+pi)) - 2|.
-    Time domain: max_n |sum_l g[2n+l] h[l] - delta_0[n]|.
+    The Fourier form F(k) = g(k) conj(h(k)) + g(k+pi) conj(h(k+pi)) - 2 is
+    2 sum_n (c[2n] - delta_0[n]) exp(-2ikn), so
+    2 pr_residual <= sup_k |F(k)| <= 2 sum_n |c[2n] - delta_0[n]|.
     """
-    g, h = pair.g_s, pair.h_s
-    if grid_size is None:
-        grid_size = max(DEFAULT_GRID, 4 * (pair.support_length()))
-    k = kgrid(grid_size)
-    lhs = g(k) * np.conj(h(k)) + g(k + np.pi) * np.conj(h(k + np.pi))
-    fr = float(np.max(np.abs(lhs - 2.0)))
-    # time domain: c[m] = sum_j g[j] h[j - m] = sum_l g[m + l] h[l]
-    return max(fr, halfband_defect(g.correlate(h)))
+    return halfband_defect(pair.g_s.correlate(pair.h_s))
 
 
 def halfband_defect(c: FirFilter) -> float:

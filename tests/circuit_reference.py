@@ -1,11 +1,15 @@
 """Reference implementation of the circuit peel in extended precision.
 
 This is the peel as it ran in mpmath before ``waverg.circuit`` moved to
-fixed-point integers, kept verbatim as the oracle the integer peel is tested
+fixed-point integers, kept as the oracle the integer peel is tested
 against: residuals as exact ``mp.fdot`` sums, the mixed-precision projection
 onto exact perfect reconstruction, and the layer peel in
-max(60, 30 + 8M) decimal digits.
+max(60, 30 + 8M) decimal digits.  It shares the integer peel's regauged
+projection and its tolerances, each measured against the scale of the
+filter it reads.
 """
+
+import math
 
 import mpmath as mp
 import numpy as np
@@ -40,7 +44,9 @@ def _pr_project_mp(gd: np.ndarray, hd: np.ndarray, M: int, tol: float,
     correction of both filters jointly.  One-sided projection (adjusting h
     alone) is avoided: the h-side system is nearly singular for designed
     pairs and the nearest solution can be macroscopically far away, while
-    the joint correction stays at the size of the PR defect itself.
+    the joint correction stays at the size of the PR defect itself.  It is
+    the minimum-norm correction of the pair regauged by g -> 2^k g,
+    h -> 2^-k h, both largest taps within a factor 4.
 
     Mixed-precision refinement: the Jacobian J is formed and pseudo-inverted
     once in float64 at the input taps.  Each step computes the residual in
@@ -60,8 +66,11 @@ def _pr_project_mp(gd: np.ndarray, hd: np.ndarray, M: int, tol: float,
             M, float(worst), f"PR defect {float(worst):.3e} exceeds "
             f"tol_pr * scale = {tol:.3e}: the pair is not perfect "
             "reconstruction")
-    J = _pr_jacobian(gd, hd, M)
-    pinv = np.linalg.pinv(J)
+    k = (math.frexp(np.max(np.abs(hd)))[1]
+         - math.frexp(np.max(np.abs(gd)))[1]) // 2
+    D = np.repeat(np.ldexp(1.0, [-k, k]), 2 * M)
+    J = _pr_jacobian(gd, hd, M) * D
+    pinv = D[:, None] * np.linalg.pinv(J)
     if max_steps is None:
         # digits gained per step, so the cap covers all dps digits
         gain = max(1.0, -np.log10(np.finfo(float).eps * np.linalg.cond(J)))
@@ -105,8 +114,10 @@ def decompose(pair: FilterPair) -> BinaryCircuit:
     refines in the working precision (``_pr_project_mp``).  On designed
     pairs (m in [0, 1], K 1..3, L 1..4) cond(J) runs from 1.9 to 6.4e4 and
     3 to 10 steps reach the 10^-(dps-10) target.  A PR defect above tol_pr *
-    scale (tol_pr = 1e-8, scale the largest tap) or a corner determinant
-    within 1e-14 scale^2 of 0 is a ``DegenerateFactorization``.
+    scale_g * scale_h (tol_pr = 1e-8, scale_a the largest tap of filter a),
+    a corner determinant within 1e-14 scale_g^2 of 0 or a peeled edge of
+    either filter above its own scale times 10^-(dps // 3) is a
+    ``DegenerateFactorization``.
     """
     pair_c, shift = canonicalize_support(pair)
     # the window canonicalize_support chose: wider than half the support
@@ -114,18 +125,19 @@ def decompose(pair: FilterPair) -> BinaryCircuit:
     lo = min(pair_c.g_s.support[0], pair_c.h_s.support[0])
     M = max(1 - lo, pair_c.g_s.support[1], pair_c.h_s.support[1])
     gd, hd = _window_arrays(pair_c, M)  # indices -M+1 .. M
-    scale = float(max(np.max(np.abs(gd)), np.max(np.abs(hd))))
+    scale_g, scale_h = float(np.max(np.abs(gd))), float(np.max(np.abs(hd)))
     gates: list[Gate2] = []
     with mp.workdps(max(60, 30 + 8 * M)):
-        g, h = _pr_project_mp(gd, hd, M, 1e-8 * scale)
-        vanish_tol = mp.mpf(scale) * mp.mpf(10) ** (-(mp.mp.dps // 3))
+        g, h = _pr_project_mp(gd, hd, M, 1e-8 * scale_g * scale_h)
+        vanish_g, vanish_h = (mp.mpf(s) * mp.mpf(10) ** (-(mp.mp.dps // 3))
+                              for s in (scale_g, scale_h))
         for m in range(M, 1, -1):
             off = M - m  # array position of lattice site -m+1
             top = 2 * M - off - 1  # array position of lattice site m
             gm1, gm = g[top - 1], g[top]            # g[m-1], g[m]
             glo, glo1 = g[off], g[off + 1]          # g[-m+1], g[-m+2]
             det = gm1 * glo1 - gm * glo
-            if abs(det) <= 1e-14 * scale ** 2:
+            if abs(det) <= 1e-14 * mp.mpf(scale_g) ** 2:
                 raise DegenerateFactorization(m, float(det))
             alpha = 1 / mp.sqrt(abs(det))
             beta = mp.sign(det) * alpha
@@ -141,8 +153,8 @@ def decompose(pair: FilterPair) -> BinaryCircuit:
                 hu, hv = h[u], h[u + 1]
                 h[u] = a00 * hu + a10 * hv      # rows of a^T
                 h[u + 1] = a01 * hu + a11 * hv
-            if max(abs(g[off]), abs(g[top]), abs(h[off]), abs(h[top])) \
-                    > vanish_tol:
+            if (max(abs(g[off]), abs(g[top])) > vanish_g
+                    or max(abs(h[off]), abs(h[top])) > vanish_h):
                 raise DegenerateFactorization(m, float(det))
             g[off] = g[top] = h[off] = h[top] = mp.mpf(0)
         # base case on sites (0, 1): columns (g_s, g_w) with g_w from h

@@ -186,11 +186,56 @@ def test_canonicalize_support(pair_k2l4):
 
 
 def test_decompose_rejects_broken_pr(haar):
+    # scale is the product of each filter's largest tap, 2^-1/2 * 1.3 2^-1/2
     bad = FilterPair(haar.g_s, haar.h_s.scale(1.3))
     with pytest.raises(DegenerateFactorization,
                        match=r"^PR defect 3\.000e-01 exceeds tol_pr \* scale "
-                             r"= 9\.192e-09: the pair is not perfect "
+                             r"= 6\.500e-09: the pair is not perfect "
                              r"reconstruction$"):
+        decompose(bad)
+
+
+GAUGES = [1e-160, 1e-20, 1e-4, 1e4, 1e20, 1e160, 1e300]
+
+
+@pytest.mark.parametrize("KL", [(1, 1), (2, 4)])
+@pytest.mark.parametrize("a", GAUGES)
+def test_decompose_factors_every_gauge(KL, a, designs):
+    # g -> a g, h -> h / a keeps PR: the gauged pair factors either way,
+    # also where the corner threshold 1e-14 scale_g^2 is past the float range
+    pair = designs[KL][0]
+    for b in (a, 1 / a):
+        gauged = FilterPair(pair.g_s.scale(b), pair.h_s.scale(1 / b))
+        circ = decompose(gauged)
+        rec = compose(circ)
+        for want, got in ((gauged.g_s, rec.g_s), (gauged.h_s, rec.h_s)):
+            assert max_coeff_diff(got.shift(-circ.shift), want) \
+                <= 1e-12 * np.max(np.abs(want.coeffs))
+
+
+@pytest.mark.parametrize("j", [-531, -13, 13, 531])
+def test_decompose_power_of_two_gauge_scales_only_the_last_gate(j, designs):
+    # an exact gauge 2^j: every gate but a_1 is bit-identical, and a_1's
+    # columns scale by 2^j and 2^-j
+    pair = designs[2, 4][0]
+    gauged = FilterPair(FirFilter(pair.g_s.offset,
+                                  np.ldexp(pair.g_s.coeffs, j)),
+                        FirFilter(pair.h_s.offset,
+                                  np.ldexp(pair.h_s.coeffs, -j)))
+    want, got = decompose(pair), decompose(gauged)
+    assert np.array_equal(got.gates[0].entries,
+                          np.ldexp(want.gates[0].entries, [j, -j]))
+    for x, y in zip(got.gates[1:], want.gates[1:], strict=True):
+        assert np.array_equal(x.entries, y.entries)
+
+
+@pytest.mark.parametrize("a", [1.0] + GAUGES)
+def test_decompose_refuses_non_pr_pair_under_every_gauge(a, haar):
+    # PR defect 0.1 whatever the gauge: the tolerance follows the pair
+    bad = FilterPair(haar.g_s.scale(a), haar.h_s.scale(1.1 / a))
+    with pytest.raises(DegenerateFactorization,
+                       match=r"^PR defect 1\.000e-01 exceeds tol_pr \* scale "
+                             r"= 5\.500e-09"):
         decompose(bad)
 
 
@@ -383,17 +428,6 @@ def test_decompose_matches_mpmath_peel_on_random_pairs(pair):
     taps = np.abs(np.concatenate([pair.g_s.coeffs, pair.h_s.coeffs]))
     _assert_same_peel(pair, bit_for_bit=bool(
         np.max(taps) <= 1e40 * np.min(taps[taps > 0])))
-
-
-@pytest.mark.parametrize("c", [1e160, 1e300])
-def test_decompose_pair_scaled_past_the_float_square(c, designs):
-    # the corner threshold 1e-14 scale^2 is past the float range here
-    pair = designs[1, 1][0]
-    big = FilterPair(pair.g_s.scale(c), pair.h_s.scale(1 / c))
-    circ = decompose(big)
-    rec = compose(circ)
-    assert max_coeff_diff(rec.g_s.shift(-circ.shift), big.g_s) < 1e-12 * c
-    assert max_coeff_diff(rec.h_s.shift(-circ.shift), big.h_s) < 1e-12 / c
 
 
 @pytest.mark.parametrize("tap", [np.inf, -np.inf, np.nan])

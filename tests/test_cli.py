@@ -294,6 +294,18 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "min_value" in err and "at_k" in err
 
 
+def test_circuit_refuses_gauged_non_pr_pair(tmp_path, haar, capsys):
+    # Haar with g x 1e20 and h x 1.1e-20: PR defect 0.1 at every gauge
+    path = tmp_path / "bad.json"
+    FilterPair(haar.g_s.scale(1e20), haar.h_s.scale(1.1e-20)).save(path)
+    assert main(["circuit", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err.strip().splitlines()[-1])
+    assert err["error"] == "DegenerateFactorization"
+    assert err["message"].startswith("PR defect 1.000e-01 exceeds")
+
+
 @pytest.mark.parametrize("mass", ["nan", "inf"])
 def test_nonfinite_mass_is_numerical_failure(mass, capsys):
     code = main(["flow", "--dispersion", f"harmonic:m={mass}",

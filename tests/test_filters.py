@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waverg import (FilterPair, FirFilter, HAAR_SCALING, LatticeTooSmall,
-                    decomposition_map, haar_pair, kgrid, multi_layer_map,
-                    pr_residual, wavelet_from_scaling)
+from waverg import (BinaryCircuit, FilterPair, FirFilter, HAAR_SCALING,
+                    LatticeTooSmall, compose, decomposition_map, haar_pair,
+                    kgrid, multi_layer_map, pr_residual, wavelet_from_scaling)
 from waverg.filters import level_filters
 
-from stack_references import (placed, pr_stacks, reference_chain,
-                              zero_stuffed_level_filters)
+from stack_references import (placed, pr_stacks, random_gate,
+                              reference_chain, zero_stuffed_level_filters)
 
 ROOT2 = np.sqrt(2.0)
 
@@ -307,6 +307,49 @@ def test_numpy_scalar_scales_match_float_scales(pair_k2l4):
             multi_layer_map([pair_k2l4] * 3, channel, 64, [0.9] * 3).matrix)
 
 
-def test_pr_residual_grid_independence(pair_k2l4):
-    assert pr_residual(pair_k2l4, 512) == pytest.approx(
-        pr_residual(pair_k2l4, 4096), abs=1e-12)
+@st.composite
+def perturbed_pr_pairs(draw):
+    """A PR pair composed of 1 to 6 random gates, every tap then moved by
+    size to 2 size, size in [1e-6, 1e-2]."""
+    gates = [random_gate(draw, ("even", "odd")[i % 2])
+             for i in range(draw(st.integers(1, 6)))]
+    pair = compose(BinaryCircuit(gates))
+    size = draw(st.floats(1e-6, 1e-2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def nudge(f):
+        step = rng.uniform(size, 2 * size, len(f)) * rng.choice([-1, 1],
+                                                                len(f))
+        return FirFilter(f.offset, f.coeffs + step)
+    return FilterPair(nudge(pair.g_s), nudge(pair.h_s))
+
+
+@given(perturbed_pr_pairs())
+@settings(max_examples=60, deadline=None)
+def test_pr_residual_brackets_the_fourier_form(pair):
+    # F(k) = 2 sum_n (c[2n] - delta_0[n]) exp(-2ikn): its sup lies between
+    # twice the largest and twice the summed coefficient defects
+    g, h = pair.g_s, pair.h_s
+    k = kgrid(max(4096, 4 * pair.support_length()))
+    fourier = np.max(np.abs(g(k) * np.conj(h(k))
+                            + g(k + np.pi) * np.conj(h(k + np.pi)) - 2.0))
+    c = g.correlate(h)
+    n = np.arange(c.support[0] - 2, c.support[1] + 3)
+    n = n[n % 2 == 0]
+    summed = float(np.sum(np.abs(c[n] - (n == 0))))
+    # F carries an absolute rounding error of a few eps per tap product
+    rounding = 1e-14 * pair.support_length() * np.sum(np.abs(g.coeffs)) \
+        * np.sum(np.abs(h.coeffs))
+    assert 2.0 * pr_residual(pair) <= fourier * (1 + 1e-9) + rounding
+    assert fourier <= 2.0 * summed * (1 + 1e-9) + rounding
+
+
+def test_pr_residual_evaluates_no_symbol(monkeypatch, pair_k2l4, haar):
+    def refuse(self, k):
+        raise AssertionError("a filter symbol evaluated for the PR defect")
+
+    pairs = [pair_k2l4, FilterPair(haar.g_s, haar.h_s.scale(1.1))]
+    want = [pr_residual(p) for p in pairs]
+    monkeypatch.setattr(FirFilter, "__call__", refuse)
+    assert [pr_residual(p) for p in pairs] == want
+    assert FilterPair(pair_k2l4.g_s, pair_k2l4.h_s).pr_residual == want[0]

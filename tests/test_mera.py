@@ -447,6 +447,22 @@ def test_single_entry_read_copies_no_rows():
     assert peak < row.nbytes // 64
 
 
+@settings(max_examples=40, deadline=None)
+@given(pr_stacks())
+def test_symmetrized_matches_dense_symmetrization_on_random_stacks(case):
+    # the same first block rows, rolled out to G and symmetrized densely
+    stack, N = case
+    for channel, scales in (("h", [1.0 / s for s in stack.squeezes]),
+                            ("g", stack.squeezes)):
+        *_, (row, scaling) = waverg.mera._gram_block_rows(
+            stack.pairs, channel, N, scales)
+        row = row + placed_gram_rows(scaling, N, len(row))
+        G = waverg.mera._roll_out(row)
+        assert np.array_equal(
+            waverg.mera._roll_out(waverg.mera._symmetrized(row)),
+            (G + G.T) / 2)
+
+
 @pytest.mark.parametrize("P, N", [(1, 8), (4, 32), (8, 8), (16, 256)])
 def test_symmetrized_bit_identical_to_fancy_indexed_transpose(P, N):
     row = np.random.default_rng(P * N).standard_normal((P, N))
