@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import stability_spectrum
-from .errors import (NoUnitEigenvalue, NotAdmissible, NotDivisible,
-                     UnstableFilter)
+from .errors import (NormalizationFailure, NoUnitEigenvalue, NotAdmissible,
+                     NotDivisible, UnstableFilter)
 from .filters import (ROOT2, FirFilter, FilterPair, dilated_convolve,
-                      level_filters)
+                      level_filters, transfer_block)
 
 #: default dyadic quadrature depth for inner products
 DEFAULT_J = 12
@@ -133,25 +133,20 @@ def _unit_eigenvector(T: np.ndarray, tol: float, name: str) -> np.ndarray:
 
 
 def _integer_samples(a_s: FirFilter) -> tuple[int, np.ndarray]:
-    """Samples of the scaling function on its integer support.
-
-    These solve the refinement fixed-point equation
-    phi(n) = sqrt(2) sum_m a_s[m] phi(2n - m) with sum_n phi(n) = 1.
-    """
-    n0, n1 = a_s.support
-    pts = np.arange(n0, n1 + 1)
-    return int(n0), _unit_eigenvector(ROOT2 * a_s[2 * pts[:, None] - pts],
-                                      1e-8, "integer refinement matrix")
+    """Samples of the scaling function on its integer support: the fixed
+    point phi(n) = sqrt(2) sum_m a_s[m] phi(2n - m) with sum_n phi(n) = 1."""
+    T = transfer_block(a_s, ROOT2, a_s.support)
+    return a_s.offset, _unit_eigenvector(T, 1e-8, "integer refinement matrix")
 
 
 def cascade(a_s: FirFilter, J: int) -> SampledFunction:
     """Scaling function of a_s on the dyadic grid of spacing 2^-J.
 
-    Requires a_s(0) = sqrt(2) (so the refinement fixed point is normalizable)
-    and a stable transfer spectrum (square integrability).  Initial values on
-    the integer grid come from the unit eigenvector of the refinement matrix;
-    J sweeps of the refinement identity phi(x) = sqrt(2) sum a_s[n] phi(2x - n)
-    then fill in the dyadic midpoints exactly.
+    Requires a_s(0) = sqrt(2), else NormalizationFailure, and a stable
+    transfer spectrum (square integrability).  Initial values on the integer
+    grid come from the unit eigenvector of the refinement matrix; J sweeps of
+    the refinement identity phi(x) = sqrt(2) sum a_s[n] phi(2x - n) then fill
+    in the dyadic midpoints exactly.
 
     Each sweep keeps the coarser samples as they are (recomputing them adds
     rounding) and computes only the new odd ones, the odd samples of
@@ -161,7 +156,7 @@ def cascade(a_s: FirFilter, J: int) -> SampledFunction:
     same order.
     """
     if abs(a_s(0.0) - ROOT2) > 1e-9:
-        raise ValueError(
+        raise NormalizationFailure(
             f"scaling filter must satisfy a_s(0) = sqrt(2); got {a_s(0.0):.12g}")
     try:
         eigs = stability_spectrum(a_s)
@@ -245,18 +240,16 @@ def massless_relation_error(pair: FilterPair, J: int = DEFAULT_J) -> float:
 # ---------------------------------------------------------------------------
 
 def _ascend_block(taps: FirFilter, weight: float, half: int) -> np.ndarray:
-    """Transfer block T[m, n] = weight * taps[n - 2m], indices in [-half, half].
-
-    For taps on [a, b] the ascent's eigenvectors live on [-b, -a], so taps
-    that leave the window are refused (ValueError): the block would cut the
-    eigenvectors and report wrong eigenvalues.
+    """Ascent T[m, n] = weight * taps[n - 2m] on [-half, half], the transfer
+    block of the reflected taps.  For taps on [a, b] its eigenvectors live on
+    [-b, -a], so taps that leave the window are refused (ValueError): the
+    block would cut the eigenvectors and report wrong eigenvalues.
     """
     a, b = taps.support
     if not -half <= a <= b <= half:
         raise ValueError(f"filter support [{a}, {b}] does not fit the "
                          f"spectrum window [{-half}, {half}]")
-    idx = np.arange(-half, half + 1)
-    return weight * taps[idx - 2 * idx[:, None]]
+    return transfer_block(taps.reflect(), weight, (-half, half))
 
 
 def superoperator_check(pair: FilterPair, x_samples=(0.0, 0.25, 0.5),
@@ -304,20 +297,18 @@ def superoperator_spectrum(pair: FilterPair, half: int | None = None
 # descendant spectrum
 # ---------------------------------------------------------------------------
 
-def _divide_moment(a: FirFilter, l: int) -> FirFilter:
-    """Laurent division of a(k) by (1 + e^{ik})^l; NotDivisible on residue."""
-    coeffs = a.coeffs.copy()
-    offset = a.offset
-    scale = float(np.max(np.abs(coeffs)))
-    for _ in range(l):
+def _divide_moment(a: FirFilter, K: int) -> list[FirFilter]:
+    """Laurent quotients a(k) / (1 + e^{ik})^l, l = 0..K, in one pass of
+    divisions; NotDivisible on a residue above 1e-9 of a's largest tap."""
+    coeffs, out = a.coeffs, [a]
+    for _ in range(K):
         # (1 + e^{ik}) has taps {(-1): 1, 0: 1}; dividing shifts the offset up
-        q, r = np.polydiv(coeffs, np.array([1.0, 1.0]))
-        if np.max(np.abs(r)) > 1e-9 * scale:
+        coeffs, r = np.polydiv(coeffs, np.array([1.0, 1.0]))
+        if np.max(np.abs(r)) > 1e-9 * np.max(np.abs(a.coeffs)):
             raise NotDivisible(
                 f"moment-factor division residue {np.max(np.abs(r)):.3e}")
-        coeffs = q
-        offset += 1
-    return FirFilter(offset, coeffs)
+        out.append(FirFilter(out[-1].offset + 1, coeffs))
+    return out
 
 
 def descendant_spectrum(pair: FilterPair, K: int,
@@ -332,12 +323,10 @@ def descendant_spectrum(pair: FilterPair, K: int,
     """
     if K < 1:
         raise NotDivisible("at least one vanishing-moment factor is required")
-    _divide_moment(pair.h_s, K)  # raises NotDivisible unless fully divisible
     if half is None:
         half = 2 * pair.support_length()
     out = []
-    for l in range(K + 1):
-        hl = _divide_moment(pair.h_s, l)
+    for l, hl in enumerate(_divide_moment(pair.h_s, K)):
         eigs = np.linalg.eigvals(_ascend_block(hl, ROOT2 * 0.5 ** l, half))
         out.extend(float(e.real) for e in eigs if abs(e.imag) <= 1e-8)
     return np.sort(np.array(out))[::-1]

@@ -22,7 +22,8 @@ import numpy as np
 from .dispersion import Dispersion, Harmonic
 from .errors import (NonFiniteFilter, NoSolution, NormalizationFailure,
                      NotAdmissible, NotNonnegative)
-from .filters import ROOT2, FilterPair, FirFilter, halfband_defect, kgrid
+from .filters import (ROOT2, FilterPair, FirFilter, halfband_defect, kgrid,
+                      transfer_block)
 
 
 @dataclass(frozen=True)
@@ -209,13 +210,12 @@ def halfband_solve(s: FirFilter) -> FirFilter:
         return FirFilter.delta(0, 1.0 / s[0])
     best = None
     for R in range(max(S - 1, 1), S + 16, 2):
-        # unknowns r[0..R]; rows are the even-index entries of s * r
-        nmax = (S + R - 1) // 2
-        n, jj = np.ogrid[:nmax + 1, :R + 1]
+        # rows n <= (S + R - 1) / 2 of s[2n - l], folded onto r[0..R]
+        T = transfer_block(s, 1.0, (-R, R))[R:R + (S + R - 1) // 2 + 1]
         with np.errstate(over="ignore"):
-            A = s[2 * n - jj] + np.where(jj > 0, s[2 * n + jj], 0.0)
+            A = np.hstack([T[:, R:R + 1], T[:, R + 1:] + T[:, R - 1::-1]])
         _finite("half-band system of s", A)
-        rhs = np.zeros(nmax + 1)
+        rhs = np.zeros(len(A))
         rhs[0] = 1.0
         sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
         taps = np.concatenate([sol[:0:-1], sol])
@@ -289,23 +289,24 @@ def spectral_factorize(r: FirFilter, tol_positivity: float = 1e-10,
 def stability_spectrum(a_s: FirFilter) -> np.ndarray:
     """Eigenvalues of the downsampled autocorrelation operator on zero-mean polys.
 
-    T[n, m] = 2 c[2n - m] with c the autocorrelation of a_s, restricted to the
-    span of {delta_n - delta_{n+1}}; all moduli below 2 certify square-integrable
-    scaling functions and uniformly bounded decomposition maps.
+    T[n, m] = 2 c[2n - m] (filters.transfer_block) with c the autocorrelation
+    of a_s, restricted to the span of {delta_n - delta_{n+1}}; all moduli below
+    2 certify square-integrable scaling functions and uniformly bounded
+    decomposition maps (Cohen, Daubechies & Feauveau, CPAM 45, 1992).  The
+    coordinates of a zero-mean y in that basis are its partial sums, or minus
+    its tail sums.  Column m of T is nonzero only where |2n - m| < len(a_s),
+    rows about n = 0, so rows n < 0 are summed from the top and n >= 0 from
+    the bottom and the coordinates off that band stay exact zeros; sums from
+    one end leave rounding there that moves designed eigenvalues by 1e-8.
     """
     if abs(a_s(np.pi)) > 1e-6:
         raise NotAdmissible(
             f"filter has a_s(pi) = {abs(a_s(np.pi)):.3e}, needs a vanishing moment")
     M = max(1, (a_s.support[1] - a_s.support[0] + 2) // 2)
-    c = a_s.correlate(a_s)
-    dim = 4 * M + 1
-    idx = np.arange(-2 * M, 2 * M + 1)
-    T = 2.0 * c[2 * idx[:, None] - idx]
-    # zero-mean basis: columns delta_n - delta_{n+1}
-    V = np.eye(dim, dim - 1) - np.eye(dim, dim - 1, k=-1)
-    TV = T @ V
-    Tr, *_ = np.linalg.lstsq(V, TV, rcond=None)
-    return np.linalg.eigvals(Tr)
+    T = transfer_block(a_s.correlate(a_s), 2.0, (-2 * M, 2 * M))
+    D = T[:, :-1] - T[:, 1:]  # T (delta_m - delta_{m+1}), column by column
+    head, tail = np.cumsum(D[:2 * M], axis=0), np.cumsum(D[:2 * M:-1], axis=0)
+    return np.linalg.eigvals(np.vstack([head, -tail[::-1]]))
 
 
 # ---------------------------------------------------------------------------

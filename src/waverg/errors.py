@@ -61,8 +61,8 @@ class NotNonnegative(WavergError):
 
 
 class NormalizationFailure(WavergError):
-    """Design step whose filters cannot be normalized: a rational fit with
-    no positive denominator, or a nonpositive a(0), b(0) or g(0) h(0)."""
+    """Unnormalizable filters: a rational fit with no positive denominator, a
+    nonpositive a(0), b(0) or g(0) h(0), or a cascade's a_s(0) off sqrt(2)."""
 
 
 class FlowOutOfRange(WavergError):

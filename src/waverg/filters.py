@@ -323,6 +323,14 @@ def placed_gram_rows(filt: FirFilter, N: int, stride: int) -> np.ndarray:
     return out
 
 
+def transfer_block(taps: FirFilter, weight: float, window) -> np.ndarray:
+    """Two-scale transfer operator T[i, j] = weight * taps[2 n_i - n_j] on the
+    integer window (lo, hi), n_i = lo .. hi.  With taps.reflect() it is the
+    ascent weight * taps[n_j - 2 n_i] of the superoperator and cross-Gram."""
+    n = np.arange(window[0], window[1] + 1)
+    return weight * taps[2 * n[:, None] - n]
+
+
 def dilated_convolve(x: np.ndarray, taps: np.ndarray,
                      stride: int) -> np.ndarray:
     """Full convolution of x with ``taps`` placed ``stride`` apart,

@@ -80,7 +80,7 @@ class LayerStack:
     def epsilons(self) -> tuple:
         """Each layer's filter-relation defect against its level
         (epsilon_of), with each distinct pair's wavelet symbols evaluated
-        once."""
+        once; build_stack seeds it from its design reports."""
         return tuple(layer_epsilons(self.pairs, self.levels))
 
     def fitted_masses(self) -> list[float]:
@@ -117,6 +117,8 @@ def build_stack(d: Dispersion, design: DesignParams | FilterPair,
     stack = LayerStack(pairs, [np.sqrt(dl.omega_pi) for dl in levels], d,
                        reports)
     object.__setattr__(stack, "levels", levels)  # seed the cached flow
+    if reports:  # each design has measured epsilon_of(pair, level)
+        object.__setattr__(stack, "epsilons", tuple(r.epsilon for r in reports))
     return stack
 
 

@@ -241,6 +241,24 @@ def test_cascade_csv(tmp_path, pair_file):
     assert np.sum(data[:, 1]) * 2.0 ** -5 == pytest.approx(1.0, abs=1e-6)
 
 
+def test_cascade_of_a_pair_off_root2_is_a_numerical_failure(tmp_path, capsys):
+    # the m = 0.3 K2/L2 design pins g(0) h(0) = 2, and its g_s(0) misses
+    # sqrt(2) by 4e-6: a well-formed pair the cascade cannot normalize
+    pair = tmp_path / "m03.json"
+    assert main(["design", "--dispersion", "harmonic:m=0.3", "--K", "2",
+                 "--L", "2", "--out", str(pair)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "phi.csv"
+    assert main(["cascade", "--pair", str(pair), "--J", "8",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "NormalizationFailure"
+    assert "a_s(0) = sqrt(2)" in err["message"]
+    assert not out.exists()
+
+
 def test_spectrum_verb(pair_file, capsys):
     assert main(["spectrum", "--pair", pair_file, "--K", "2"]) == 0
     txt = capsys.readouterr().out

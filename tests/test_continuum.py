@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 from waverg import (DesignParams, FilterPair, FirFilter, Harmonic,
-                    NotDivisible, NoUnitEigenvalue, UnstableFilter,
+                    NormalizationFailure, NotDivisible, NoUnitEigenvalue, UnstableFilter,
                     adaptive_family, cascade,
                     descendant_spectrum, design_pair, discretize_smeared,
                     inner_product, massless_relation_error,
                     refinement_residual, scaling_function, superoperator_check,
                     superoperator_spectrum, wavelet_function)
 from waverg.continuum import (SampledFunction, _integer_samples,
-                              dual_wavelet_pairing, refine_with,
-                              translate_gram)
-from waverg.filters import HAAR_SCALING
+                              _unit_eigenvector, dual_wavelet_pairing,
+                              refine_with, translate_gram)
+from waverg.filters import HAAR_SCALING, transfer_block
 
 ROOT2 = np.sqrt(2.0)
 
@@ -86,7 +86,7 @@ def test_haar_cascade_is_indicator():
 
 
 def test_cascade_requires_root2_normalization():
-    with pytest.raises(ValueError):
+    with pytest.raises(NormalizationFailure, match=r"a_s\(0\) = sqrt\(2\)"):
         cascade(HAAR_SCALING.scale(1.1), 4)
 
 
@@ -313,6 +313,104 @@ def test_descendant_not_divisible(pair_k2l4, haar):
         descendant_spectrum(pair_k2l4, 5)  # more moments than the filter has
     with pytest.raises(NotDivisible):
         descendant_spectrum(haar, 0)
+
+
+def test_descendant_refuses_before_any_eigen_solve(monkeypatch, pair_k2l4):
+    def refuse(T):
+        raise AssertionError("eigen-solve before the divisibility check")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    with pytest.raises(NotDivisible):
+        descendant_spectrum(pair_k2l4, 5)
+
+
+def test_descendant_divides_once_per_order(monkeypatch, pair_k2l4):
+    calls = []
+    polydiv = np.polydiv
+
+    def count(u, v):
+        calls.append(len(u))
+        return polydiv(u, v)
+
+    monkeypatch.setattr(np, "polydiv", count)
+    descendant_spectrum(pair_k2l4, 2)
+    assert len(calls) == 2
+
+
+# -- every transfer operator is filters.transfer_block ----------------------
+
+def index_ascent(taps, weight, half):
+    """weight * taps[n - 2m] on [-half, half] by index arithmetic."""
+    idx = np.arange(-half, half + 1)
+    return weight * taps[idx - 2 * idx[:, None]]
+
+
+def divided_from_scratch(a, l):
+    """a(k) / (1 + e^{ik})^l by l divisions of the original taps."""
+    coeffs = a.coeffs.copy()
+    for _ in range(l):
+        coeffs = np.polydiv(coeffs, np.array([1.0, 1.0]))[0]
+    return FirFilter(a.offset + l, coeffs)
+
+
+@pytest.fixture(scope="module")
+def transfer_pairs(designs, pair_m08_k2l3, haar):
+    """(pair, K) for the massless grid, a massive design, Haar and a
+    K2/L4 pair shifted to the other offset parity."""
+    pair_k2l4 = designs[(2, 4)][0]
+    odd = FilterPair(pair_k2l4.g_s.shift(1), pair_k2l4.h_s.shift(1))
+    return ([(pair, K) for (K, _), (pair, _) in designs.items()]
+            + [(pair_m08_k2l3, 2), (haar, 1), (odd, 2)])
+
+
+def test_transfer_block_is_the_index_rule():
+    taps = FirFilter(-2, [0.5, -1.0, 3.0, 0.25])
+    T = transfer_block(taps, 2.0, (-3, 4))
+    for i, n in enumerate(range(-3, 5)):
+        for j, m in enumerate(range(-3, 5)):
+            assert T[i, j] == 2.0 * taps[2 * n - m]
+    assert np.array_equal(transfer_block(taps.reflect(), 2.0, (-3, 4)),
+                          index_ascent(taps, 2.0, 4)[1:, 1:])
+
+
+def test_integer_samples_bit_identical_to_index_arithmetic(transfer_pairs):
+    for pair, _ in transfer_pairs:
+        for a_s in (pair.g_s, pair.h_s):
+            n0, n1 = a_s.support
+            pts = np.arange(n0, n1 + 1)
+            want = _unit_eigenvector(ROOT2 * a_s[2 * pts[:, None] - pts],
+                                     1e-8, "integer refinement matrix")
+            x0, got = _integer_samples(a_s)
+            assert x0 == n0
+            assert np.array_equal(got, want)
+
+
+def test_spectra_bit_identical_to_index_arithmetic(transfer_pairs):
+    for pair, K in transfer_pairs:
+        half = 2 * pair.support_length()
+        ephi, epi = superoperator_spectrum(pair)
+        assert np.array_equal(ephi, np.linalg.eigvals(
+            index_ascent(pair.h_s, ROOT2, half)))
+        assert np.array_equal(epi, np.linalg.eigvals(
+            index_ascent(pair.g_s, 1.0 / ROOT2, half)))
+        want = []
+        for l in range(K + 1):
+            eigs = np.linalg.eigvals(index_ascent(
+                divided_from_scratch(pair.h_s, l), ROOT2 * 0.5 ** l, half))
+            want.extend(float(e.real) for e in eigs if abs(e.imag) <= 1e-8)
+        assert np.array_equal(descendant_spectrum(pair, K),
+                              np.sort(np.array(want))[::-1])
+
+
+def test_translate_gram_bit_identical_to_index_arithmetic(transfer_pairs):
+    for pair, _ in transfer_pairs:
+        corr = pair.g_s.correlate(pair.h_s)
+        half = max(abs(corr.support[0]), abs(corr.support[1])) + 1
+        want = FirFilter(-half, _unit_eigenvector(
+            index_ascent(corr, 1.0, half), 1e-6, "translate cross-Gram"))
+        got = translate_gram(pair)
+        assert got.offset == want.offset
+        assert np.array_equal(got.coeffs, want.coeffs)
 
 
 # -- exact dual pairings ---------------------------------------------------

@@ -1,14 +1,17 @@
 """Filter-pair design: all-pass phase, rational fit, half-band, factorization."""
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from waverg import (DesignParams, Harmonic, NonFiniteFilter, NoSolution,
                     NotAdmissible, NotNonnegative, WavergError, design_pair, epsilon_of,
                     flow, halfband_solve, kgrid, rational_approx_fit,
                     rational_approx_massless, spectral_factorize,
                     stability_spectrum, thiran_allpass)
-from waverg.design import allpass_phase_error
+from waverg.design import _binom_factor, allpass_phase_error
 from waverg.filters import HAAR_SCALING, FirFilter
 
 ROOT2 = np.sqrt(2.0)
@@ -53,7 +56,6 @@ def test_rational_approx_fit_matches_target_near_zero():
 
 def test_halfband_solve_pipeline_product():
     # the product s = a b (2 + 2 cos k)^K the pipeline factorizes
-    from waverg.design import _binom_factor
     a, b = rational_approx_massless(1)
     binom = _binom_factor(1)
     s = a.convolve(b).convolve(binom.convolve(binom.reflect()))
@@ -64,6 +66,30 @@ def test_halfband_solve_pipeline_product():
     for m in range(lo, hi + 1):
         if m % 2 == 0:
             assert p[m] == pytest.approx(1.0 if m == 0 else 0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("K, L", [(1, 1), (2, 2), (3, 4)])
+def test_halfband_system_is_the_folded_transfer_block(monkeypatch, K, L):
+    # every system the solve builds equals s[2n - j] + s[2n + j] (j > 0) on
+    # rows n = 0 .. (S + R - 1) // 2 and unknowns r[0..R], bit for bit
+    a, b = rational_approx_massless(L)
+    binom = _binom_factor(K)
+    s = a.convolve(b).convolve(binom.convolve(binom.reflect()))
+    systems = []
+    lstsq = np.linalg.lstsq
+
+    def spy(A, rhs, rcond=None):
+        systems.append(A)
+        return lstsq(A, rhs, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    halfband_solve(s)
+    S = s.support[1]
+    assert systems
+    for R, A in zip(range(max(S - 1, 1), S + 16, 2), systems):
+        n, j = np.ogrid[:(S + R - 1) // 2 + 1, :R + 1]
+        want = s[2 * n - j] + np.where(j > 0, s[2 * n + j], 0.0)
+        assert np.array_equal(A, want)
 
 
 def test_halfband_solve_requires_symmetry():
@@ -97,6 +123,89 @@ def test_stability_spectrum_haar():
 def test_stability_requires_vanishing_moment():
     with pytest.raises(NotAdmissible):
         stability_spectrum(FirFilter.delta(0, ROOT2))
+
+
+def lstsq_stability_spectrum(a_s):
+    """Reference: the same restriction as a least-squares solve against the
+    difference basis V, columns delta_n - delta_{n+1}."""
+    M = max(1, (a_s.support[1] - a_s.support[0] + 2) // 2)
+    c = a_s.correlate(a_s)
+    dim = 4 * M + 1
+    idx = np.arange(-2 * M, 2 * M + 1)
+    T = 2.0 * c[2 * idx[:, None] - idx]
+    # zero-mean basis: columns delta_n - delta_{n+1}
+    V = np.eye(dim, dim - 1) - np.eye(dim, dim - 1, k=-1)
+    TV = T @ V
+    Tr, *_ = np.linalg.lstsq(V, TV, rcond=None)
+    return np.linalg.eigvals(Tr)
+
+
+def assert_spectra_agree(got, want):
+    """Radius within 1e-10 relative, each eigenvalue of modulus >= 1e-3 of
+    the radius within 1e-8 of the radius of one of the other's, and the same
+    stable verdict."""
+    radius = np.max(np.abs(want))
+    assert abs(np.max(np.abs(got)) - radius) <= 1e-10 * radius
+    for a, b in ((got, want), (want, got)):
+        for z in a[np.abs(a) >= 1e-3 * radius]:
+            assert np.min(np.abs(b - z)) <= 1e-8 * radius
+    assert (np.max(np.abs(got)) < 2.0) == (radius < 2.0)
+
+
+@given(st.lists(st.floats(-4, 4, allow_nan=False, width=32), min_size=1,
+                max_size=10),
+       st.integers(-6, 6))
+@settings(max_examples=60, deadline=None)
+def test_stability_spectrum_matches_least_squares_restriction(q, offset):
+    # admissible filters sqrt(2)-normalized (1 + z) q
+    q = np.asarray(q)
+    assume(abs(q.sum()) >= 0.1 * np.max(np.abs(q)) > 0)
+    a_s = FirFilter(offset, np.convolve([1.0, 1.0], q))
+    a_s = a_s.scale(ROOT2 / a_s(0.0).real)
+    assert_spectra_agree(stability_spectrum(a_s), lstsq_stability_spectrum(a_s))
+
+
+def test_stability_spectrum_matches_least_squares_on_designs(designs):
+    # both scaling filters of the (K, L) grid at m = 0, 0.2 and 0.5
+    pairs = [pair for pair, _ in designs.values()] + [
+        design_pair(Harmonic(m), DesignParams(K, L))[0]
+        for m in (0.2, 0.5) for K, L in designs]
+    for a_s in [f for pair in pairs for f in (pair.g_s, pair.h_s)]:
+        assert_spectra_agree(stability_spectrum(a_s),
+                             lstsq_stability_spectrum(a_s))
+
+
+def exact_stability_spectrum(a_s, dps=30):
+    """The restricted operator of the float taps in dps-digit arithmetic:
+    exact autocorrelation, partial sums of the column differences."""
+    with mp.workdps(dps):
+        taps = [mp.mpf(float(x)) for x in a_s.coeffs]
+        c = {}
+        for i, x in enumerate(taps):
+            for j, y in enumerate(taps):
+                c[i - j] = c.get(i - j, 0) + x * y
+        M = max(1, (a_s.support[1] - a_s.support[0] + 2) // 2)
+        n = range(-2 * M, 2 * M + 1)
+        Tr = mp.matrix(4 * M, 4 * M)
+        for col, m in enumerate(n[:-1]):
+            acc = mp.mpf(0)
+            for row, k in enumerate(n[:-1]):
+                acc += 2 * (c.get(2 * k - m, 0) - c.get(2 * k - m - 1, 0))
+                Tr[row, col] = acc
+        return np.array([complex(e) for e in mp.eig(Tr, left=False,
+                                                    right=False)])
+
+
+def test_stability_spectrum_is_exact_to_rounding(designs):
+    # the K3/L4 g filter carries the most ill-conditioned eigenvalue of the
+    # massless grid (0.0041); the spectrum agrees with the high-precision one
+    # to rounding, where sums from one end of the window miss it by 1.3e-8
+    a_s = designs[(3, 4)][0].g_s
+    exact = exact_stability_spectrum(a_s)
+    got = stability_spectrum(a_s)
+    radius = np.max(np.abs(exact))
+    for z in exact[np.abs(exact) >= 1e-3 * radius]:
+        assert np.min(np.abs(got - z)) <= 1e-12 * radius
 
 
 def test_design_k2l4_frozen_quality(designs):

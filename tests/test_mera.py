@@ -15,6 +15,7 @@ from waverg import (DesignParams, FirFilter, Flat, GaplessUnregulated,
                     mass_flow, mera_covariance, multi_layer_map,
                     q_difference_norm, ring_covariance, stack_operator_bound,
                     theorem_bound, wavelet_channel_deviation)
+from waverg.design import layer_epsilons
 from waverg.errors import LatticeTooSmall
 from waverg.filters import decomposition_map, kgrid, placed_gram_rows
 
@@ -72,6 +73,26 @@ def test_designed_stack_epsilons_match_reports(massive_stack):
     # DesignParams' default grid is epsilon_of's grid
     assert massive_stack.epsilons == tuple(r.epsilon
                                            for r in massive_stack.reports)
+
+
+def _refuse_epsilons(pairs, levels):
+    raise AssertionError("layer epsilons measured again")
+
+
+def test_designed_stack_seeds_epsilons_from_reports(monkeypatch):
+    monkeypatch.setattr(waverg.mera, "layer_epsilons", _refuse_epsilons)
+    stack = build_stack(Harmonic(0.5), DesignParams(2, 2), 3)
+    assert stack.epsilons == tuple(r.epsilon for r in stack.reports)
+    monkeypatch.undo()
+    # the seeded values are the ones the stack would measure
+    assert stack.epsilons == tuple(layer_epsilons(stack.pairs, stack.levels))
+
+
+def test_pair_stack_measures_its_epsilons(monkeypatch, pair_k2l4):
+    stack = build_stack(Harmonic(0.5), pair_k2l4, 3)
+    monkeypatch.setattr(waverg.mera, "layer_epsilons", _refuse_epsilons)
+    with pytest.raises(AssertionError, match="measured again"):
+        stack.epsilons
 
 
 @pytest.mark.parametrize("design", [(2, 2), None, "redesign"])
