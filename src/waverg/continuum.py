@@ -10,6 +10,7 @@ discretization of smeared continuum fields onto the lattice.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,8 @@ class SampledFunction:
     """Compactly supported function sampled on the dyadic grid x0 + i / 2^level.
 
     ``x0`` is a dyadic rational stored as an exact binary float; the function
-    is zero outside [x0, x0 + (len(values) - 1) / 2^level].
+    is zero outside [x0, x0 + (len(values) - 1) / 2^level].  ``values`` is a
+    read-only view, so a function shared by several readers cannot change.
     """
 
     level: int
@@ -37,8 +39,9 @@ class SampledFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values",
-                           np.asarray(self.values, dtype=np.float64))
+        values = np.asarray(self.values, dtype=np.float64).view()
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     @property
     def spacing(self) -> float:
@@ -139,6 +142,11 @@ def _integer_samples(a_s: FirFilter) -> tuple[int, np.ndarray]:
     return a_s.offset, _unit_eigenvector(T, 1e-8, "integer refinement matrix")
 
 
+#: FirFilter -> the deepest cascade of it computed so far, held while the
+#: filter lives
+_CASCADES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def cascade(a_s: FirFilter, J: int) -> SampledFunction:
     """Scaling function of a_s on the dyadic grid of spacing 2^-J.
 
@@ -154,28 +162,47 @@ def cascade(a_s: FirFilter, J: int) -> SampledFunction:
     1 on the stride 2^level is even, so an odd sample reads only odd samples
     of the coarser grid: they are convolved at half the stride, added in the
     same order.
+
+    A filter's cascade is computed once and read from then on.  The deepest
+    one so far is kept as long as the filter object lives: a shallower J
+    reads every 2^(Jc - J)-th of its samples, which is the level-J cascade
+    bit for bit, since sweeps keep the coarser samples, and a deeper J
+    continues its sweeps.  The checks and the integer samples run only when
+    nothing is kept; a refusal is not kept.  The returned samples are
+    contiguous and read-only.
     """
-    if abs(a_s(0.0) - ROOT2) > 1e-9:
-        raise NormalizationFailure(
-            f"scaling filter must satisfy a_s(0) = sqrt(2); got {a_s(0.0):.12g}")
-    try:
-        eigs = stability_spectrum(a_s)
-    except NotAdmissible as err:
-        raise UnstableFilter(str(err)) from err
-    if np.max(np.abs(eigs)) >= 2.0:
-        raise UnstableFilter(
-            f"transfer spectral radius {np.max(np.abs(eigs)):.6g} >= 2")
-    x0, values = _integer_samples(a_s)
-    for level in range(J):
-        if level == 0:
-            odd = dilated_convolve(values, a_s.coeffs, 1)[1::2]
-        else:
-            odd = dilated_convolve(values[1::2], a_s.coeffs, 1 << (level - 1))
-        finer = np.empty(2 * values.size - 1)
-        finer[::2] = values
-        finer[1::2] = ROOT2 * odd
-        values = finer
-    return SampledFunction(J, float(x0), values)
+    kept = _CASCADES.get(a_s)
+    if kept is None:
+        if abs(a_s(0.0) - ROOT2) > 1e-9:
+            raise NormalizationFailure("scaling filter must satisfy a_s(0) = "
+                                       f"sqrt(2); got {a_s(0.0):.12g}")
+        try:
+            eigs = stability_spectrum(a_s)
+        except NotAdmissible as err:
+            raise UnstableFilter(str(err)) from err
+        if np.max(np.abs(eigs)) >= 2.0:
+            raise UnstableFilter(
+                f"transfer spectral radius {np.max(np.abs(eigs)):.6g} >= 2")
+        x0, values = _integer_samples(a_s)
+        kept = SampledFunction(0, float(x0), values)
+    if J < 0:
+        raise ValueError(f"cascade depth J must be >= 0, got {J}")
+    if J > kept.level:
+        values = kept.values
+        for level in range(kept.level, J):
+            if level == 0:
+                odd = dilated_convolve(values, a_s.coeffs, 1)[1::2]
+            else:
+                odd = dilated_convolve(values[1::2], a_s.coeffs,
+                                       1 << (level - 1))
+            finer = np.empty(2 * values.size - 1)
+            finer[::2] = values
+            finer[1::2] = ROOT2 * odd
+            values = finer
+        kept = SampledFunction(J, kept.x0, values)
+    _CASCADES[a_s] = kept
+    return SampledFunction(J, kept.x0, np.ascontiguousarray(
+        kept.values[::1 << (kept.level - J)]))
 
 
 def refinement_residual(phi: SampledFunction, a_s: FirFilter) -> float:
@@ -190,7 +217,11 @@ def refinement_residual(phi: SampledFunction, a_s: FirFilter) -> float:
 
 def wavelet_function(pair: FilterPair, channel: str, J: int = DEFAULT_J
                      ) -> SampledFunction:
-    """psi^a(x) = sqrt(2) sum_n a_w[n] phi^a(2x - n) on the level-J grid."""
+    """psi^a(x) = sqrt(2) sum_n a_w[n] phi^a(2x - n) on the level-J grid.
+
+    phi^a is read from the cascade of a_s (see cascade), so after
+    scaling_function(pair, channel, J) this costs one refine step.
+    """
     a_s, a_w = pair.channel(channel)
     # refine_with gains one dyadic level, so phi is needed at level J - 1 only
     phi = cascade(a_s, J - 1)

@@ -14,6 +14,7 @@ approximately satisfies the disentangling relation g_w = (omega/omega(pi)) h_w.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from math import comb, lgamma
 
@@ -236,10 +237,16 @@ def spectral_factorize(r: FirFilter, tol_positivity: float = 1e-10,
     and are split evenly; conjugate pairs stay together so f is real.  Requires r(k) >= 0 on the
     grid (up to tol), which is not guaranteed by the construction upstream.
     """
+    k = kgrid(grid)
+    return _spectral_factorize(r, tol_positivity, k, np.real(r(k)))
+
+
+def _spectral_factorize(r: FirFilter, tol_positivity: float, k: np.ndarray,
+                        rk: np.ndarray) -> FirFilter:
+    """spectral_factorize of r given its samples rk = Re r(k) on the grid k,
+    so a caller that reads rk too samples r once."""
     if not r.is_symmetric(1e-9):
         raise ValueError("r must be symmetric")
-    k = kgrid(grid)
-    rk = np.real(r(k))
     imin = int(np.argmin(rk))
     if rk[imin] < -tol_positivity:
         raise NotNonnegative(float(rk[imin]), float(k[imin]))
@@ -286,6 +293,10 @@ def spectral_factorize(r: FirFilter, tol_positivity: float = 1e-10,
 # transfer-operator stability
 # ---------------------------------------------------------------------------
 
+#: FirFilter -> its stability spectrum, held while the filter lives
+_SPECTRA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def stability_spectrum(a_s: FirFilter) -> np.ndarray:
     """Eigenvalues of the downsampled autocorrelation operator on zero-mean polys.
 
@@ -298,7 +309,13 @@ def stability_spectrum(a_s: FirFilter) -> np.ndarray:
     rows about n = 0, so rows n < 0 are summed from the top and n >= 0 from
     the bottom and the coordinates off that band stay exact zeros; sums from
     one end leave rounding there that moves designed eigenvalues by 1e-8.
+
+    A filter's spectrum is computed once and read from then on (a read-only
+    array, kept as long as the filter object lives); a refusal is not kept.
     """
+    eigs = _SPECTRA.get(a_s)
+    if eigs is not None:
+        return eigs
     if abs(a_s(np.pi)) > 1e-6:
         raise NotAdmissible(
             f"filter has a_s(pi) = {abs(a_s(np.pi)):.3e}, needs a vanishing moment")
@@ -306,7 +323,10 @@ def stability_spectrum(a_s: FirFilter) -> np.ndarray:
     T = transfer_block(a_s.correlate(a_s), 2.0, (-2 * M, 2 * M))
     D = T[:, :-1] - T[:, 1:]  # T (delta_m - delta_{m+1}), column by column
     head, tail = np.cumsum(D[:2 * M], axis=0), np.cumsum(D[:2 * M:-1], axis=0)
-    return np.linalg.eigvals(np.vstack([head, -tail[::-1]]))
+    eigs = np.linalg.eigvals(np.vstack([head, -tail[::-1]]))
+    eigs.setflags(write=False)
+    _SPECTRA[a_s] = eigs
+    return eigs
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +406,10 @@ def design_pair(d: Dispersion, params: DesignParams) -> tuple[FilterPair, Design
     cosfac = binom.convolve(binom.reflect())        # (2 + 2 cos k)^... per K
     s = a.convolve(b).convolve(cosfac)
     r = halfband_solve(s)
-    f = spectral_factorize(r, tol_positivity=params.tol_positivity,
-                           grid=params.grid_size)
     k = kgrid(params.grid_size)
-    positivity_min = float(np.min(np.real(r(k))))
+    rk = np.real(r(k))  # one sample set for the factorization and the margin
+    f = _spectral_factorize(r, params.tol_positivity, k, rk)
+    positivity_min = float(np.min(rk))
 
     g_s = b.convolve(binom).convolve(f)
     h_s = a.convolve(binom).convolve(f)

@@ -1,9 +1,12 @@
 """Cascade, refinement identities, superoperator spectra, adaptive families."""
 
+import gc
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waverg import (DesignParams, FilterPair, FirFilter, Harmonic,
                     NormalizationFailure, NotDivisible, NoUnitEigenvalue, UnstableFilter,
@@ -12,9 +15,10 @@ from waverg import (DesignParams, FilterPair, FirFilter, Harmonic,
                     inner_product, massless_relation_error,
                     refinement_residual, scaling_function, superoperator_check,
                     superoperator_spectrum, wavelet_function)
-from waverg.continuum import (SampledFunction, _integer_samples,
+from waverg.continuum import (_CASCADES, SampledFunction, _integer_samples,
                               _unit_eigenvector, dual_wavelet_pairing,
                               refine_with, translate_gram)
+from waverg.design import _SPECTRA, stability_spectrum
 from waverg.filters import HAAR_SCALING, transfer_block
 
 ROOT2 = np.sqrt(2.0)
@@ -220,6 +224,105 @@ def test_cascade_forms_no_zero_stuffed_filter(monkeypatch, pair_k2l4):
     for channel in "gh":
         assert cascade(pair_k2l4.channel(channel)[0], 8).level == 8
         assert wavelet_function(pair_k2l4, channel, 8).level == 8
+
+
+# -- one cascade per filter ---------------------------------------------------
+
+def _copy(pair):
+    """The same taps in new filter objects, which nothing has cascaded."""
+    return FilterPair(*(FirFilter(f.offset, f.coeffs) for f in (pair.g_s,
+                                                                  pair.h_s)))
+
+
+def _bitwise_equal(f, g):
+    return ((f.level, f.x0) == (g.level, g.x0)
+            and np.array_equal(f.values, g.values)
+            and np.array_equal(np.signbit(f.values), np.signbit(g.values)))
+
+
+@pytest.fixture(scope="module")
+def cascading_pairs(designs, pair_m08_k2l3, haar):
+    """The 12 massless designs, massive designs that cascade, and Haar."""
+    massive = [design_pair(Harmonic(m), DesignParams(K, L))[0]
+               for m, K, L in ((0.5, 2, 4), (0.9, 1, 3))]
+    return [p for p, _ in designs.values()] + massive + [pair_m08_k2l3, haar]
+
+
+READERS = {"cascade": lambda pair, ch, J: cascade(pair.channel(ch)[0], J),
+           "scaling": scaling_function, "wavelet": wavelet_function}
+
+
+@given(index=st.integers(0, 15), channel=st.sampled_from("gh"),
+       depths=st.lists(st.integers(1, 10), min_size=1, max_size=4),
+       wavelet_first=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_kept_cascade_reads_equal_cold_runs(cascading_pairs, index, channel,
+                                            depths, wavelet_first):
+    # each J lies at, below or above the level kept by the reads before it
+    pair = _copy(cascading_pairs[index])
+    order = ["wavelet", "scaling", "cascade"] if wavelet_first \
+        else ["cascade", "scaling", "wavelet"]
+    for J in depths:
+        for name in order:
+            kept = READERS[name](pair, channel, J)
+            cold = READERS[name](_copy(pair), channel, J)
+            assert _bitwise_equal(kept, cold), (name, J)
+
+
+@pytest.mark.parametrize("pair_or_filter", ["massive", "unstable"])
+def test_cascade_refusal_repeats_exactly(pair_or_filter):
+    if pair_or_filter == "massive":  # g_s(0) misses sqrt(2) by 4e-6
+        pair = design_pair(Harmonic(0.3), DesignParams(2, 2))[0]
+    else:  # transfer radius 13, as in test_cascade_rejects_unstable_filter
+        taps = 0.5 * np.convolve([1.0, 1.0], [3.0, -2.0]) * ROOT2
+        pair = FilterPair(FirFilter(0, taps), HAAR_SCALING)
+    seen = []
+    for function in (wavelet_function, scaling_function, wavelet_function):
+        with pytest.raises((NormalizationFailure, UnstableFilter)) as err:
+            function(pair, "g", 8)
+        seen.append((type(err.value), str(err.value)))
+    assert seen[0] == seen[1] == seen[2]
+    assert pair.g_s not in _CASCADES
+
+
+def test_memos_hold_filters_weakly():
+    gc.collect()
+    before = len(_CASCADES), len(_SPECTRA)
+    pair, report = design_pair(Harmonic(0.0), DesignParams(2, 2))
+    for channel in "gh":
+        scaling_function(pair, channel, 8)
+        wavelet_function(pair, channel, 8)
+    assert (len(_CASCADES), len(_SPECTRA)) == (before[0] + 2, before[1] + 2)
+    del pair, report
+    gc.collect()
+    assert (len(_CASCADES), len(_SPECTRA)) == before
+
+
+def test_kept_arrays_are_read_only(pair_k2l4):
+    phi = cascade(pair_k2l4.g_s, 6)
+    for f in (phi, scaling_function(pair_k2l4, "g", 4),
+              wavelet_function(pair_k2l4, "g", 6)):
+        with pytest.raises(ValueError, match="read-only"):
+            f.values[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        stability_spectrum(pair_k2l4.g_s)[0] = 0.0
+    # the caller's own array stays writable
+    own = np.zeros(3)
+    SampledFunction(0, 0.0, own)
+    own[0] = 1.0
+
+
+def test_public_cascade_is_contiguous(pair_k2l4):
+    a_s = _copy(pair_k2l4).g_s
+    cascade(a_s, 9)
+    assert cascade(a_s, 5).values.flags.c_contiguous
+
+
+def test_cascade_refuses_a_negative_depth(pair_k2l4):
+    with pytest.raises(ValueError, match="cascade depth J must be >= 0"):
+        cascade(pair_k2l4.g_s, -1)
+    with pytest.raises(ValueError, match="cascade depth J must be >= 0"):
+        wavelet_function(pair_k2l4, "h", 0)
 
 
 @pytest.mark.parametrize("function", [scaling_function, wavelet_function])

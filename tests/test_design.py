@@ -97,10 +97,11 @@ def test_halfband_solve_requires_symmetry():
         halfband_solve(FirFilter(0, np.array([1.0, 2.0])))
 
 
-def test_spectral_factorize_recovers_modulus():
+@pytest.mark.parametrize("grid", [64, 4096])
+def test_spectral_factorize_recovers_modulus(grid):
     f0 = FirFilter(0, np.array([1.0, 0.7, -0.2]))
     r = f0.correlate(f0)  # r(k) = |f0(k)|^2 >= 0
-    f = spectral_factorize(r)
+    f = spectral_factorize(r, grid=grid)
     k = kgrid(512)
     np.testing.assert_allclose(np.abs(f(k)), np.abs(f0(k)), atol=1e-8)
 
@@ -112,6 +113,15 @@ def test_spectral_factorize_rejects_negative():
         spectral_factorize(r)
     assert exc.value.min_value < -0.9
     assert "at_k" in exc.value.payload()
+
+
+def test_positivity_tolerance_governs_only_the_sampled_check():
+    # r(k) = cos k: a dip within the tolerance passes the sampled check, but
+    # its simple roots on the unit circle, at k = +-pi/2, still refuse it
+    r = FirFilter(-1, np.array([0.5, 0.0, 0.5]))
+    with pytest.raises(NotNonnegative) as exc:
+        spectral_factorize(r, tol_positivity=2.0)
+    assert abs(exc.value.at_k) == pytest.approx(np.pi / 2)
 
 
 def test_stability_spectrum_haar():
