@@ -80,9 +80,6 @@ class SampledFunction:
         return SampledFunction(self.level - l, self.x0 * 2.0 ** l,
                                2.0 ** (-l / 2.0) * self.values)
 
-    def scale(self, c: float) -> "SampledFunction":
-        return SampledFunction(self.level, self.x0, c * self.values)
-
     def fourier(self, k) -> np.ndarray:
         """f_hat(k) = integral f(x) e^{-ikx} dx by the grid Riemann sum.
 
@@ -173,7 +170,7 @@ def cascade(a_s: FirFilter, J: int) -> SampledFunction:
     """
     kept = _CASCADES.get(a_s)
     if kept is None:
-        if abs(a_s(0.0) - ROOT2) > 1e-9:
+        if not abs(a_s(0.0) - ROOT2) <= 1e-9:  # NaN is refused too
             raise NormalizationFailure("scaling filter must satisfy a_s(0) = "
                                        f"sqrt(2); got {a_s(0.0):.12g}")
         try:

@@ -23,8 +23,8 @@ import numpy as np
 from .dispersion import Dispersion, Harmonic
 from .errors import (NonFiniteFilter, NoSolution, NormalizationFailure,
                      NotAdmissible, NotNonnegative)
-from .filters import (ROOT2, FilterPair, FirFilter, halfband_defect, kgrid,
-                      transfer_block)
+from .filters import (DEFAULT_GRID, ROOT2, FilterPair, FirFilter,
+                      halfband_defect, kgrid, transfer_block)
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class DesignParams:
     K: int
     L: int
     tol_positivity: float = 1e-10
-    grid_size: int = 4096
+    grid_size: int = DEFAULT_GRID
 
     def __post_init__(self):
         if self.K < 1 or self.L < 1:
@@ -230,7 +230,7 @@ def halfband_solve(s: FirFilter) -> FirFilter:
 
 
 def spectral_factorize(r: FirFilter, tol_positivity: float = 1e-10,
-                       grid: int = 4096) -> FirFilter:
+                       grid: int = DEFAULT_GRID) -> FirFilter:
     """Real f with f(k) f(-k) = r(k), roots taken inside the closed unit disk.
 
     Roots within 1e-7 of the unit circle must occur with even multiplicity
@@ -339,9 +339,18 @@ def _binom_factor(K: int) -> FirFilter:
                                   dtype=np.float64))
 
 
+def _omega_pi(d: Dispersion) -> float:
+    """omega(pi) if it is positive and finite, else ValueError."""
+    wpi = d.omega_pi
+    if not 0 < wpi < np.inf:
+        raise ValueError("dispersion must have a positive, finite omega(pi), "
+                         f"got omega(pi) = {wpi:.6g}")
+    return wpi
+
+
 def epsilon_of(pair: FilterPair, d: Dispersion) -> float:
     """max_k |g_w(k) - (omega(k)/omega(pi)) h_w(k)| on the uniform grid
-    ``kgrid()`` of 4096 points."""
+    ``kgrid()`` of DEFAULT_GRID points."""
     return layer_epsilons([pair], [d])[0]
 
 
@@ -350,16 +359,12 @@ def layer_epsilons(pairs, levels) -> list[float]:
     g_w(k), h_w(k) are evaluated once per distinct pair object, and each
     level's ratio omega(k)/omega(pi) is applied to the shared arrays."""
     k = kgrid()
-    symbols = {}  # id(pair) -> (g_w(k), h_w(k)); the pairs outlive the loop
+    # FilterPair hashes by identity
+    symbols = {p: (p.g_w(k), p.h_w(k)) for p in dict.fromkeys(pairs)}
     out = []
     for pair, d in zip(pairs, levels):
-        wpi = d.omega_pi
-        if wpi <= 0:
-            raise ValueError("dispersion must have omega(pi) > 0")
-        if id(pair) not in symbols:
-            symbols[id(pair)] = pair.g_w(k), pair.h_w(k)
-        g_w, h_w = symbols[id(pair)]
-        ratio = np.asarray(d(k)) / wpi
+        g_w, h_w = symbols[pair]
+        ratio = np.asarray(d(k)) / _omega_pi(d)
         out.append(float(np.max(np.abs(g_w - ratio * h_w))))
     return out
 
@@ -383,6 +388,7 @@ def design_pair(d: Dispersion, params: DesignParams) -> tuple[FilterPair, Design
     A stage that leaves the double range (large K or L) is refused as
     NonFiniteFilter before the half-band solve, with no numpy warning.
     """
+    _omega_pi(d)  # refused before the shape test and the fit divide by it
     K, L = params.K, params.L
     # log C(2K, K), the largest tap of the moment factor (2 + 2 cos k)^K
     if lgamma(2 * K + 1) - 2 * lgamma(K + 1) > np.log(np.finfo(float).max):

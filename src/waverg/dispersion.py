@@ -17,9 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FlowOutOfRange, NegativeMass
-from .filters import kgrid
-
-_FLOW_GRID = 4096
+from .filters import DEFAULT_GRID, kgrid
 
 
 class Dispersion:
@@ -194,7 +192,7 @@ def mass_flow(m: float, levels: int) -> list[float]:
     return out
 
 
-def fitted_mass(d: Dispersion, grid: int = _FLOW_GRID) -> float:
+def fitted_mass(d: Dispersion, grid: int = DEFAULT_GRID) -> float:
     """Harmonic mass m of d, inf for a flat profile.
 
     Exact, a/b, for the harmonic family; otherwise a least-squares fit of
@@ -231,7 +229,7 @@ class FlowReport:
         return max(lv.omega_max for lv in self.levels)
 
 
-def flow_report(d: Dispersion, levels: int, grid: int = _FLOW_GRID) -> FlowReport:
+def flow_report(d: Dispersion, levels: int, grid: int = DEFAULT_GRID) -> FlowReport:
     """omega(pi), the max of omega on kgrid(grid) and, for the harmonic
     family, the fitted mass at each flow level 0..levels."""
     if grid < 1:

@@ -38,9 +38,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .design import DesignParams, design_pair, layer_epsilons
 from .dispersion import Dispersion, fitted_mass, flow, flow_report
-from .errors import (GaplessUnregulated, LatticeTooSmall, OutOfHypothesis,
-                     WavergError)
-from .filters import (FilterPair, check_lattice, kgrid, level_walk,
+from .errors import (GaplessUnregulated, LatticeTooSmall, NormalizationFailure,
+                     OutOfHypothesis, WavergError)
+from .filters import (FilterPair, FirFilter, check_lattice, kgrid, level_walk,
                       placed_gram_rows)
 from .continuum import cascade
 
@@ -95,7 +95,8 @@ def build_stack(d: Dispersion, design: DesignParams | FilterPair,
     layer l is designed against omega_l / omega_l(pi), and a design failure
     is re-raised with the failing layer recorded on the exception; a
     ``FilterPair`` serves every layer, as on the scale-invariant massless
-    chain.
+    chain.  A designed layer with the previous layer's taps, as on that
+    chain, holds that layer's pair object: the report shares work by object.
     """
     if not isinstance(design, (DesignParams, FilterPair)):
         raise TypeError("design must be DesignParams or FilterPair, "
@@ -109,10 +110,15 @@ def build_stack(d: Dispersion, design: DesignParams | FilterPair,
         designed = []
         for l, dl in enumerate(levels):
             try:
-                designed.append(design_pair(dl, design))
+                pair, report = design_pair(dl, design)
             except WavergError as err:
                 err.layer = l
                 raise
+            prev = designed[-1][0] if designed else pair
+            if all(a.offset == b.offset and np.array_equal(a.coeffs, b.coeffs)
+                   for a, b in ((pair.g_s, prev.g_s), (pair.h_s, prev.h_s))):
+                pair = prev
+            designed.append((pair, report))
         pairs, reports = zip(*designed)
     stack = LayerStack(pairs, [np.sqrt(dl.omega_pi) for dl in levels], d,
                        reports)
@@ -176,24 +182,6 @@ def _gram_block_rows(pairs, channel: str, N: int, scales):
         yield acc, scaling
 
 
-def _symmetrized(row: np.ndarray) -> np.ndarray:
-    """First block row of (G + G^T) / 2 from the first block row of a G that
-    commutes with shifts by P.
-
-    Block q of the first block row of G^T is block -q of G's, transposed, so
-    a matrix rolled out from the result is exactly symmetric.
-    """
-    P, N = row.shape
-    n = N // P
-    blocks = row.reshape(P, n, P)
-    out = np.empty_like(blocks)
-    # block by block: a fancy-indexed transpose of the whole view is a
-    # strided copy, twice as slow at P = 256
-    for q in range(n):
-        out[:, q] = 0.5 * (blocks[:, q] + blocks[:, -q % n].T)
-    return out.reshape(P, N)
-
-
 def _row_reader(row: np.ndarray, width: int = 1):
     """read(n, start): entries start .. start + width - 1 (mod N) of rows n
     of the N x N matrix G that commutes with shifts by P and has first block
@@ -219,21 +207,29 @@ def _roll_out(row: np.ndarray) -> np.ndarray:
 
 
 def _covariance_rows(stack: LayerStack, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """First block rows (q, p) of gamma_q = R_h^T R_h / 2 and
-    gamma_p = R_g^T R_g / 2 on Z_N, symmetrized (see _gram_block_rows)."""
+    """First block rows (q, p) of gamma_q = R_h^T R_h / 2 and gamma_p =
+    R_g^T R_g / 2 on Z_N as built (see _gram_block_rows), not symmetrized."""
     rows = []
     for channel, scales in (("h", [1.0 / s for s in stack.squeezes]),
                             ("g", stack.squeezes)):
         *_, (row, scaling) = _gram_block_rows(stack.pairs, channel, N, scales)
-        row = row + placed_gram_rows(scaling, N, len(row))
-        rows.append(_symmetrized(0.5 * row))
+        rows.append(0.5 * (row + placed_gram_rows(scaling, N, len(row))))
     return rows[0], rows[1]
+
+
+def _symmetric_roll_out(row: np.ndarray) -> np.ndarray:
+    """(C + C^T) / 2 of the C rolled out from ``row``, exactly symmetric."""
+    C = _roll_out(row)
+    C = C + C.T
+    C *= 0.5  # in place: one N x N transient, not two
+    return C
 
 
 def mera_covariance(stack: LayerStack, N: int) -> CovariancePair:
     """gamma_q = R_h^T R_h / 2 and gamma_p = R_g^T R_g / 2 on Z_N, rolled
-    out from the first block rows of the Grams (see _gram_block_rows)."""
-    return CovariancePair(N, *map(_roll_out, _covariance_rows(stack, N)))
+    out from _covariance_rows and made exactly symmetric where formed."""
+    return CovariancePair(N, *map(_symmetric_roll_out,
+                                  _covariance_rows(stack, N)))
 
 
 def _half(w: np.ndarray) -> np.ndarray:
@@ -544,12 +540,6 @@ def _below(symbols: np.ndarray, t: float) -> bool:
     return bool(np.isfinite(factor).all())
 
 
-def _layer_key(pair: FilterPair) -> tuple:
-    """A layer's four filters: offsets and coefficient bytes."""
-    return tuple((f.offset, f.coeffs.tobytes())
-                 for f in (pair.g_s, pair.g_w, pair.h_s, pair.h_w))
-
-
 def stack_operator_bound(stack: LayerStack, N: int = 512) -> float:
     """Max spectral norm over contiguous sub-stacks, both channels.
 
@@ -561,8 +551,8 @@ def stack_operator_bound(stack: LayerStack, N: int = 512) -> float:
     norm from P x P Gram symbols (see _gram_symbols).  One walk per first
     layer l0 yields the Gram rows of every sub-stack [l0, l1), and its g and
     h symbols are kept per depth.  A walk from l0 is not run when an earlier
-    run walk from j has the same filters at layers l0.. as at j.. and the
-    same squeezes after the first layer: every block of a g map of the walk
+    run walk from j has the same pair objects at layers l0.. as at j.. and
+    the same squeezes after the first layer: every block of a g map of the walk
     from l0 is then the walk-j block times c = s[l0] / s[j], so its g norms
     are walk j's times c and its h norms walk j's divided by c, up to its
     own depth L - l0.  On a scale-invariant stack, whose layers all share one
@@ -580,15 +570,14 @@ def stack_operator_bound(stack: LayerStack, N: int = 512) -> float:
     gets eigvalsh too.  So the result is the maximum of the same
     floating-point numbers as with eigvalsh on every batch.
     """
-    keys = list(map(_layer_key, stack.pairs))
-    s = stack.squeezes
+    pairs, s = stack.pairs, stack.squeezes
     L = stack.depth
     # first layer of a run walk -> its (depth index, channel, symbol batch,
     # ratios c of the sub-stacks that read it)
     walks = {}
     for l0 in range(L):
         depth = L - l0
-        j = next((j for j in walks if keys[l0:] == keys[j:j + depth]
+        j = next((j for j in walks if pairs[l0:] == pairs[j:j + depth]
                   and s[l0 + 1:] == s[j + 1:j + depth]), None)
         if j is None:
             j = l0
@@ -597,7 +586,7 @@ def stack_operator_bound(stack: LayerStack, N: int = 512) -> float:
                 for channel, scales in (("g", s[l0:]),
                                         ("h", [1.0 / x for x in s[l0:]]))
                 for d, (rows, scaling) in enumerate(_gram_block_rows(
-                    stack.pairs[l0:], channel, N, scales))
+                    pairs[l0:], channel, N, scales))
                 for S in _gram_symbols(
                     rows + placed_gram_rows(scaling, N, len(rows)))
                 if len(S)]
@@ -622,19 +611,24 @@ def stack_operator_bound(stack: LayerStack, N: int = 512) -> float:
 
 
 def stack_amplitude_bound(stack: LayerStack) -> float:
-    """Max sup-norm of the depth-10 cascades of all filters in the stack."""
-    worst = 0.0
-    seen = set()
-    for pair in stack.pairs:
-        for a_s in (pair.g_s, pair.h_s):
-            key = (a_s.offset, a_s.coeffs.tobytes())
-            if key in seen:
-                continue
-            seen.add(key)
+    """Max sup-norm of the depth-10 cascades of all filters in the stack,
+    each filter object rescaled to a_s(0) = sqrt(2) and cascaded once.  One
+    that no rescaling normalizes is refused before any cascade, as
+    NormalizationFailure on the first layer holding it."""
+    pairs, normalized = stack.pairs, []
+    for a_s in dict.fromkeys(f for p in pairs for f in (p.g_s, p.h_s)):
+        with np.errstate(all="ignore"):  # a0 = 0 gives inf taps: refused
             a0 = float(np.real(a_s(0.0)))
-            phi = cascade(a_s.scale(np.sqrt(2.0) / a0), 10)
-            worst = max(worst, float(np.max(np.abs(phi.values))))
-    return worst
+            taps = np.sqrt(2.0) / a0 * a_s.coeffs
+        if not (np.isfinite(a0) and np.isfinite(taps).all()):
+            err = NormalizationFailure(f"scaling filter has a_s(0) = {a0:.3e}"
+                                       " and cannot be rescaled to sqrt(2)")
+            err.layer = next(l for l, p in enumerate(pairs)
+                             if a_s in (p.g_s, p.h_s))
+            raise err
+        normalized.append(FirFilter(a_s.offset, taps))
+    return max(float(np.max(np.abs(cascade(f, 10).values)))
+               for f in normalized)
 
 
 @dataclass(frozen=True, eq=False)
@@ -652,17 +646,18 @@ class ErrorReport:
     constants: dict
     quad_error: float
     #: first block rows (q, p) of the MERA covariance the deviations were
-    #: measured on, P x N each (not serialized)
+    #: measured on, P x N each, as built (not serialized)
     covariance_rows: tuple = field(repr=False)
     #: the oracle and its samples of omega, for later profiles (not serialized)
     oracle: _Quadrature = field(repr=False)
 
     @cached_property
     def covariance(self) -> CovariancePair:
-        """The MERA covariance on Z_N, rolled out from ``covariance_rows``."""
+        """The MERA covariance on Z_N, rolled out from ``covariance_rows``
+        and made exactly symmetric (_symmetric_roll_out)."""
         q_rows, p_rows = self.covariance_rows
-        return CovariancePair(q_rows.shape[1], _roll_out(q_rows),
-                              _roll_out(p_rows))
+        return CovariancePair(q_rows.shape[1], _symmetric_roll_out(q_rows),
+                              _symmetric_roll_out(p_rows))
 
     def exact_profiles(self, offsets) -> tuple[np.ndarray, np.ndarray]:
         """Exact gamma_p and regulated gamma_q at ``offsets``."""
@@ -730,8 +725,9 @@ def error_report(stack: LayerStack, N: int, quad_points: int = 1 << 16,
     at depth 8); the folded layers stay circulant and biorthogonal, and
     depth-8 delta_p at N = 2048 (1.194548273e-3) agrees with the
     infinite-lattice value (1.194548259e-3) to about 1e-11.  The entries
-    are read from the covariance's first block rows (P x N, P = 2^depth);
-    no N x N array is formed unless ``covariance`` is read.
+    are read from the covariance's first block rows (P x N, P = 2^depth)
+    as built; no N x N array is formed unless ``covariance`` is read, and
+    that roll-out is made exactly symmetric where it is formed.
     The oracle samples the dispersion once, on its fine grid, for all its
     profiles and norms; quad_points must exceed N, so that the grid does not
     alias the window's offsets.  ``quad_error`` is the largest certified

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from waverg import FilterPair, Flat, Harmonic, flow, mass_flow
+from waverg import (FilterPair, FirFilter, Flat, Harmonic, flow, kgrid,
+                    mass_flow)
 from waverg.cli import main
 
 
@@ -813,3 +814,38 @@ def test_integer_flag_exit_code_contract(argv, flag, value, pair_file,
         assert "nan" not in text and "inf" not in text, text
     if code == 2:
         json.loads(err.getvalue().strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("verb", ["simulate", "design", "sweep"])
+def test_degenerate_input_is_refused_without_library_text(verb, tmp_path,
+                                                          capfd):
+    # a zero-mean scaling filter, and a dispersion with omega(pi) = 0: the
+    # refusal is the package's own, with no numpy warning or LAPACK message
+    # on the process's own streams (capfd reads the file descriptors)
+    if verb == "simulate":
+        r = 0.5 ** 0.5
+        pair = tmp_path / "zero_mean.json"
+        FilterPair(FirFilter(0, np.array([r, -r])),
+                   FirFilter(0, np.array([r, r]))).save(pair)
+        argv = ["simulate", "--pair", str(pair), "--layers", "2", "--N",
+                "64", "--quad-points", "4096"]
+    else:
+        table = tmp_path / "zero.csv"
+        table.write_text("k,omega\n" + "".join(
+            f"{k!r},0.0\n" for k in kgrid(16).tolist()))
+        argv = [verb, "--dispersion", f"tabulated:{table}", "--K", "1",
+                "--L", "1"]
+    code = main(argv)
+    captured = capfd.readouterr()
+    for text in (captured.out, captured.err):
+        assert "** On entry to" not in text and "RuntimeWarning" not in text
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    if verb == "simulate":
+        assert code == 2
+        payload = json.loads(line)
+        assert payload["error"] == "NormalizationFailure"
+        assert payload["layer"] == 0
+    else:
+        assert code == 1
+        assert line.startswith("error: ") and "omega(pi) = 0" in line

@@ -89,9 +89,11 @@ def test_haar_cascade_is_indicator():
     assert refinement_residual(phi, HAAR_SCALING) < 1e-12
 
 
-def test_cascade_requires_root2_normalization():
+@pytest.mark.parametrize("taps", [HAAR_SCALING.coeffs * 1.1, [np.nan, 1.0]])
+def test_cascade_requires_root2_normalization(taps):
+    # a_s(0) = NaN is refused too, not read as "within 1e-9 of sqrt(2)"
     with pytest.raises(NormalizationFailure, match=r"a_s\(0\) = sqrt\(2\)"):
-        cascade(HAAR_SCALING.scale(1.1), 4)
+        cascade(FirFilter(0, np.asarray(taps)), 4)
 
 
 def test_cascade_rejects_unstable_filter():

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from waverg import (DesignParams, Harmonic, NonFiniteFilter, NoSolution,
-                    NotAdmissible, NotNonnegative, WavergError, design_pair, epsilon_of,
-                    flow, halfband_solve, kgrid, rational_approx_fit,
+import waverg.design
+from waverg import (DesignParams, Dispersion, Harmonic, NonFiniteFilter,
+                    NoSolution, NotAdmissible, NotNonnegative, Tabulated,
+                    WavergError, design_pair, epsilon_of, flow, haar_pair,
+                    halfband_solve, kgrid, rational_approx_fit,
                     rational_approx_massless, spectral_factorize,
                     stability_spectrum, thiran_allpass)
-from waverg.design import _binom_factor, allpass_phase_error
+from waverg.design import _binom_factor, allpass_phase_error, layer_epsilons
 from waverg.filters import HAAR_SCALING, FirFilter
 
 ROOT2 = np.sqrt(2.0)
@@ -294,3 +296,33 @@ def test_design_past_the_double_range_names_its_stage(m, K, L, stage):
 def test_halfband_solve_refuses_non_finite_target():
     with pytest.raises(NonFiniteFilter, match="half-band target s"):
         halfband_solve(FirFilter(-1, [1.0, np.inf, 1.0]))
+
+
+class _Constant(Dispersion):
+    """omega(k) = value everywhere (no Tabulated can hold NaN or inf)."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __call__(self, k):
+        out = np.full(np.shape(k), self.value)
+        return float(out) if out.ndim == 0 else out
+
+
+@pytest.mark.parametrize("d, shown", [
+    (Tabulated(kgrid(16), np.zeros(16)), "omega(pi) = 0"),
+    (_Constant(np.nan), "omega(pi) = nan"),
+    (_Constant(np.inf), "omega(pi) = inf")])
+def test_design_refuses_omega_pi_before_the_fit(d, shown, monkeypatch):
+    # the shape test and the fit divide by omega(pi): at 0 the fit's lstsq
+    # printed LAPACK messages and failed to converge
+    def refuse(*args):
+        raise AssertionError("design ran past the omega(pi) check")
+
+    monkeypatch.setattr(waverg.design, "_is_massless_shape", refuse)
+    monkeypatch.setattr(waverg.design, "rational_approx_fit", refuse)
+    with pytest.raises(ValueError, match="positive, finite omega") as exc:
+        design_pair(d, DesignParams(1, 1))
+    assert shown in str(exc.value)
+    with pytest.raises(ValueError, match="positive, finite omega"):
+        layer_epsilons([haar_pair()], [d])

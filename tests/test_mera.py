@@ -8,16 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import waverg.mera
-from waverg import (DesignParams, FirFilter, Flat, GaplessUnregulated,
-                    Harmonic, LayerStack, NotNonnegative, OutOfHypothesis,
+from waverg import (DesignParams, FilterPair, FirFilter, Flat,
+                    GaplessUnregulated, Harmonic, LayerStack,
+                    NormalizationFailure, NotNonnegative, OutOfHypothesis,
                     build_stack, epsilon_of, error_report, exact_covariance,
                     exact_p_profile, exact_q_profile, flow, haar_pair,
                     mass_flow, mera_covariance, multi_layer_map,
-                    q_difference_norm, ring_covariance, stack_operator_bound,
+                    q_difference_norm, ring_covariance,
+                    stack_amplitude_bound, stack_operator_bound,
                     theorem_bound, wavelet_channel_deviation)
 from waverg.design import layer_epsilons
 from waverg.errors import LatticeTooSmall
-from waverg.filters import decomposition_map, kgrid, placed_gram_rows
+from waverg.filters import (HAAR_SCALING, decomposition_map, kgrid,
+                            placed_gram_rows)
 
 from stack_references import pr_stacks, reference_chain
 
@@ -30,10 +33,9 @@ def test_build_stack_massless_squeezes(designs, massless):
     assert stack.squeezes[0] == pytest.approx(1.0, abs=1e-12)
     for s in stack.squeezes[1:]:
         assert s == pytest.approx(np.sqrt(0.5), abs=1e-12)
-    # massless shape is a flow fixed point: every layer gets the same design
-    for pair in stack.pairs[1:]:
-        np.testing.assert_allclose(pair.g_s.coeffs, stack.pairs[0].g_s.coeffs,
-                                   atol=1e-12)
+    # massless shape is a flow fixed point: every layer gets the same
+    # design, and holds the first layer's pair object
+    assert all(pair is stack.pairs[0] for pair in stack.pairs)
 
 
 @pytest.mark.parametrize("m", [0.0, 0.3])
@@ -470,27 +472,15 @@ def test_single_entry_read_copies_no_rows():
 
 @settings(max_examples=40, deadline=None)
 @given(pr_stacks())
-def test_symmetrized_matches_dense_symmetrization_on_random_stacks(case):
-    # the same first block rows, rolled out to G and symmetrized densely
+def test_mera_covariance_is_the_symmetrized_roll_out_on_random_stacks(case):
+    # the rows as built, rolled out and symmetrized where the matrix forms
     stack, N = case
-    for channel, scales in (("h", [1.0 / s for s in stack.squeezes]),
-                            ("g", stack.squeezes)):
-        *_, (row, scaling) = waverg.mera._gram_block_rows(
-            stack.pairs, channel, N, scales)
-        row = row + placed_gram_rows(scaling, N, len(row))
-        G = waverg.mera._roll_out(row)
-        assert np.array_equal(
-            waverg.mera._roll_out(waverg.mera._symmetrized(row)),
-            (G + G.T) / 2)
-
-
-@pytest.mark.parametrize("P, N", [(1, 8), (4, 32), (8, 8), (16, 256)])
-def test_symmetrized_bit_identical_to_fancy_indexed_transpose(P, N):
-    row = np.random.default_rng(P * N).standard_normal((P, N))
-    blocks = row.reshape(P, N // P, P)
-    mirrored = blocks[:, -np.arange(N // P) % (N // P), :].transpose(2, 1, 0)
-    want = (0.5 * (blocks + mirrored)).reshape(P, N)
-    assert np.array_equal(waverg.mera._symmetrized(row), want)
+    cov = mera_covariance(stack, N)
+    for block, row in zip((cov.q_block, cov.p_block),
+                          waverg.mera._covariance_rows(stack, N)):
+        C = waverg.mera._roll_out(row)
+        assert np.array_equal(block, 0.5 * (C + C.T))
+        assert np.array_equal(block, block.T)
 
 
 def test_regulated_uncertainty_raises():
@@ -564,13 +554,12 @@ def _all_walks_operator_bound(stack, N):
 def _eigvalsh_norms(stack, N):
     """(c, channel, norm) per sub-stack read by stack_operator_bound, with
     the same walk reuse and eigvalsh on every symbol of every walk run."""
-    keys = list(map(waverg.mera._layer_key, stack.pairs))
-    s = stack.squeezes
+    pairs, s = stack.pairs, stack.squeezes
     L = stack.depth
     walks, out = {}, []
     for l0 in range(L):
         depth = L - l0
-        j = next((j for j in walks if keys[l0:] == keys[j:j + depth]
+        j = next((j for j in walks if pairs[l0:] == pairs[j:j + depth]
                   and s[l0 + 1:] == s[j + 1:j + depth]), None)
         if j is None:
             j = l0
@@ -594,9 +583,16 @@ def _eigvalsh_operator_bound(stack, N):
     return max(0.0, *(norm for _, _, norm in _eigvalsh_norms(stack, N)))
 
 
+def _copy(pair):
+    """A second FilterPair object with the same taps."""
+    return FilterPair(*(FirFilter(f.offset, f.coeffs)
+                        for f in (pair.g_s, pair.h_s)))
+
+
 @pytest.mark.parametrize("case, N, walks", [
     ("massless_8", 512, 1), ("k1l1_10", 1024, 1), ("massive", 512, 5),
-    ("last_squeeze", 256, 5), ("first_squeeze", 256, 1)])
+    ("last_squeeze", 256, 5), ("first_squeeze", 256, 1),
+    ("byte_copies", 256, 2)])
 def test_operator_bound_reuses_walks_exactly(case, N, walks, monkeypatch,
                                              massless_k2l4_8, massive_stack,
                                              pair_k2l4):
@@ -612,8 +608,11 @@ def test_operator_bound_reuses_walks_exactly(case, N, walks, monkeypatch,
         # where walk 0 does not, so only the depth-1 walk 5 is reused
         stack = LayerStack((pair_k2l4,) * 6, (1.0,) + (r,) * 4 + (3.0,),
                            Harmonic(0.0))
-    else:  # the first squeeze differs from the rest: every walk reuses walk 0
+    elif case == "first_squeeze":  # every walk reuses walk 0
         stack = LayerStack((pair_k2l4,) * 6, (1.3,) + (r,) * 5, Harmonic(0.0))
+    else:  # equal taps in two pair objects: walks are shared by object only
+        stack = LayerStack((pair_k2l4, _copy(pair_k2l4)), (1.0, r),
+                           Harmonic(0.0))
     want = _all_walks_operator_bound(stack, N)
     calls = []
     walk = waverg.mera._gram_block_rows
@@ -638,6 +637,43 @@ def test_certified_operator_bound_is_the_eigvalsh_maximum(case):
     got = stack_operator_bound(stack, N)
     assert got == _eigvalsh_operator_bound(stack, N)
     assert got == pytest.approx(_dense_operator_bound(stack, N), rel=1e-12)
+
+
+@pytest.mark.parametrize("copies, cascades", [(False, 2), (True, 4)])
+def test_amplitude_bound_cascades_each_filter_object_once(
+        copies, cascades, monkeypatch, pair_k2l4):
+    second = _copy(pair_k2l4) if copies else pair_k2l4
+    stack = LayerStack((pair_k2l4, second, pair_k2l4), (1.0, 0.7, 0.7),
+                       Harmonic(0.0))
+    calls, run = [], waverg.mera.cascade
+
+    def counting(a_s, J):
+        calls.append(a_s)
+        return run(a_s, J)
+    monkeypatch.setattr(waverg.mera, "cascade", counting)
+    got = stack_amplitude_bound(stack)
+    assert len(calls) == cascades
+    assert got == stack_amplitude_bound(
+        LayerStack((pair_k2l4,), (1.0,), Harmonic(0.0)))
+
+
+@pytest.mark.parametrize("taps, a0", [([1.0, -1.0], "0.000e+00"),
+                                      ([1e-310, 1e-310], "2.000e-310")])
+def test_amplitude_bound_refuses_unnormalizable_filter(taps, a0, monkeypatch,
+                                                       pair_k2l4):
+    # a_s(0) = 0 divided sqrt(2) by zero; a subnormal a_s(0) rescales the
+    # taps past the double range.  Both are refused before any cascade, on
+    # the first layer holding the filter
+    def refuse(a_s, J):
+        raise AssertionError("cascade ran")
+
+    bad = FilterPair(FirFilter(0, np.array(taps)), HAAR_SCALING)
+    stack = LayerStack((pair_k2l4, bad, bad), (1.0, 0.7, 0.7), Harmonic(0.0))
+    monkeypatch.setattr(waverg.mera, "cascade", refuse)
+    with pytest.raises(NormalizationFailure) as exc:
+        stack_amplitude_bound(stack)
+    assert f"a_s(0) = {a0}" in str(exc.value)
+    assert exc.value.payload()["layer"] == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -824,21 +860,20 @@ def test_error_report_deviations_match_rolled_out_covariance(
     pairs = ((0, 1), (0, 4), (0, 16), (3, -5), (-7, 2), (40, 41))
     rep = error_report(stack, N, quad_points=quad, pairs_to_check=pairs)
     d = stack.base_dispersion
-    cov = mera_covariance(stack, N)
+    # the report reads the rows as built, not their symmetrized roll-out
+    q, p = map(waverg.mera._roll_out, rep.covariance_rows)
     window = np.arange(-(N // 4), N // 4 + 1)
     offsets = np.arange(N // 2 + 1)
     p_prof, _ = exact_p_profile(d, offsets, quad)
-    assert rep.delta_p == _dense_window_deviation(p_prof, cov.p_block, window)
+    assert rep.delta_p == _dense_window_deviation(p_prof, p, window)
     if d.gapless:
         assert rep.delta_q is None
     else:
         q_prof, _ = exact_q_profile(d, offsets, quad, regulated=False)
-        assert rep.delta_q == _dense_window_deviation(q_prof, cov.q_block,
-                                                      window)
+        assert rep.delta_q == _dense_window_deviation(q_prof, q, window)
     deltas = sorted({abs(n - m) for n, m in pairs})
     reg, _ = exact_q_profile(d, np.array(deltas), quad, regulated=True)
     reg = dict(zip(deltas, reg))
-    q = cov.q_block
     assert rep.delta_q_regulated == {
         (n, m): float(abs(reg[abs(n - m)] - (q[n % N, m % N] - q[n % N, n % N])))
         for n, m in pairs}
