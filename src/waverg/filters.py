@@ -15,7 +15,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import LatticeTooSmall
 
@@ -306,9 +306,16 @@ def placed_gram_rows(filt: FirFilter, N: int, stride: int) -> np.ndarray:
     Row x holds the lags y - x in (-len, len) of the filter's strided
     autocorrelation, summed mod N.  They are B[:, :stride].T @ B for the
     block B placed on the smallest ring Z_n, n a multiple of ``stride`` below
-    N, that keeps the 2 len - 1 lags apart, scattered into the N columns:
+    N, that keeps the 2 len - 1 lags apart, copied into the N columns:
     about min(N, 2 len)^2 flops and no N x N map.  A filter whose lags would
     alias on Z_N is placed on Z_N itself.
+
+    The lags of row x are one run, columns x + 1 - len .. x + len - 1.  It
+    is read through a skewed view of the rows (their columns from 1 - len
+    on, wrapped mod n) and written through a skewed view of rows len - 1
+    columns wider than N, whose first len - 1 columns, the negative ones,
+    are then folded onto the last: copies only.  The result may be that
+    wider array's view.
     """
     taps = len(filt)
     n = min(N, -(-(2 * taps - 1) // stride) * stride)
@@ -316,11 +323,20 @@ def placed_gram_rows(filt: FirFilter, N: int, stride: int) -> np.ndarray:
     rows = B[:, :stride].T @ B
     if n == N:
         return rows
-    x = np.arange(stride)[:, None]
-    cols = x + np.arange(1 - taps, taps)
-    out = np.zeros((stride, N))
-    out[x, cols % N] = rows[x, cols % n]
-    return out
+    runs = np.take(rows, np.arange(1 - taps, stride + taps - 1), axis=1,
+                   mode="wrap")
+    out = np.zeros((stride, N + taps - 1))
+    _skewed(out, 2 * taps - 1)[...] = _skewed(runs, 2 * taps - 1)
+    # a run is shorter than N: a folded column meets zeros only
+    out[:, N:] += out[:, :taps - 1]
+    return out[:, taps - 1:]
+
+
+def _skewed(a: np.ndarray, width: int) -> np.ndarray:
+    """View v[x, j] = a[x, x + j], j < width, of a C-contiguous 2-D array
+    whose rows hold len(a) - 1 + width columns."""
+    return as_strided(a, (len(a), width), (a.strides[0] + a.itemsize,
+                                           a.itemsize))
 
 
 def transfer_block(taps: FirFilter, weight: float, window) -> np.ndarray:

@@ -171,15 +171,24 @@ def _gram_block_rows(pairs, channel: str, N: int, scales):
     each stride doubles the rows held so far by one roll.  No N x N map is
     formed.  G commutes with input shifts by P: row qP + r of G is row r
     rolled by qP.
+
+    The rows live in one 2^len(pairs) x N buffer: a stride s copies its
+    first s / 2 rows, rolled by s / 2, into rows s / 2 .. s - 1 and adds its
+    placed Gram into the first s in place.  A yielded array is that view of
+    the buffer, overwritten by the next step: read it (or copy it) before
+    advancing the walk.
     """
     check_lattice(pairs, N)
-    acc = np.zeros((1, N))
+    buf = np.zeros((1 << len(pairs), N))
     for depth, (scaling, wavelet) in enumerate(
             level_walk(pairs, channel, scales), 1):
         s = 1 << depth
-        acc = (np.vstack([acc, np.roll(acc, s // 2, axis=1)])
-               + placed_gram_rows(wavelet, N, s))
-        yield acc, scaling
+        h = s // 2
+        buf[h:s, h:] = buf[:h, :N - h]
+        buf[h:s, :h] = buf[:h, N - h:]
+        rows = buf[:s]
+        rows += placed_gram_rows(wavelet, N, s)
+        yield rows, scaling
 
 
 def _row_reader(row: np.ndarray, width: int = 1):
@@ -213,7 +222,10 @@ def _covariance_rows(stack: LayerStack, N: int) -> tuple[np.ndarray, np.ndarray]
     for channel, scales in (("h", [1.0 / s for s in stack.squeezes]),
                             ("g", stack.squeezes)):
         *_, (row, scaling) = _gram_block_rows(stack.pairs, channel, N, scales)
-        rows.append(0.5 * (row + placed_gram_rows(scaling, N, len(row))))
+        # the walk has ended, so its buffer is free to finish in place
+        row += placed_gram_rows(scaling, N, len(row))
+        row *= 0.5
+        rows.append(row)
     return rows[0], rows[1]
 
 
@@ -513,9 +525,21 @@ def _gram_symbols(block_row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The blocks are real, so symbols at theta and -theta are conjugate and
     share their eigenvalues: an rfft gives all of them, and the symbols at
     theta = 0 and pi are real.  The complex batch is empty when N/P <= 2.
+    There the real symbols are the one block B_0 (N/P = 1, the block row
+    itself) or B_0 + B_1 and B_0 - B_1 (N/P = 2), pocketfft's sums bit for
+    bit.  From N/P = 4 on, block sums match it only in its own butterfly
+    order, so the rfft stays there.
     """
     P, N = block_row.shape
     n = N // P
+    if n == 1:
+        return block_row[None], np.empty((0, P, P), dtype=complex)
+    if n == 2:
+        B0, B1 = block_row[:, :P], block_row[:, P:]
+        real = np.empty((2, P, P))
+        np.add(B0, B1, out=real[0])
+        np.subtract(B0, B1, out=real[1])
+        return real, np.empty((0, P, P), dtype=complex)
     blocks = block_row.reshape(P, n, P).swapaxes(0, 1)
     symbols = np.fft.rfft(blocks, axis=0)
     real = [0, n // 2] if n % 2 == 0 else [0]
@@ -525,11 +549,25 @@ def _gram_symbols(block_row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _below(symbols: np.ndarray, t: float) -> bool:
-    """True when one batched Cholesky factorization of t I - S succeeds for
-    every symbol S of the batch, which shows each eigenvalue below t up to
-    the factorization's backward error.  Like eigvalsh, it reads the lower
-    triangles.  OpenBLAS's potrf passes NaN pivots, so a non-finite factor
+    """True when every symbol S of the batch has its eigenvalues below t, up
+    to the margin of the tests below.  Like eigvalsh, both read the lower
+    triangles.
+
+    First a screen: the largest absolute row sum of the Hermitian matrix
+    whose lower triangle and real diagonal S holds bounds every eigenvalue
+    (Gershgorin).  Below t (1 - _CERTIFY_MARGIN) the batch is ruled out
+    with no factorization; the sums of P <= 2^15 nonnegative terms round
+    far less than the margin, and a t <= 0 is never reached.  A NaN sum is
+    not below, so a NaN batch goes on as before.  Otherwise one
+    batched Cholesky factorization of t I - S must succeed for every S,
+    which shows each eigenvalue below t up to the factorization's backward
+    error.  OpenBLAS's potrf passes NaN pivots, so a non-finite factor
     counts as a failure."""
+    lower = np.tril(np.abs(symbols), -1)
+    sums = (np.abs(symbols.diagonal(axis1=1, axis2=2).real)
+            + lower.sum(axis=2) + lower.sum(axis=1))
+    if sums.max() < t * (1.0 - _CERTIFY_MARGIN):
+        return True
     shifted = -symbols
     diagonal = np.arange(symbols.shape[-1])
     shifted[:, diagonal, diagonal] += t
@@ -564,11 +602,12 @@ def stack_operator_bound(stack: LayerStack, N: int = 512) -> float:
     each read under the factors c (g) or 1 / c (h) of the sub-stacks that
     share it; m is the largest.  Batches are taken in decreasing order of m^2
     times their largest diagonal entry, a lower bound of m^2 lambda_max.  The
-    first gets eigvalsh.  A later one is ruled out when one batched Cholesky
-    factorization of t I - S succeeds, t = (worst / m)^2 (1 - _CERTIFY_MARGIN):
-    every norm it holds is then below the running maximum.  Otherwise it
-    gets eigvalsh too.  So the result is the maximum of the same
-    floating-point numbers as with eigvalsh on every batch.
+    first gets eigvalsh.  A later one is ruled out when _below(S, t) holds,
+    t = (worst / m)^2 (1 - _CERTIFY_MARGIN): a Gershgorin row-sum screen,
+    or else one batched Cholesky factorization of t I - S.  Every norm it
+    holds is then below the running maximum.  Otherwise it gets eigvalsh
+    too.  So the result is the maximum of the same floating-point numbers
+    as with eigvalsh on every batch.
     """
     pairs, s = stack.pairs, stack.squeezes
     L = stack.depth
@@ -736,6 +775,9 @@ def error_report(stack: LayerStack, N: int, quad_points: int = 1 << 16,
     """
     d = stack.base_dispersion
     L = stack.depth
+    # first: it refuses a scaling filter that no rescaling normalizes, whose
+    # taps the Gram walk would overflow on
+    B = stack_amplitude_bound(stack)
     q_rows, p_rows = _covariance_rows(stack, N)
     half = N // 4
     window = np.arange(-half, half + 1)
@@ -767,7 +809,6 @@ def error_report(stack: LayerStack, N: int, quad_points: int = 1 << 16,
         delta_q_reg[(n, m)] = float(abs(reg_prof[abs(n - m)] - mera_reg))
         q_norms[(n, m)] = norm_of[abs(n - m)]
 
-    B = stack_amplitude_bound(stack)
     D = stack_operator_bound(stack, N=min(N, max(512, 2 ** L)))
     M = stack.max_support
     Omega = flow_report(d, L - 1).omega_bound

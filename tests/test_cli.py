@@ -849,3 +849,30 @@ def test_degenerate_input_is_refused_without_library_text(verb, tmp_path,
     else:
         assert code == 1
         assert line.startswith("error: ") and "omega(pi) = 0" in line
+
+
+@pytest.mark.parametrize("verb", ["cascade", "simulate"])
+def test_overflowing_scaling_filter_is_refused_without_warnings(verb,
+                                                                tmp_path,
+                                                                capfd):
+    # finite taps whose sum a_s(0) overflows: the typed refusal comes before
+    # any numpy warning (the cascade's sqrt(2) check, or the amplitude
+    # bound's before the Gram walk would overflow on the taps)
+    r = 0.5 ** 0.5
+    pair = tmp_path / "overflow.json"
+    FilterPair(FirFilter(0, np.array([1e308, 1e308])),
+               FirFilter(0, np.array([r, r]))).save(pair)
+    argv = {"cascade": ["cascade", "--pair", str(pair), "--J", "4"],
+            "simulate": ["simulate", "--pair", str(pair), "--layers", "2",
+                         "--N", "64", "--quad-points", "4096"]}[verb]
+    assert main(argv) == 2
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "NormalizationFailure"
+    if verb == "cascade":
+        assert payload["message"].endswith("got inf+nanj")
+    else:
+        assert payload["layer"] == 0
+        assert "a_s(0) = inf" in payload["message"]

@@ -181,6 +181,57 @@ def test_placed_gram_rows_match_dense_gram(taps):
                                    (B.T @ B)[:stride], rtol=0, atol=1e-15)
 
 
+def _scattered_gram_rows(filt, N, stride):
+    """placed_gram_rows with a fancy-index scatter: the small-ring rows are
+    moved into the N columns one index at a time."""
+    from waverg.filters import _place_rows
+    taps = len(filt)
+    n = min(N, -(-(2 * taps - 1) // stride) * stride)
+    B = _place_rows(filt, n, stride)
+    rows = B[:, :stride].T @ B
+    if n == N:
+        return rows
+    x = np.arange(stride)[:, None]
+    cols = x + np.arange(1 - taps, taps)
+    out = np.zeros((stride, N))
+    out[x, cols % N] = rows[x, cols % n]
+    return out
+
+
+def _check_copied_gram_rows(taps, stride, N, offset, seed):
+    from waverg.filters import placed_gram_rows
+    c = np.random.default_rng(seed).standard_normal(taps)
+    filt = FirFilter(offset, c)
+    got = placed_gram_rows(filt, N, stride)
+    assert got.shape == (stride, N)
+    assert np.array_equal(got, _scattered_gram_rows(filt, N, stride))
+
+
+@pytest.mark.parametrize("taps, stride, N, offset", [
+    (3, 8, 64, 0),        # n == stride
+    (10, 1, 20, 5),       # n = 2 taps - 1: taps > n / 2, every lag wraps
+    (10, 2, 50, -3),      # N = 50 is not a multiple of n = 20
+    (5, 16, 64, -37),     # stride + taps - 1 > n: runs wrap on the right
+    (1, 4, 16, -2),       # one tap: no column to fold
+    (1, 1, 3, 7),
+    (300, 256, 2048, -400),
+    (20, 2, 2048, 0),     # the depth-1 K2/L4 wavelet at N = 2048
+])
+def test_placed_gram_rows_copy_the_scattered_lags(taps, stride, N, offset):
+    _check_copied_gram_rows(taps, stride, N, offset, taps + stride)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 8), st.integers(1, 24),
+       st.integers(-400, 400), st.integers(0, 2 ** 32 - 1))
+def test_placed_gram_rows_copy_the_scattered_lags_random(taps, log_stride,
+                                                         rings, offset, seed):
+    stride = 1 << log_stride
+    # from the smallest ring that keeps the lags apart to well past it
+    N = (-(-(2 * taps - 1) // stride) + rings - 1) * stride
+    _check_copied_gram_rows(taps, stride, N, offset, seed)
+
+
 @pytest.mark.parametrize("case", ["folded_k2l4", "massive"])
 def test_multi_layer_map_matches_per_layer_product(case, pair_k2l4, massive_stack):
     if case == "folded_k2l4":

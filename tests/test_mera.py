@@ -20,7 +20,7 @@ from waverg import (DesignParams, FilterPair, FirFilter, Flat,
 from waverg.design import layer_epsilons
 from waverg.errors import LatticeTooSmall
 from waverg.filters import (HAAR_SCALING, decomposition_map, kgrid,
-                            placed_gram_rows)
+                            level_walk, placed_gram_rows)
 
 from stack_references import pr_stacks, reference_chain
 
@@ -523,16 +523,21 @@ def test_operator_bound_matches_dense_svd(which, N, massless_k2l4_8,
     assert stack_operator_bound(stack, N) == pytest.approx(want, rel=1e-12)
 
 
+def _rfft_symbols(block_row):
+    """(real, complex) symbol batches of the block-circulant G with first
+    block row ``block_row``: the rfft over the block index at every N/P."""
+    P, N = block_row.shape
+    n = N // P
+    symbols = np.fft.rfft(block_row.reshape(P, n, P).swapaxes(0, 1), axis=0)
+    real = [0, n // 2] if n % 2 == 0 else [0]
+    return symbols.real[real], symbols[1:(n + 1) // 2]
+
+
 def _shift_invariant_norm(block_row):
     """Spectral norm of a map R that commutes with input shifts by P, from
     the first block row of G = R^T R: eigvalsh on every symbol."""
-    P, N = block_row.shape
-    n = N // P
-    blocks = block_row.reshape(P, n, P).swapaxes(0, 1)
-    symbols = np.fft.rfft(blocks, axis=0)
-    real = [0, n // 2] if n % 2 == 0 else [0]
-    top = np.linalg.eigvalsh(symbols[real].real).max()
-    inner = symbols[1:(n + 1) // 2]
+    real, inner = _rfft_symbols(block_row)
+    top = np.linalg.eigvalsh(real).max()
     if len(inner):
         top = max(top, np.linalg.eigvalsh(inner).max())
     return float(np.sqrt(max(top, 0.0)))
@@ -752,6 +757,132 @@ def test_operator_bound_eigvalsh_calls(monkeypatch, massless_k2l4_8):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     assert stack_operator_bound(massless_k2l4_8, 512) == want
     assert 1 <= len(calls) <= 2
+
+
+def test_operator_bound_cholesky_calls(monkeypatch, massless_k2l4_8):
+    # of the 30 symbol batches one gets eigvalsh and the row-sum screen
+    # rules out all but at most two of the other 29 with no factorization
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return cholesky(a, *args, **kwargs)
+
+    want = stack_operator_bound(massless_k2l4_8, 512)
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    assert stack_operator_bound(massless_k2l4_8, 512) == want
+    assert len(calls) <= 2
+
+
+def _vstack_walk(pairs, channel, N, scales):
+    """_gram_block_rows with fresh arrays per stride: the rows so far
+    stacked on their roll, plus the placed wavelet Gram."""
+    acc = np.zeros((1, N))
+    for depth, (scaling, wavelet) in enumerate(
+            level_walk(pairs, channel, scales), 1):
+        s = 1 << depth
+        acc = (np.vstack([acc, np.roll(acc, s // 2, axis=1)])
+               + placed_gram_rows(wavelet, N, s))
+        yield acc, scaling
+
+
+@settings(max_examples=40, deadline=None)
+@given(pr_stacks())
+def test_gram_walk_doubles_rows_in_place_bit_for_bit(case):
+    stack, N = case
+    for channel, scales in (("g", list(stack.squeezes)),
+                            ("h", [1.0 / s for s in stack.squeezes])):
+        steps = 0
+        for (rows, scaling), (want, want_scaling) in zip(
+                waverg.mera._gram_block_rows(stack.pairs, channel, N, scales),
+                _vstack_walk(stack.pairs, channel, N, scales)):
+            assert np.array_equal(rows, want)
+            assert np.array_equal(scaling.coeffs, want_scaling.coeffs)
+            steps += 1
+        assert steps == stack.depth
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_gram_symbols_from_block_sums_bit_for_bit(n, massless_k2l4_8):
+    rng = np.random.default_rng(n)
+    rows = [rng.standard_normal((P, n * P)) for P in (1, 2, 8, 64)]
+    # the depth-8 K2/L4 Gram rows on rings 256 and 512
+    *_, (walk, scaling) = waverg.mera._gram_block_rows(
+        massless_k2l4_8.pairs, "g", 256 * n, massless_k2l4_8.squeezes)
+    rows.append(walk + placed_gram_rows(scaling, 256 * n, 256))
+    for row in rows:
+        got, want = waverg.mera._gram_symbols(row), _rfft_symbols(row)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+
+@st.composite
+def hermitian_batches(draw):
+    """A batch of random real or complex Hermitian matrices and a level t
+    placed around their largest eigenvalue and their row-sum bound."""
+    k, P = draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = rng.standard_normal((k, P, P))
+    if draw(st.booleans()):
+        A = A + 1j * rng.standard_normal((k, P, P))
+    A *= 10.0 ** draw(st.integers(-3, 3))
+    S = (A + A.conj().swapaxes(1, 2)) / 2
+    top = np.linalg.eigvalsh(S).max()
+    rowsum = np.abs(S).sum(axis=2).max()
+    t = draw(st.sampled_from([top, rowsum])) * draw(st.floats(0.5, 2.0))
+    return S, top, t
+
+
+@settings(max_examples=200, deadline=None)
+@given(hermitian_batches())
+def test_below_screen_never_rules_out_an_eigenvalue_at_t(case):
+    # with every factorization failing, only the screen can say True
+    S, top, t = case
+
+    def fail(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("screen only")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "cholesky", fail)
+        below = waverg.mera._below(S, t)
+    if below:
+        assert top < t
+
+
+def test_below_screen_reads_the_lower_triangle(monkeypatch):
+    def fail(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("screen only")
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    S = np.eye(4)[None] * (1.0 + 0.5j)  # eigvalsh reads 1 on the diagonal
+    upper = S.copy()
+    upper[0][np.triu_indices(4, 1)] = [1e300, np.nan, 1e300, np.inf, 7, 7]
+    assert np.linalg.eigvalsh(upper).max() == 1.0
+    assert waverg.mera._below(upper, 1.01)
+    lower = S.copy()
+    lower[0][np.tril_indices(4, -1)] = [0.5, -0.5, 0.5, -0.5, 0.5, -0.5]
+    assert np.linalg.eigvalsh(lower).max() < 2.3  # row sums are 2.5
+    assert not waverg.mera._below(lower, 2.5)
+    assert waverg.mera._below(lower, 2.51)
+    lower[0, 3, 0] = np.nan  # a NaN sum is not below: no screen
+    assert not waverg.mera._below(lower, 1e300)
+    assert not waverg.mera._below(np.zeros((1, 2, 2)), 0.0)
+
+
+def test_covariance_rows_peak_memory(massless_k2l4_8):
+    # per channel one P x N walk buffer and one placed Gram at a time, and
+    # the q rows are held while the g channel walks: about 3 P x N arrays in
+    # all, where fresh arrays per stride peaked at 6
+    N, P = 2048, 256
+    waverg.mera._covariance_rows(massless_k2l4_8, N)  # warm caches
+    tracemalloc.start()
+    try:
+        rows = waverg.mera._covariance_rows(massless_k2l4_8, N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [r.shape for r in rows] == [(P, N)] * 2
+    assert peak < 2 * 2 * P * N * 8
 
 
 def test_covariance_rows_place_one_top_scaling_gram(monkeypatch,
