@@ -20,7 +20,7 @@ from math import comb, lgamma
 
 import numpy as np
 
-from .dispersion import Dispersion, Harmonic
+from .dispersion import Dispersion
 from .errors import (NonFiniteFilter, NoSolution, NormalizationFailure,
                      NotAdmissible, NotNonnegative)
 from .filters import (DEFAULT_GRID, ROOT2, FilterPair, FirFilter,
@@ -40,7 +40,7 @@ class DesignParams:
     def __post_init__(self):
         if self.K < 1 or self.L < 1:
             raise ValueError("K and L must be >= 1")
-        if self.grid_size < 4:  # the massless check samples grid_size // 4
+        if self.grid_size < 4:  # the fit samples grid_size // 2 >= 2 points
             raise ValueError(f"grid_size must be >= 4, got {self.grid_size}")
 
     @property
@@ -197,11 +197,13 @@ def _finite(stage: str, *values):
 def halfband_solve(s: FirFilter) -> FirFilter:
     """Symmetric r with sum_l s[2n - l] r[l] = delta_0[n] (s * r half-band).
 
-    Starts from the minimal symmetric window [-(S-1), S-1] for s on [-S, S]
-    and grows by 2, at most 8 times, until the substituted residual is
-    below 1e-9.  Symmetry is checked relative to the largest tap (at least
-    1), since the taps of s grow like the binomials C(2K, K); an s or a
-    system past the double range is a NonFiniteFilter.
+    One solve of the Bezout identity s(z) r(z) + s(-z) r(-z) = 2 on the
+    minimal window [-R, R], R = max(S - 1, 1), for s on [-S, S]: no window
+    meets it at a root s(z) and s(-z) share, and otherwise the minimal
+    solution does (Daubechies, Ten Lectures on Wavelets, section 6.1).  A
+    residual not below 1e-9 is NoSolution.  Symmetry is checked relative to
+    the largest tap (at least 1), since the taps of s grow like C(2K, K);
+    an s or a system past the double range is a NonFiniteFilter.
     """
     _finite("half-band target s", s.coeffs)
     if not s.is_symmetric(1e-9 * max(1.0, float(np.max(np.abs(s.coeffs))))):
@@ -209,24 +211,20 @@ def halfband_solve(s: FirFilter) -> FirFilter:
     S = s.support[1]
     if S == 0:
         return FirFilter.delta(0, 1.0 / s[0])
-    best = None
-    for R in range(max(S - 1, 1), S + 16, 2):
-        # rows n <= (S + R - 1) / 2 of s[2n - l], folded onto r[0..R]
-        T = transfer_block(s, 1.0, (-R, R))[R:R + (S + R - 1) // 2 + 1]
-        with np.errstate(over="ignore"):
-            A = np.hstack([T[:, R:R + 1], T[:, R + 1:] + T[:, R - 1::-1]])
-        _finite("half-band system of s", A)
-        rhs = np.zeros(len(A))
-        rhs[0] = 1.0
-        sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-        taps = np.concatenate([sol[:0:-1], sol])
-        r = FirFilter(-R, taps)
-        res = halfband_defect(s.convolve(r))
-        if best is None or res < best[0]:
-            best = (res, r)
-        if res < 1e-9:
-            return r
-    raise NoSolution(best[0], S + 15)
+    R = max(S - 1, 1)
+    # rows n <= (S + R - 1) / 2 of s[2n - l], folded onto r[0..R]
+    T = transfer_block(s, 1.0, (-R, R))[R:R + (S + R - 1) // 2 + 1]
+    with np.errstate(over="ignore"):
+        A = np.hstack([T[:, R:R + 1], T[:, R + 1:] + T[:, R - 1::-1]])
+    _finite("half-band system of s", A)
+    rhs = np.zeros(len(A))
+    rhs[0] = 1.0
+    sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+    r = FirFilter(-R, np.concatenate([sol[:0:-1], sol]))
+    res = halfband_defect(s.convolve(r))
+    if not res < 1e-9:
+        raise NoSolution(res, R)
+    return r
 
 
 def spectral_factorize(r: FirFilter, tol_positivity: float = 1e-10,
@@ -234,7 +232,8 @@ def spectral_factorize(r: FirFilter, tol_positivity: float = 1e-10,
     """Real f with f(k) f(-k) = r(k), roots taken inside the closed unit disk.
 
     Roots within 1e-7 of the unit circle must occur with even multiplicity
-    and are split evenly; conjugate pairs stay together so f is real.  Requires r(k) >= 0 on the
+    in clusters of angles 1e-4 apart, wrapping at +-pi, and are split evenly;
+    conjugate pairs stay together so f is real.  Requires r(k) >= 0 on the
     grid (up to tol), which is not guaranteed by the construction upstream.
     """
     k = kgrid(grid)
@@ -268,6 +267,9 @@ def _spectral_factorize(r: FirFilter, tol_positivity: float, k: np.ndarray,
                 clusters[-1].append(ang)
             else:
                 clusters.append([ang])
+        # a root at z = -1 may sit on both sides of the cut: unwrap, join
+        if len(clusters) > 1 and angles[0] + 2 * np.pi - angles[-1] < 1e-4:
+            clusters[0][:0] = [ang - 2 * np.pi for ang in clusters.pop()]
         for cl in clusters:
             if len(cl) % 2 != 0:
                 raise NotNonnegative(float(rk[imin]), float(-np.mean(cl)))
@@ -369,17 +371,11 @@ def layer_epsilons(pairs, levels) -> list[float]:
     return out
 
 
-def _is_massless_shape(d: Dispersion, grid: int) -> bool:
-    """True if omega(k)/omega(pi) equals |sin(k/2)| (the gapless fixed point).
-
-    Renormalized gapless dispersions keep this shape with a different overall
-    scale, and should reuse the all-pass construction rather than the fit.
-    """
-    if isinstance(d, Harmonic):
-        return d.m == 0.0
-    k = kgrid(grid)
-    return bool(np.max(np.abs(np.asarray(d.normalized(k)) -
-                              np.abs(np.sin(k / 2.0)))) < 1e-10)
+def _is_massless_shape(d: Dispersion) -> bool:
+    """True for hypot(0, b sin(k/2)), b > 0: Harmonic(0) and its levels take
+    the all-pass; any other dispersion, however close, takes the fit."""
+    form = d.harmonic_form
+    return form is not None and form[0] == 0 < form[1]
 
 
 def design_pair(d: Dispersion, params: DesignParams) -> tuple[FilterPair, DesignReport]:
@@ -388,13 +384,13 @@ def design_pair(d: Dispersion, params: DesignParams) -> tuple[FilterPair, Design
     A stage that leaves the double range (large K or L) is refused as
     NonFiniteFilter before the half-band solve, with no numpy warning.
     """
-    _omega_pi(d)  # refused before the shape test and the fit divide by it
+    _omega_pi(d)  # refused before the fit divides by it
     K, L = params.K, params.L
     # log C(2K, K), the largest tap of the moment factor (2 + 2 cos k)^K
     if lgamma(2 * K + 1) - 2 * lgamma(K + 1) > np.log(np.finfo(float).max):
         raise NonFiniteFilter(f"moment factor (2 + 2 cos k)^{K}")
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        if _is_massless_shape(d, params.grid_size // 4):
+        if _is_massless_shape(d):
             a, b = rational_approx_massless(L)
         else:
             a, b = rational_approx_fit(d, L, grid=params.grid_size // 2)

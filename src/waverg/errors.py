@@ -10,11 +10,15 @@ from __future__ import annotations
 class WavergError(Exception):
     """Base class for all package errors."""
 
+    #: diagnostics a subclass adds to its payload, after ``layer`` if set
+    fields: tuple = ()
+
     #: machine-readable payload for CLI error JSON
     def payload(self) -> dict:
         d = {"error": type(self).__name__, "message": str(self)}
         if hasattr(self, "layer"):
             d["layer"] = self.layer
+        d.update((name, getattr(self, name)) for name in self.fields)
         return d
 
 
@@ -36,28 +40,27 @@ class GaplessUnregulated(WavergError):
 
 
 class NoSolution(WavergError):
-    """Half-band linear system residual could not be brought under tolerance."""
+    """Half-band solve whose residual is not below tolerance on its window
+    [-support, support]; reports the residual and the window."""
 
-    def __init__(self, residual: float, max_support: int):
-        super().__init__(
-            f"half-band residual {residual:.3e} above tolerance at max support {max_support}"
-        )
+    fields = ("residual", "support")
+
+    def __init__(self, residual: float, support: int):
+        super().__init__(f"half-band residual {residual:.3e} above tolerance "
+                         f"on support [-{support}, {support}]")
         self.residual = residual
-        self.max_support = max_support
+        self.support = support
 
 
 class NotNonnegative(WavergError):
     """Spectral factorization target dips below zero; reports the violating k."""
 
+    fields = ("min_value", "at_k")
+
     def __init__(self, min_value: float, at_k: float):
         super().__init__(f"r(k) attains {min_value:.3e} < 0 at k = {at_k:.6f}")
         self.min_value = min_value
         self.at_k = at_k
-
-    def payload(self) -> dict:
-        d = super().payload()
-        d.update({"min_value": self.min_value, "at_k": self.at_k})
-        return d
 
 
 class NormalizationFailure(WavergError):
@@ -68,6 +71,8 @@ class NormalizationFailure(WavergError):
 class FlowOutOfRange(WavergError):
     """Renormalization step whose divisor omega(pi)^2 is not a normal float."""
 
+    fields = ("level",)
+
     def __init__(self, level: int, omega_pi: float):
         super().__init__(f"flow level {level} divides by omega(pi)^2 of level "
                          f"{level - 1}, and omega(pi) = {omega_pi:.3e} squares "
@@ -75,24 +80,17 @@ class FlowOutOfRange(WavergError):
         self.level = level
         self.omega_pi = omega_pi
 
-    def payload(self) -> dict:
-        d = super().payload()
-        d["level"] = self.level
-        return d
-
 
 class NonFiniteFilter(WavergError):
-    """Design stage whose filter left the double range: the moment factor
-    grows like C(2K, K) and the all-pass taps like C(L, L/2)^2."""
+    """Stage whose filters or Gram rows left the double range: in the design,
+    the moment factor grows like C(2K, K) and the all-pass taps like
+    C(L, L/2)^2; in a report, the Gram walk squares the taps of a stack."""
+
+    fields = ("stage",)
 
     def __init__(self, stage: str):
         super().__init__(f"{stage} is not finite in double precision")
         self.stage = stage
-
-    def payload(self) -> dict:
-        d = super().payload()
-        d["stage"] = self.stage
-        return d
 
 
 class NotAdmissible(WavergError):

@@ -38,8 +38,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .design import DesignParams, design_pair, layer_epsilons
 from .dispersion import Dispersion, fitted_mass, flow, flow_report
-from .errors import (GaplessUnregulated, LatticeTooSmall, NormalizationFailure,
-                     OutOfHypothesis, WavergError)
+from .errors import (GaplessUnregulated, LatticeTooSmall, NonFiniteFilter,
+                     NormalizationFailure, OutOfHypothesis, WavergError)
 from .filters import (FilterPair, FirFilter, check_lattice, kgrid, level_walk,
                       placed_gram_rows)
 from .continuum import cascade
@@ -221,9 +221,14 @@ def _covariance_rows(stack: LayerStack, N: int) -> tuple[np.ndarray, np.ndarray]
     rows = []
     for channel, scales in (("h", [1.0 / s for s in stack.squeezes]),
                             ("g", stack.squeezes)):
-        *_, (row, scaling) = _gram_block_rows(stack.pairs, channel, N, scales)
-        # the walk has ended, so its buffer is free to finish in place
-        row += placed_gram_rows(scaling, N, len(row))
+        walk = _gram_block_rows(stack.pairs, channel, N, scales)
+        # finite taps can square past the double range: refused before eigvalsh
+        with np.errstate(over="ignore", invalid="ignore"):
+            *_, (row, scaling) = walk
+            # the walk has ended, so its buffer is free to finish in place
+            row += placed_gram_rows(scaling, N, len(row))
+        if not np.isfinite(row).all():
+            raise NonFiniteFilter(f"{channel}-channel Gram walk")
         row *= 0.5
         rows.append(row)
     return rows[0], rows[1]

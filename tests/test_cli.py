@@ -88,11 +88,14 @@ def test_sweep_specifier_missing_range_is_usage_error(spec, capsys):
 
 def test_large_K_is_a_numerical_failure(capsys):
     # the taps of s grow like C(2K, K); an absolute symmetry tolerance used
-    # to refuse them with a bare ValueError
+    # to refuse them with a bare ValueError.  The half-band solve on the
+    # minimal window misses 1e-9 in floats, and says where
     assert main(["design", "--K", "13", "--L", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert json.loads(captured.err)["error"] == "NotNonnegative"
+    payload = json.loads(captured.err)
+    assert payload["error"] == "NoSolution"
+    assert payload["support"] == 14 and payload["residual"] >= 1e-9
     assert main(["sweep", "--K", "11..16", "--L", "1"]) == 0
     rows = [l.split(",") for l in capsys.readouterr().out.splitlines()[1:]]
     assert [r[0] for r in rows] == [str(K) for K in range(11, 17)]
@@ -784,6 +787,8 @@ def test_spectrum_failure_prints_no_partial_output(pair_file, capsys):
     (["design", "--K", "1", "--L", "1"], "--grid"),
     (["design", "--dispersion", "harmonic:m=0.3", "--K", "1", "--L", "1"],
      "--grid"),
+    (["design", "--L", "1"], "--K"),
+    (["design", "--K", "1"], "--L"),
     (["sweep", "--K", "1", "--L", "1"], "--grid"),
     (["simulate", "--layers", "1", "--N", "64", "--quad-points", "4096",
       "--csv", "CSV", "--pair"], "--csv-range"),
@@ -849,6 +854,25 @@ def test_degenerate_input_is_refused_without_library_text(verb, tmp_path,
     else:
         assert code == 1
         assert line.startswith("error: ") and "omega(pi) = 0" in line
+
+
+def test_overflowing_gram_is_refused_without_library_text(tmp_path, capfd):
+    # taps that normalize (a_s(0) = 2e200, so the amplitude bound passes)
+    # but whose Gram overflows: the walk printed numpy warnings, and eigvalsh
+    # then failed with "Eigenvalues did not converge" as a usage error
+    r = 0.5 ** 0.5
+    pair = tmp_path / "gram_overflow.json"
+    FilterPair(FirFilter(0, np.array([1e200, 1e200])),
+               FirFilter(0, np.array([r, r]))).save(pair)
+    code = main(["simulate", "--pair", str(pair), "--layers", "2", "--N",
+                 "64", "--quad-points", "4096"])
+    captured = capfd.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "NonFiniteFilter"
+    assert payload["stage"].endswith("-channel Gram walk")
 
 
 @pytest.mark.parametrize("verb", ["cascade", "simulate"])

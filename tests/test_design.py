@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import waverg.design
 from waverg import (DesignParams, Dispersion, Harmonic, NonFiniteFilter,
                     NoSolution, NotAdmissible, NotNonnegative, Tabulated,
-                    WavergError, design_pair, epsilon_of, flow, haar_pair,
-                    halfband_solve, kgrid, rational_approx_fit,
+                    WavergError, build_stack, design_pair, epsilon_of, flow,
+                    haar_pair, halfband_solve, kgrid, rational_approx_fit,
                     rational_approx_massless, spectral_factorize,
                     stability_spectrum, thiran_allpass)
 from waverg.design import _binom_factor, allpass_phase_error, layer_epsilons
@@ -99,6 +99,27 @@ def test_halfband_solve_requires_symmetry():
         halfband_solve(FirFilter(0, np.array([1.0, 2.0])))
 
 
+def test_halfband_shared_root_is_refused_after_one_solve(monkeypatch):
+    # s(z) = z + 1/z and s(-z) = -s(z) share their roots, where
+    # s(z) r(z) + s(-z) r(-z) = 2 fails on every window: one lstsq, then
+    # NoSolution with the residual and the window it was solved on
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def spy(A, rhs, rcond=None):
+        calls.append(A.shape)
+        return lstsq(A, rhs, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    with pytest.raises(NoSolution) as exc:
+        halfband_solve(FirFilter(-1, np.array([1.0, 0.0, 1.0])))
+    assert len(calls) == 1
+    payload = exc.value.payload()
+    assert payload["error"] == "NoSolution" and payload["support"] == 1
+    assert payload["residual"] == exc.value.residual > 0.1
+    assert "on support [-1, 1]" in payload["message"]
+
+
 @pytest.mark.parametrize("grid", [64, 4096])
 def test_spectral_factorize_recovers_modulus(grid):
     f0 = FirFilter(0, np.array([1.0, 0.7, -0.2]))
@@ -106,6 +127,21 @@ def test_spectral_factorize_recovers_modulus(grid):
     f = spectral_factorize(r, grid=grid)
     k = kgrid(512)
     np.testing.assert_allclose(np.abs(f(k)), np.abs(f0(k)), atol=1e-8)
+
+
+@pytest.mark.parametrize("taps", [
+    [1.0, 0.0, -1.0],                   # (1 + z)(1 - z): double roots at +-1
+    [1.0, 1.0],                         # 1 + z: a double root at -1
+    [1.0, -2.0 * np.cos(1.0), 1.0]])    # roots e^{+-i}
+def test_spectral_factorize_double_roots_on_the_circle(taps):
+    # np.roots may put a double root at z = -1 at angles +-(pi - delta),
+    # one cluster across the cut at +-pi
+    f0 = FirFilter(0, np.array(taps))
+    r = f0.correlate(f0)
+    f = spectral_factorize(r)
+    k = kgrid(4096)
+    rk = np.real(r(k))
+    assert np.max(np.abs(np.abs(f(k)) ** 2 - rk)) <= 1e-12 * np.max(rk)
 
 
 def test_spectral_factorize_rejects_negative():
@@ -269,7 +305,7 @@ def test_design_params_validation():
         DesignParams(0, 1)
     with pytest.raises(ValueError):
         DesignParams(1, 0)
-    # the massless-shape check samples grid_size // 4 points
+    # the rational fit samples grid_size // 2 points
     with pytest.raises(ValueError, match="grid_size must be >= 4, got 3"):
         DesignParams(1, 1, grid_size=3)
     assert DesignParams(2, 4).M == 10
@@ -307,6 +343,35 @@ class _Constant(Dispersion):
     def __call__(self, k):
         out = np.full(np.shape(k), self.value)
         return float(out) if out.ndim == 0 else out
+
+
+@pytest.mark.parametrize("m", [0.0, 1e-11, 4e-11, 0.3])
+def test_stack_takes_one_route_at_every_level(m, monkeypatch):
+    # the massless route is read from the harmonic form: a near-massless
+    # stack takes the fit at every level, also where a level samples within
+    # 1e-10 of |sin(k/2)| (m = 1e-11: levels 1 to 3; m = 4e-11: level 1)
+    routes = []
+    for name, route in (("rational_approx_massless", "all-pass"),
+                        ("rational_approx_fit", "fit")):
+        def spy(*args, _f=getattr(waverg.design, name), _r=route, **kw):
+            routes.append(_r)
+            return _f(*args, **kw)
+        monkeypatch.setattr(waverg.design, name, spy)
+    build_stack(Harmonic(m), DesignParams(2, 2), 6)
+    assert routes == ["all-pass" if m == 0 else "fit"] * 6
+
+
+def test_tabulated_massless_shape_takes_the_fit(monkeypatch):
+    # a table of |sin(k/2)| matches the massless shape to rounding, but
+    # only the harmonic family carries the form the all-pass route reads
+    def refuse(L):
+        raise AssertionError("the all-pass route ran")
+
+    monkeypatch.setattr(waverg.design, "rational_approx_massless", refuse)
+    k = kgrid(1024)
+    _, report = design_pair(Tabulated(k, np.abs(np.sin(k / 2.0))),
+                            DesignParams(2, 2))
+    assert report.epsilon < 1e-3
 
 
 @pytest.mark.parametrize("d, shown", [
