@@ -212,7 +212,7 @@ def cmd_simulate(args) -> int:
     if args.report:
         rep.save(args.report)
     if args.csv:
-        q_row, p_row = (rows[0] for rows in rep.covariance_rows)
+        q_row, p_row = (rows[0] for rows in rep.measured_rows)
         ms = np.arange(1, min(args.csv_range, N // 4) + 1)
         p_prof, q_prof = rep.exact_profiles(ms)
         lines = ["n,m,exact_p,mera_p,exact_q_reg,mera_q_reg,abs_err_p,abs_err_q"]

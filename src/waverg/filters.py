@@ -296,19 +296,23 @@ def _place_rows(filt: FirFilter, N: int, stride: int) -> np.ndarray:
     return windows[N:0:-stride]
 
 
-def placed_gram_rows(filt: FirFilter, N: int, stride: int) -> np.ndarray:
-    """First ``stride`` rows of B^T B, B = _place_rows(filt, N, stride).
+def placed_gram_rows(filt: FirFilter, N: int, stride: int,
+                     count: int | None = None) -> np.ndarray:
+    """First ``count`` rows (default ``stride``) of B^T B, B =
+    _place_rows(filt, N, stride).
 
     (B^T B)[x, y] = sum_j f[x - stride j] f[y - stride j] over j in
     Z_{N/stride}, with f folded onto Z_N.  B^T B commutes with shifts by
-    ``stride``, so these rows determine it.
+    ``stride``, so its first ``stride`` rows determine it.
 
     Row x holds the lags y - x in (-len, len) of the filter's strided
-    autocorrelation, summed mod N.  They are B[:, :stride].T @ B for the
+    autocorrelation, summed mod N.  They are B[:, :count].T @ B for the
     block B placed on the smallest ring Z_n, n a multiple of ``stride`` below
     N, that keeps the 2 len - 1 lags apart, copied into the N columns:
-    about min(N, 2 len)^2 flops and no N x N map.  A filter whose lags would
-    alias on Z_N is placed on Z_N itself.
+    about count min(N, 2 len)^2 / stride flops and no N x N map.  A filter
+    whose lags would alias on Z_N is placed on Z_N itself.  From count = 2
+    on, each row is the one the full product gives, bit for bit; a one-row
+    product is a matrix-vector product in BLAS, summed in another order.
 
     The lags of row x are one run, columns x + 1 - len .. x + len - 1.  It
     is read through a skewed view of the rows (their columns from 1 - len
@@ -317,15 +321,16 @@ def placed_gram_rows(filt: FirFilter, N: int, stride: int) -> np.ndarray:
     are then folded onto the last: copies only.  The result may be that
     wider array's view.
     """
+    count = stride if count is None else count
     taps = len(filt)
     n = min(N, -(-(2 * taps - 1) // stride) * stride)
     B = _place_rows(filt, n, stride)
-    rows = B[:, :stride].T @ B
+    rows = B[:, :count].T @ B
     if n == N:
         return rows
-    runs = np.take(rows, np.arange(1 - taps, stride + taps - 1), axis=1,
+    runs = np.take(rows, np.arange(1 - taps, count + taps - 1), axis=1,
                    mode="wrap")
-    out = np.zeros((stride, N + taps - 1))
+    out = np.zeros((count, N + taps - 1))
     _skewed(out, 2 * taps - 1)[...] = _skewed(runs, 2 * taps - 1)
     # a run is shorter than N: a folded column meets zeros only
     out[:, N:] += out[:, :taps - 1]

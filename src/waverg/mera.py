@@ -156,7 +156,8 @@ class CovariancePair:
             np.linalg.eigvals(self.q_block @ self.p_block))))
 
 
-def _gram_block_rows(pairs, channel: str, N: int, scales):
+def _gram_block_rows(pairs, channel: str, N: int, scales,
+                     count: int | None = None):
     """Wavelet part of the first block row G[:P, :] of G = R^T R for every
     prefix of a stack, with the prefix's top scaling filter.
 
@@ -172,22 +173,28 @@ def _gram_block_rows(pairs, channel: str, N: int, scales):
     formed.  G commutes with input shifts by P: row qP + r of G is row r
     rolled by qP.
 
-    The rows live in one 2^len(pairs) x N buffer: a stride s copies its
-    first s / 2 rows, rolled by s / 2, into rows s / 2 .. s - 1 and adds its
-    placed Gram into the first s in place.  A yielded array is that view of
-    the buffer, overwritten by the next step: read it (or copy it) before
-    advancing the walk.
+    The rows live in one buffer of min(count, 2^len(pairs)) rows (count
+    defaults to all): a stride s keeps its first c = min(count, s) rows.  It
+    copies rows 0 .. c - s / 2 - 1, rolled by s / 2, into rows s / 2 .. c - 1
+    and adds the first c rows of its placed Gram in place; the rows below c
+    read only rows below c.  From count = 2 on these are the full walk's
+    first rows bit for bit (see placed_gram_rows).  A yielded array is that
+    view of the buffer, overwritten by the next step: read it (or copy it)
+    before advancing the walk.
     """
     check_lattice(pairs, N)
-    buf = np.zeros((1 << len(pairs), N))
+    P = 1 << len(pairs)
+    count = P if count is None else min(count, P)
+    buf = np.zeros((count, N))
     for depth, (scaling, wavelet) in enumerate(
             level_walk(pairs, channel, scales), 1):
         s = 1 << depth
-        h = s // 2
-        buf[h:s, h:] = buf[:h, :N - h]
-        buf[h:s, :h] = buf[:h, N - h:]
-        rows = buf[:s]
-        rows += placed_gram_rows(wavelet, N, s)
+        h, c = s // 2, min(count, s)
+        if c > h:
+            buf[h:c, h:] = buf[:c - h, :N - h]
+            buf[h:c, :h] = buf[:c - h, N - h:]
+        rows = buf[:c]
+        rows += placed_gram_rows(wavelet, N, s, c)
         yield rows, scaling
 
 
@@ -215,23 +222,32 @@ def _roll_out(row: np.ndarray) -> np.ndarray:
     return _row_reader(row, row.shape[1])(np.arange(row.shape[1]), 0)
 
 
-def _covariance_rows(stack: LayerStack, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """First block rows (q, p) of gamma_q = R_h^T R_h / 2 and gamma_p =
-    R_g^T R_g / 2 on Z_N as built (see _gram_block_rows), not symmetrized."""
-    rows = []
-    for channel, scales in (("h", [1.0 / s for s in stack.squeezes]),
-                            ("g", stack.squeezes)):
-        walk = _gram_block_rows(stack.pairs, channel, N, scales)
-        # finite taps can square past the double range: refused before eigvalsh
-        with np.errstate(over="ignore", invalid="ignore"):
-            *_, (row, scaling) = walk
-            # the walk has ended, so its buffer is free to finish in place
-            row += placed_gram_rows(scaling, N, len(row))
-        if not np.isfinite(row).all():
-            raise NonFiniteFilter(f"{channel}-channel Gram walk")
-        row *= 0.5
-        rows.append(row)
-    return rows[0], rows[1]
+def _channel_rows(stack: LayerStack, channel: str, N: int,
+                  count: int | None = None) -> np.ndarray:
+    """First ``count`` rows (default all 2^depth) of the first block row of
+    gamma_q = R_h^T R_h / 2 (channel h) or gamma_p = R_g^T R_g / 2 (g) on
+    Z_N as built (see _gram_block_rows), not symmetrized."""
+    scales = stack.squeezes if channel == "g" else \
+        [1.0 / s for s in stack.squeezes]
+    walk = _gram_block_rows(stack.pairs, channel, N, scales, count)
+    # finite taps can square past the double range: refused before eigvalsh
+    with np.errstate(over="ignore", invalid="ignore"):
+        *_, (row, scaling) = walk
+        # the walk has ended, so its buffer is free to finish in place
+        row += placed_gram_rows(scaling, N, 1 << stack.depth, len(row))
+    if not np.isfinite(row).all():
+        raise NonFiniteFilter(f"{channel}-channel Gram walk")
+    row *= 0.5
+    return row
+
+
+def _covariance_rows(stack: LayerStack, N: int,
+                     q_count: int | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """First block rows (q, p) of gamma_q and gamma_p on Z_N as built
+    (_channel_rows), of q only the first ``q_count`` rows if given."""
+    return (_channel_rows(stack, "h", N, q_count),
+            _channel_rows(stack, "g", N))
 
 
 def _symmetric_roll_out(row: np.ndarray) -> np.ndarray:
@@ -294,9 +310,13 @@ class _Quadrature:
         self._sums = {}  # integrand -> its _riemann_sums on the fine grid
 
     @cached_property
+    def k(self) -> np.ndarray:
+        """The fine grid kgrid(2q)."""
+        return kgrid(2 * self.quad_points)
+
+    @cached_property
     def omega(self) -> np.ndarray:
-        k = kgrid(2 * self.quad_points)
-        return np.asarray(self.d(k), dtype=np.float64)
+        return np.asarray(self.d(self.k), dtype=np.float64)
 
     def _offsets(self, offsets) -> np.ndarray:
         offsets = np.asarray(offsets)
@@ -354,13 +374,16 @@ class _Quadrature:
         deltas = self._offsets(deltas)
         if np.any(deltas == 0):
             raise ValueError("delta must be nonzero")
-        k, w, i = kgrid(2 * self.quad_points), self.omega, self.quad_points
+        k, w, i = self.k, self.omega, self.quad_points
         w2 = w * w
         h = np.where(w2 > 0, 1.0 / (2.0 * np.maximum(w2, 1e-300)), 0.0)
         g0 = 0.0 if w[i] > 0 else (4.0 * k[i - 1] ** 2 * h[i - 1]
                                    - k[i - 2] ** 2 * h[i - 2]) / 3.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rest = h - g0 / (4.0 * np.sin(k / 2.0) ** 2)
+        if g0 == 0.0:  # h - 0 / (4 sin^2) is h exactly where sin != 0
+            rest = h
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rest = h - g0 / (4.0 * np.sin(k / 2.0) ** 2)
         rest[i] = 0.0  # k_i = 0 up to rounding
         values, err = self._extrapolated(_riemann_sums(rest), deltas, True)
         norms = np.sqrt(np.maximum(g0 * deltas / 2.0 - values, 0.0))
@@ -583,6 +606,25 @@ def _below(symbols: np.ndarray, t: float) -> bool:
     return bool(np.isfinite(factor).all())
 
 
+def _checked_block_rows(pairs, channel: str, N: int, scales):
+    """The first block row G[:P, :] of each depth of a Gram walk
+    (_gram_block_rows plus the top scaling block), formed with the walk's
+    step under errstate: finite taps can square past the double range, and
+    a block row that is not finite is refused, as NonFiniteFilter naming
+    the walk, before any symbol is formed from it."""
+    walk = _gram_block_rows(pairs, channel, N, scales)
+    while True:
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = next(walk, None)
+            if step is None:
+                return
+            rows, scaling = step
+            block_row = rows + placed_gram_rows(scaling, N, len(rows))
+        if not np.isfinite(block_row).all():
+            raise NonFiniteFilter(f"operator-bound {channel}-channel Gram walk")
+        yield block_row
+
+
 def stack_operator_bound(stack: LayerStack, N: int = 512) -> float:
     """Max spectral norm over contiguous sub-stacks, both channels.
 
@@ -612,7 +654,8 @@ def stack_operator_bound(stack: LayerStack, N: int = 512) -> float:
     or else one batched Cholesky factorization of t I - S.  Every norm it
     holds is then below the running maximum.  Otherwise it gets eigvalsh
     too.  So the result is the maximum of the same floating-point numbers
-    as with eigvalsh on every batch.
+    as with eigvalsh on every batch.  A walk whose Gram rows leave the
+    double range is refused as NonFiniteFilter (_checked_block_rows).
     """
     pairs, s = stack.pairs, stack.squeezes
     L = stack.depth
@@ -629,10 +672,9 @@ def stack_operator_bound(stack: LayerStack, N: int = 512) -> float:
                 (d, channel, S, [])
                 for channel, scales in (("g", s[l0:]),
                                         ("h", [1.0 / x for x in s[l0:]]))
-                for d, (rows, scaling) in enumerate(_gram_block_rows(
+                for d, block_row in enumerate(_checked_block_rows(
                     pairs[l0:], channel, N, scales))
-                for S in _gram_symbols(
-                    rows + placed_gram_rows(scaling, N, len(rows)))
+                for S in _gram_symbols(block_row)
                 if len(S)]
         c = s[l0] / s[j]  # 1 for a walk just run
         for d, _, _, ratios in walks[j]:
@@ -689,11 +731,25 @@ class ErrorReport:
     q_norms: dict
     constants: dict
     quad_error: float
-    #: first block rows (q, p) of the MERA covariance the deviations were
-    #: measured on, P x N each, as built (not serialized)
-    covariance_rows: tuple = field(repr=False)
+    #: the stack and the first block rows (q, p) of its MERA covariance that
+    #: the deviations were measured on, as built: p is P x N, and so is q on
+    #: a gapped chain; a gapless report holds the q rows it read (not
+    #: serialized)
+    stack: LayerStack = field(repr=False)
+    measured_rows: tuple = field(repr=False)
     #: the oracle and its samples of omega, for later profiles (not serialized)
     oracle: _Quadrature = field(repr=False)
+
+    @cached_property
+    def covariance_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """First block rows (q, p) of the MERA covariance, P x N each, as
+        built: the measured rows, with a gapless report's q block walked
+        here (_channel_rows) on first read."""
+        q_rows, p_rows = self.measured_rows
+        P, N = p_rows.shape
+        if len(q_rows) < P:
+            q_rows = _channel_rows(self.stack, "h", N)
+        return q_rows, p_rows
 
     @cached_property
     def covariance(self) -> CovariancePair:
@@ -743,17 +799,44 @@ class ErrorReport:
 def _window_deviation(profile: np.ndarray, row: np.ndarray,
                       window: np.ndarray) -> float:
     """max over n, m in window of |profile[|n - m|] - G[n, m]|, where G on
-    Z_N is rolled out from its first block row ``row``.
+    Z_N is rolled out from its first block row ``row`` (P x N) and the
+    window is a run lo .. hi of W <= N / 2 + 1 sites.
 
-    Along a window row n the entries G[n, m] are one read of _row_reader,
-    and the exact side is a row of the _toeplitz view of the profile.  Taken
+    Row n = qP + r of G is row r rolled by qP, so along it G[n, m] is
+    row[r, (m - qP) mod N]: the rows of block q read columns lo - qP ..
+    hi - qP (mod N) of ``row``.  The blocks q_0 .. q_1 that lie in the
+    window read, together, the W + (q_1 - q_0) P columns from lo - q_1 P on,
+    and entry (r, c) of that range meets G at the offset m - n =
+    c - r + lo - q_1 P whichever block reads it: it is read once, as at most
+    two column slices, against a read-only Toeplitz view of the profile.
+    The block cut by each end of the window reads its own rows alone.  Taken
     over chunks of 64 rows: no N x N or (window x window) array is formed.
     """
-    W = len(window)
-    read, exact = _row_reader(row, W), _toeplitz(profile, W)
-    maxima = [np.max(np.abs(exact[i:i + 64]
-                            - read(window[i:i + 64], window[0])))
-              for i in range(0, W, 64)]
+    P, N = row.shape
+    lo, W = int(window[0]), len(window)
+    hi = lo + W - 1
+    maxima = []
+    n = lo
+    while n <= hi:  # rows r0 .. r1 - 1 of blocks q .. last
+        q, r0 = divmod(n, P)
+        whole = (hi + 1 - n) // P if r0 == 0 else 0
+        last = q + max(whole, 1) - 1
+        r1 = P if whole else min(P, hi + 1 - q * P)
+        width, t = W + (last - q) * P, lo - last * P
+        exact = sliding_window_view(
+            profile[np.abs(np.arange(t + 1 - r1, t - r0 + width))],
+            width)[::-1]
+        start = t % N
+        cut = min(width, N - start)
+        for i in range(r0, r1, 64):
+            band = slice(i, min(i + 64, r1))
+            part = exact[i - r0:band.stop - r0]
+            for want, got in ((part[:, :cut], row[band, start:start + cut]),
+                              (part[:, cut:], row[band, :width - cut])):
+                if want.size:
+                    diff = want - got
+                    maxima.append(np.max(np.abs(diff, out=diff)))
+        n = last * P + r1
     return float(np.max(maxima))
 
 
@@ -770,8 +853,11 @@ def error_report(stack: LayerStack, N: int, quad_points: int = 1 << 16,
     depth-8 delta_p at N = 2048 (1.194548273e-3) agrees with the
     infinite-lattice value (1.194548259e-3) to about 1e-11.  The entries
     are read from the covariance's first block rows (P x N, P = 2^depth)
-    as built; no N x N array is formed unless ``covariance`` is read, and
-    that roll-out is made exactly symmetric where it is formed.
+    as built; on a gapless chain only the q rows the regulated pairs read
+    are built, and the full q block is walked only when ``covariance_rows``
+    or ``covariance`` is read.  No N x N array is formed unless
+    ``covariance`` is read, and that roll-out is made exactly symmetric
+    where it is formed.
     The oracle samples the dispersion once, on its fine grid, for all its
     profiles and norms; quad_points must exceed N, so that the grid does not
     alias the window's offsets.  ``quad_error`` is the largest certified
@@ -783,7 +869,12 @@ def error_report(stack: LayerStack, N: int, quad_points: int = 1 << 16,
     # first: it refuses a scaling filter that no rescaling normalizes, whose
     # taps the Gram walk would overflow on
     B = stack_amplitude_bound(stack)
-    q_rows, p_rows = _covariance_rows(stack, N)
+    P = 1 << L
+    # a gapless report reads q at rows n mod P only; two rows at least, since
+    # a one-row product sums in another order (placed_gram_rows)
+    q_count = max(2, 1 + max((n % P for n, _ in pairs_to_check), default=0)) \
+        if d.gapless else None
+    q_rows, p_rows = _covariance_rows(stack, N, q_count)
     half = N // 4
     window = np.arange(-half, half + 1)
     offsets = np.arange(2 * half + 1)
@@ -806,11 +897,11 @@ def error_report(stack: LayerStack, N: int, quad_points: int = 1 << 16,
         reg_prof = dict(zip(deltas, vals))
         norm_of = dict(zip(deltas, norms.tolist()))
     delta_q_reg, q_norms = {}, {}
-    read = _row_reader(q_rows)
     for n, m in pairs_to_check:
         if n == m:
             continue
-        mera_reg = read(n, m)[0] - read(n, n)[0]
+        r = n % P  # G[n, m] is q_rows[n mod P, (m - n + n mod P) mod N]
+        mera_reg = q_rows[r, (m - n + r) % N] - q_rows[r, r]
         delta_q_reg[(n, m)] = float(abs(reg_prof[abs(n - m)] - mera_reg))
         q_norms[(n, m)] = norm_of[abs(n - m)]
 
@@ -825,4 +916,4 @@ def error_report(stack: LayerStack, N: int, quad_points: int = 1 << 16,
                  "C": 4.0 * B ** 2 * M ** 1.5 * Omega, "L_layers": L, "N": N}
     return ErrorReport(delta_p, delta_q, delta_q_reg, bound_p, bound_q,
                        bound_q_entries, q_norms, constants, quad_error,
-                       (q_rows, p_rows), oracle)
+                       stack, (q_rows, p_rows), oracle)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import waverg.mera
 from waverg import (DesignParams, FilterPair, FirFilter, Flat,
                     GaplessUnregulated, Harmonic, LayerStack,
-                    NormalizationFailure, NotNonnegative, OutOfHypothesis,
+                    NonFiniteFilter, NormalizationFailure, NotNonnegative, OutOfHypothesis,
                     build_stack, epsilon_of, error_report, exact_covariance,
                     exact_p_profile, exact_q_profile, flow, haar_pair,
                     mass_flow, mera_covariance, multi_layer_map,
@@ -458,6 +458,21 @@ def test_window_deviation_matches_dense_window_on_random_stacks(case, data):
                 _dense_window_deviation(profile, dense, window)
 
 
+@pytest.mark.parametrize("layers, N", [(4, 16), (9, 512)])
+def test_window_deviation_reads_partial_blocks(layers, N):
+    # 2^layers rows per block, more than the N / 2 + 1 window rows: only
+    # the blocks cut by the window's ends, at every placement on the ring
+    stack = build_stack(Harmonic(0.0), DesignParams(1, 1), layers)
+    half = N // 4
+    profile = np.random.default_rng(layers).standard_normal(2 * half + 1)
+    for row in waverg.mera._covariance_rows(stack, N):
+        dense = waverg.mera._roll_out(row)
+        for centre in range(-N, N, max(1, N // 32)):
+            window = np.arange(centre - half, centre + half + 1)
+            assert waverg.mera._window_deviation(profile, row, window) == \
+                _dense_window_deviation(profile, dense, window)
+
+
 def test_single_entry_read_copies_no_rows():
     row = np.random.default_rng(7).standard_normal((4, 1 << 14))
     tracemalloc.start()
@@ -730,17 +745,23 @@ def test_certified_operator_bound_fixed_cases(case, monkeypatch, haar,
         stack = LayerStack((pair_k2l4,) * 3, (1.0, 0.7, 1.2), Harmonic(0.0))
         place = waverg.mera.placed_gram_rows
 
-        def with_nan(filt, N, stride):
-            rows = place(filt, N, stride)
+        def with_nan(filt, N, stride, count=None):
+            rows = place(filt, N, stride, count)
             if stride == 4:
                 rows = rows.copy()
                 rows[-1, 0] = np.nan
             return rows
         monkeypatch.setattr(waverg.mera, "placed_gram_rows", with_nan)
-    got = _outcome(stack_operator_bound, stack, N)
-    assert got == _outcome(_eigvalsh_operator_bound, stack, N)
-    if case.startswith("nan"):  # eigvalsh refuses the NaN symbol, as before
-        assert got.startswith("LinAlgError")
+    want = _outcome(_eigvalsh_operator_bound, stack, N)
+    if case.startswith("nan"):
+        # the NaN Gram rows are refused before any symbol is formed, where
+        # the reference's eigvalsh refuses the NaN symbol
+        assert want.startswith("LinAlgError")
+        with pytest.raises(NonFiniteFilter,
+                           match="operator-bound [gh]-channel Gram walk"):
+            stack_operator_bound(stack, N)
+    else:
+        assert _outcome(stack_operator_bound, stack, N) == want
 
 
 def test_operator_bound_eigvalsh_calls(monkeypatch, massless_k2l4_8):
@@ -885,14 +906,98 @@ def test_covariance_rows_peak_memory(massless_k2l4_8):
     assert peak < 2 * 2 * P * N * 8
 
 
+def test_first_rows_walk_is_the_full_walk_bit_for_bit(designs):
+    # from two rows on, BLAS sums each kept row as in the full product; the
+    # 12 massless designs, depths 1..8, rings from twice the support up
+    r = 0.5 ** 0.5
+    for pair, _ in designs.values():
+        least = 2 * pair.support_length()
+        rings = {-(-least // (1 << d)) << d for d in range(1, 9)} | {2048}
+        for N in sorted(rings):
+            depth = min(8, (N & -N).bit_length() - 1)
+            scales = [1.0] + [r] * (depth - 1)
+            for channel, sc in (("g", scales), ("h", [1 / x for x in scales])):
+                walk = waverg.mera._gram_block_rows((pair,) * depth, channel,
+                                                    N, sc)
+                full = [(rows.copy(), scaling) for rows, scaling in walk]
+                for count in (2, 3):
+                    walk = waverg.mera._gram_block_rows(
+                        (pair,) * depth, channel, N, sc, count)
+                    for (rows, scaling), (want, _) in zip(walk, full):
+                        assert np.array_equal(rows, want[:count])
+                        P = len(want)
+                        assert np.array_equal(
+                            placed_gram_rows(scaling, N, P, len(rows)),
+                            placed_gram_rows(scaling, N, P)[:count])
+
+
+@pytest.mark.parametrize("which", ["massless", "massive"])
+def test_report_covariance_rows_are_full_blocks(which, monkeypatch,
+                                                massive_stack):
+    # a gapless report walks the q rows its pairs read (n mod P < 2 here)
+    # and the full q block on the first read of covariance_rows, once
+    N = 256
+    if which == "massless":
+        stack = build_stack(Harmonic(0.0), DesignParams(2, 2), 5)
+    else:
+        stack = massive_stack
+    P = 1 << stack.depth
+    want = waverg.mera._covariance_rows(stack, N)
+    ref = mera_covariance(stack, N)
+    calls = []
+    channel_rows = waverg.mera._channel_rows
+
+    def counting(stack, channel, N, count=None):
+        calls.append((channel, count))
+        return channel_rows(stack, channel, N, count)
+
+    monkeypatch.setattr(waverg.mera, "_channel_rows", counting)
+    rep = error_report(stack, N, quad_points=1 << 12)
+    q_count = 2 if which == "massless" else None
+    assert calls == [("h", q_count), ("g", None)]
+    assert rep.measured_rows[0].shape == (q_count or P, N)
+    for _ in range(2):
+        rows = rep.covariance_rows
+        assert [r.shape for r in rows] == [(P, N)] * 2
+        assert all(np.array_equal(a, b) for a, b in zip(rows, want))
+    assert np.array_equal(rep.covariance.q_block, ref.q_block)
+    assert np.array_equal(rep.covariance.p_block, ref.p_block)
+    assert calls[2:] == ([("h", None)] if which == "massless" else [])
+
+
+def test_gapless_report_covariance_stage_peak_memory(monkeypatch,
+                                                     massless_k2l4_8):
+    # the q walk keeps 2 rows, so the stage holds one P x N g walk buffer
+    # and one placed Gram at a time; the full q block held besides makes 3
+    N, P = 2048, 256
+    peaks = []
+    covariance_rows = waverg.mera._covariance_rows
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            rows = covariance_rows(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert [r.shape for r in rows] == [(2, N), (P, N)]
+        return rows
+
+    error_report(massless_k2l4_8, N)  # warm caches
+    monkeypatch.setattr(waverg.mera, "_covariance_rows", traced)
+    error_report(massless_k2l4_8, N)
+    [peak] = peaks
+    assert peak < 2.5 * P * N * 8
+
+
 def test_covariance_rows_place_one_top_scaling_gram(monkeypatch,
                                                     massive_stack):
     calls = []
     place = waverg.mera.placed_gram_rows
 
-    def counting(filt, N, stride):
+    def counting(filt, N, stride, count=None):
         calls.append(stride)
-        return place(filt, N, stride)
+        return place(filt, N, stride, count)
 
     monkeypatch.setattr(waverg.mera, "placed_gram_rows", counting)
     waverg.mera._covariance_rows(massive_stack, 256)
@@ -980,14 +1085,16 @@ def _dense_window_deviation(profile, block, window):
                                - block[np.ix_(cols, cols)])))
 
 
-@pytest.mark.parametrize("which", ["massless", "massive"])
+@pytest.mark.parametrize("which", ["massless", "massive", "partial"])
 def test_error_report_deviations_match_rolled_out_covariance(
         which, massive_stack):
+    N, quad = 256, 1 << 13
     if which == "massless":
         stack = build_stack(Harmonic(0.0), DesignParams(2, 2), 3)
-    else:
+    elif which == "massive":
         stack = massive_stack
-    N, quad = 256, 1 << 13
+    else:  # P = 16 rows per block, more than the 9 window rows
+        stack, N = build_stack(Harmonic(0.0), DesignParams(1, 1), 4), 16
     pairs = ((0, 1), (0, 4), (0, 16), (3, -5), (-7, 2), (40, 41))
     rep = error_report(stack, N, quad_points=quad, pairs_to_check=pairs)
     d = stack.base_dispersion
