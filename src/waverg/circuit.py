@@ -162,8 +162,8 @@ def _to_float(x: int, bits: int) -> float:
     the float range."""
     try:
         return x / (1 << bits)
-    except OverflowError:
-        return math.copysign(math.inf, x)
+    except OverflowError:  # copysign would convert x to a float too
+        return math.inf if x > 0 else -math.inf
 
 
 def _exceeds(x: int, bits: int, bound: Fraction) -> bool:

@@ -10,8 +10,9 @@ ground-state approximation has covariance blocks
 Each output block of R places one level filter at stride 2^l, so a Gram
 R^T R is the sum of the filters' placed autocorrelations and commutes with
 shifts by P = 2^depth.  Its first block row G[:P, :] is built from the level
-filters alone (filters.level_walk, filters.placed_gram_rows).  The error
-report reads its window of covariance entries straight from that row, and
+filters alone (filters.level_walk, filters.placed_gram_rows) and finished
+one way (_with_top).  The error report reads its window of covariance
+entries straight from that row, by runs of rows that share columns, and
 the operator bound turns it into P x P symbols; only mera_covariance, the
 public ring API, rolls it out to N x N.  No N x N array is formed on the
 report path; multi_layer_map remains the dense reference.
@@ -180,46 +181,58 @@ def _gram_block_rows(pairs, channel: str, N: int, scales,
     read only rows below c.  From count = 2 on these are the full walk's
     first rows bit for bit (see placed_gram_rows).  A yielded array is that
     view of the buffer, overwritten by the next step: read it (or copy it)
-    before advancing the walk.
+    before advancing the walk.  Finite taps can square past the double
+    range: each step, the level_walk composition included, runs under
+    errstate, never across a yield, and _with_top refuses the rows.
     """
     check_lattice(pairs, N)
     P = 1 << len(pairs)
     count = P if count is None else min(count, P)
     buf = np.zeros((count, N))
-    for depth, (scaling, wavelet) in enumerate(
-            level_walk(pairs, channel, scales), 1):
+    levels = level_walk(pairs, channel, scales)
+    for depth in range(1, len(pairs) + 1):
         s = 1 << depth
         h, c = s // 2, min(count, s)
-        if c > h:
-            buf[h:c, h:] = buf[:c - h, :N - h]
-            buf[h:c, :h] = buf[:c - h, N - h:]
-        rows = buf[:c]
-        rows += placed_gram_rows(wavelet, N, s, c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaling, wavelet = next(levels)
+            if c > h:
+                buf[h:c, h:] = buf[:c - h, :N - h]
+                buf[h:c, :h] = buf[:c - h, N - h:]
+            rows = buf[:c]
+            rows += placed_gram_rows(wavelet, N, s, c)
         yield rows, scaling
 
 
-def _row_reader(row: np.ndarray, width: int = 1):
-    """read(n, start): entries start .. start + width - 1 (mod N) of rows n
-    of the N x N matrix G that commutes with shifts by P and has first block
-    row ``row`` (P x N).  Row n of G is row[n mod P] rolled by n - n mod P,
-    so they are the window from (start - n + n mod P) mod N of a strided
-    view of the rows, wrapped by width - 1 columns (at width 1: no copy).
-    """
-    P, N = row.shape
-    if width > 1:
-        row = np.concatenate([row, row[:, :width - 1]], axis=1)
-    windows = sliding_window_view(row, width, axis=1)
-
-    def read(n, start):
-        r = n % P
-        return windows[r, (start - n + r) % N]
-    return read
+def _with_top(rows: np.ndarray, scaling: FirFilter, N: int, P: int,
+              stage: str) -> np.ndarray:
+    """``rows``, a Gram walk's first rows at P = 2^depth (_gram_block_rows),
+    plus the top scaling block, added in place: the first rows of G[:P, :].
+    Rows that are not finite are refused as NonFiniteFilter(stage), before
+    any symbol or eigenvalue is formed from them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows += placed_gram_rows(scaling, N, P, len(rows))
+    if not np.isfinite(rows).all():
+        raise NonFiniteFilter(stage)
+    return rows
 
 
 def _roll_out(row: np.ndarray) -> np.ndarray:
     """The N x N matrix that commutes with shifts by P and has first block
-    row ``row`` (P x N), read through _row_reader."""
-    return _row_reader(row, row.shape[1])(np.arange(row.shape[1]), 0)
+    row ``row`` (P x N).  Its row n is row[n mod P] rolled by n - n mod P:
+    window N - n + n mod P of that row doubled along its columns, all read
+    through one sliding-window view."""
+    P, N = row.shape
+    n = np.arange(N)
+    r = n % P
+    windows = sliding_window_view(np.concatenate([row, row], axis=1), N,
+                                  axis=1)
+    return windows[r, N - n + r]
+
+
+def _channel_scales(squeezes, channel: str):
+    """Per-layer factors of a channel's maps: the squeezes for g, their
+    inverses for h."""
+    return squeezes if channel == "g" else [1.0 / s for s in squeezes]
 
 
 def _channel_rows(stack: LayerStack, channel: str, N: int,
@@ -227,16 +240,12 @@ def _channel_rows(stack: LayerStack, channel: str, N: int,
     """First ``count`` rows (default all 2^depth) of the first block row of
     gamma_q = R_h^T R_h / 2 (channel h) or gamma_p = R_g^T R_g / 2 (g) on
     Z_N as built (see _gram_block_rows), not symmetrized."""
-    scales = stack.squeezes if channel == "g" else \
-        [1.0 / s for s in stack.squeezes]
-    walk = _gram_block_rows(stack.pairs, channel, N, scales, count)
-    # finite taps can square past the double range: refused before eigvalsh
-    with np.errstate(over="ignore", invalid="ignore"):
-        *_, (row, scaling) = walk
-        # the walk has ended, so its buffer is free to finish in place
-        row += placed_gram_rows(scaling, N, 1 << stack.depth, len(row))
-    if not np.isfinite(row).all():
-        raise NonFiniteFilter(f"{channel}-channel Gram walk")
+    *_, (row, scaling) = _gram_block_rows(
+        stack.pairs, channel, N, _channel_scales(stack.squeezes, channel),
+        count)
+    # the walk has ended, so its buffer is free to finish in place
+    row = _with_top(row, scaling, N, 1 << stack.depth,
+                    f"{channel}-channel Gram walk")
     row *= 0.5
     return row
 
@@ -413,9 +422,11 @@ def exact_q_profile(d: Dispersion, offsets: np.ndarray,
                                                regulated)
 
 
-def _toeplitz(profile: np.ndarray, W: int) -> np.ndarray:
-    """W x W read-only view with entry (n, m) = profile[|n - m|]."""
-    return sliding_window_view(profile[np.abs(np.arange(1 - W, W))], W)[::-1]
+def _toeplitz(profile: np.ndarray, rows: int, cols: int,
+              shift: int) -> np.ndarray:
+    """rows x cols read-only view, entry (i, k) = profile[|k - i + shift|]."""
+    line = profile[np.abs(np.arange(shift + 1 - rows, shift + cols))]
+    return sliding_window_view(line, cols)[::-1]
 
 
 def exact_covariance(d: Dispersion, N: int,
@@ -426,9 +437,9 @@ def exact_covariance(d: Dispersion, N: int,
     offsets = np.arange(N)
     p_prof, p_err = exact_p_profile(d, offsets)
     q_prof, q_err = exact_q_profile(d, offsets, regulated=regulated)
-    return CovariancePair(N, _toeplitz(q_prof, N).copy(),
-                          _toeplitz(p_prof, N).copy(), regulated=regulated,
-                          quad_error=max(p_err, q_err))
+    return CovariancePair(N, _toeplitz(q_prof, N, N, 0).copy(),
+                          _toeplitz(p_prof, N, N, 0).copy(),
+                          regulated=regulated, quad_error=max(p_err, q_err))
 
 
 def q_difference_norm(d: Dispersion, delta: int,
@@ -591,7 +602,8 @@ def _below(symbols: np.ndarray, t: float) -> bool:
     which shows each eigenvalue below t up to the factorization's backward
     error.  OpenBLAS's potrf passes NaN pivots, so a non-finite factor
     counts as a failure."""
-    lower = np.tril(np.abs(symbols), -1)
+    lower = np.abs(symbols)  # zeroed in place, not multiplied: inf 0 = NaN
+    np.copyto(lower, 0.0, where=~np.tri(*lower.shape[1:], -1, dtype=bool))
     sums = (np.abs(symbols.diagonal(axis1=1, axis2=2).real)
             + lower.sum(axis=2) + lower.sum(axis=1))
     if sums.max() < t * (1.0 - _CERTIFY_MARGIN):
@@ -604,25 +616,6 @@ def _below(symbols: np.ndarray, t: float) -> bool:
     except np.linalg.LinAlgError:
         return False
     return bool(np.isfinite(factor).all())
-
-
-def _checked_block_rows(pairs, channel: str, N: int, scales):
-    """The first block row G[:P, :] of each depth of a Gram walk
-    (_gram_block_rows plus the top scaling block), formed with the walk's
-    step under errstate: finite taps can square past the double range, and
-    a block row that is not finite is refused, as NonFiniteFilter naming
-    the walk, before any symbol is formed from it."""
-    walk = _gram_block_rows(pairs, channel, N, scales)
-    while True:
-        with np.errstate(over="ignore", invalid="ignore"):
-            step = next(walk, None)
-            if step is None:
-                return
-            rows, scaling = step
-            block_row = rows + placed_gram_rows(scaling, N, len(rows))
-        if not np.isfinite(block_row).all():
-            raise NonFiniteFilter(f"operator-bound {channel}-channel Gram walk")
-        yield block_row
 
 
 def stack_operator_bound(stack: LayerStack, N: int = 512) -> float:
@@ -655,7 +648,8 @@ def stack_operator_bound(stack: LayerStack, N: int = 512) -> float:
     holds is then below the running maximum.  Otherwise it gets eigvalsh
     too.  So the result is the maximum of the same floating-point numbers
     as with eigvalsh on every batch.  A walk whose Gram rows leave the
-    double range is refused as NonFiniteFilter (_checked_block_rows).
+    double range is refused as NonFiniteFilter (_with_top) before any
+    symbol is formed.
     """
     pairs, s = stack.pairs, stack.squeezes
     L = stack.depth
@@ -670,11 +664,13 @@ def stack_operator_bound(stack: LayerStack, N: int = 512) -> float:
             j = l0
             walks[j] = [
                 (d, channel, S, [])
-                for channel, scales in (("g", s[l0:]),
-                                        ("h", [1.0 / x for x in s[l0:]]))
-                for d, block_row in enumerate(_checked_block_rows(
-                    pairs[l0:], channel, N, scales))
-                for S in _gram_symbols(block_row)
+                for channel in "gh"
+                for d, (rows, scaling) in enumerate(_gram_block_rows(
+                    pairs[l0:], channel, N, _channel_scales(s[l0:], channel)))
+                # a copy: the walk goes on in its buffer
+                for S in _gram_symbols(_with_top(
+                    rows.copy(), scaling, N, len(rows),
+                    f"operator-bound {channel}-channel Gram walk"))
                 if len(S)]
         c = s[l0] / s[j]  # 1 for a walk just run
         for d, _, _, ratios in walks[j]:
@@ -802,30 +798,29 @@ def _window_deviation(profile: np.ndarray, row: np.ndarray,
     Z_N is rolled out from its first block row ``row`` (P x N) and the
     window is a run lo .. hi of W <= N / 2 + 1 sites.
 
-    Row n = qP + r of G is row r rolled by qP, so along it G[n, m] is
-    row[r, (m - qP) mod N]: the rows of block q read columns lo - qP ..
-    hi - qP (mod N) of ``row``.  The blocks q_0 .. q_1 that lie in the
-    window read, together, the W + (q_1 - q_0) P columns from lo - q_1 P on,
-    and entry (r, c) of that range meets G at the offset m - n =
-    c - r + lo - q_1 P whichever block reads it: it is read once, as at most
-    two column slices, against a read-only Toeplitz view of the profile.
-    The block cut by each end of the window reads its own rows alone.  Taken
-    over chunks of 64 rows: no N x N or (window x window) array is formed.
+    Row n = jP + r of G is row r rolled by jP, so G[n, n + t] is
+    row[r, (r + t) mod N]: the window rows of block j read columns lo - jP
+    .. hi - jP (mod N) of row r, and entry (r, c) of ``row`` meets G at the
+    offset c - r whichever block reads it.  Row r lies in the window for
+    blocks j_min .. j_max, so it reads columns lo - j_max P .. hi - j_min P,
+    one run (a row in two blocks puts P < W: their columns overlap).  j_max
+    changes only at r = hi mod P + 1, and j_min only at r = lo mod P, so at
+    most three runs of rows share one column range, and each run is read
+    once, as at most two column slices, against a read-only Toeplitz view
+    of the profile.  Taken over chunks of 64 rows: no N x N or
+    (window x window) array is formed.
     """
     P, N = row.shape
     lo, W = int(window[0]), len(window)
     hi = lo + W - 1
     maxima = []
-    n = lo
-    while n <= hi:  # rows r0 .. r1 - 1 of blocks q .. last
-        q, r0 = divmod(n, P)
-        whole = (hi + 1 - n) // P if r0 == 0 else 0
-        last = q + max(whole, 1) - 1
-        r1 = P if whole else min(P, hi + 1 - q * P)
-        width, t = W + (last - q) * P, lo - last * P
-        exact = sliding_window_view(
-            profile[np.abs(np.arange(t + 1 - r1, t - r0 + width))],
-            width)[::-1]
+    cuts = sorted({0, lo % P, hi % P + 1, P})
+    for r0, r1 in zip(cuts, cuts[1:]):
+        j_min, j_max = -((r0 - lo) // P), (hi - r0) // P
+        if j_min > j_max:  # no window row is r0 .. r1 - 1 mod P
+            continue
+        t, width = lo - j_max * P, W + (j_max - j_min) * P
+        exact = _toeplitz(profile, r1 - r0, width, t - r0)
         start = t % N
         cut = min(width, N - start)
         for i in range(r0, r1, 64):
@@ -836,7 +831,6 @@ def _window_deviation(profile: np.ndarray, row: np.ndarray,
                 if want.size:
                     diff = want - got
                     maxima.append(np.max(np.abs(diff, out=diff)))
-        n = last * P + r1
     return float(np.max(maxima))
 
 

@@ -264,6 +264,14 @@ def test_decompose_rejects_nonfinite_tap(haar):
         decompose(bad)
 
 
+def test_to_float_past_the_float_range_is_infinite():
+    # an int past the float range is signed infinity, not an OverflowError
+    # from converting it
+    for sign in (1, -1):
+        assert circuit._to_float(sign * (1 << 2000), 10) == sign * np.inf
+    assert circuit._to_float(-3 << 10, 10) == -3.0
+
+
 def _mp_pr_residual(g, h, M):
     """Reference: the PR defect [n = 0] - sum_j g[2n + j] h[j], term by term."""
     r = mp.matrix(2 * M - 1, 1)

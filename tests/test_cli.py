@@ -875,28 +875,35 @@ def test_overflowing_gram_is_refused_without_library_text(tmp_path, capfd):
     assert payload["stage"].endswith("-channel Gram walk")
 
 
-@pytest.mark.parametrize("verb", ["cascade", "simulate"])
+@pytest.mark.parametrize("verb", ["cascade", "simulate", "circuit"])
 def test_overflowing_scaling_filter_is_refused_without_warnings(verb,
                                                                 tmp_path,
                                                                 capfd):
     # finite taps whose sum a_s(0) overflows: the typed refusal comes before
     # any numpy warning (the cascade's sqrt(2) check, or the amplitude
-    # bound's before the Gram walk would overflow on the taps)
+    # bound's before the Gram walk would overflow on the taps); the circuit
+    # peel's PR defect of taps 1e200 overflows, and was an OverflowError
     r = 0.5 ** 0.5
     pair = tmp_path / "overflow.json"
-    FilterPair(FirFilter(0, np.array([1e308, 1e308])),
-               FirFilter(0, np.array([r, r]))).save(pair)
+    g, h = ([1e200, 1e200],) * 2 if verb == "circuit" else \
+        ([1e308, 1e308], [r, r])
+    FilterPair(FirFilter(0, np.array(g)), FirFilter(0, np.array(h))).save(pair)
     argv = {"cascade": ["cascade", "--pair", str(pair), "--J", "4"],
             "simulate": ["simulate", "--pair", str(pair), "--layers", "2",
-                         "--N", "64", "--quad-points", "4096"]}[verb]
+                         "--N", "64", "--quad-points", "4096"],
+            "circuit": ["circuit", "--in", str(pair)]}[verb]
     assert main(argv) == 2
     captured = capfd.readouterr()
     assert captured.out == ""
     [line] = captured.err.splitlines()
     payload = json.loads(line)
-    assert payload["error"] == "NormalizationFailure"
-    if verb == "cascade":
+    if verb == "circuit":
+        assert payload["error"] == "DegenerateFactorization"
+        assert payload["message"].startswith("PR defect inf exceeds")
+    elif verb == "cascade":
+        assert payload["error"] == "NormalizationFailure"
         assert payload["message"].endswith("got inf+nanj")
     else:
+        assert payload["error"] == "NormalizationFailure"
         assert payload["layer"] == 0
         assert "a_s(0) = inf" in payload["message"]

@@ -1,6 +1,7 @@
 """Layer stacks, exact/MERA covariances, regulated oracles, error bounds."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -421,23 +422,11 @@ def _entry(row, n, m):
 
 
 @settings(max_examples=40, deadline=None)
-@given(case=pr_stacks(), data=st.data())
-def test_row_reader_matches_entry_formula_on_random_stacks(case, data):
+@given(pr_stacks())
+def test_roll_out_matches_entry_formula_on_random_stacks(case):
     stack, N = case
-    sites = st.integers(-3 * N, 3 * N)
+    ring = np.arange(N)
     for row in waverg.mera._covariance_rows(stack, N):
-        n = np.array(data.draw(st.lists(sites, min_size=1, max_size=8)))
-        m = np.array(data.draw(st.lists(sites, min_size=len(n),
-                                        max_size=len(n))))
-        read = waverg.mera._row_reader(row)
-        assert np.array_equal(read(n, m)[:, 0], _entry(row, n, m))
-        for i, j in zip(n.tolist(), m.tolist()):
-            assert read(i, j)[0] == _entry(row, i, j)
-        width = data.draw(st.integers(1, N))
-        got = waverg.mera._row_reader(row, width)(n, m)
-        assert np.array_equal(
-            got, _entry(row, n[:, None], m[:, None] + np.arange(width)))
-        ring = np.arange(N)
         assert np.array_equal(waverg.mera._roll_out(row),
                               _entry(row, ring[:, None], ring))
 
@@ -458,31 +447,26 @@ def test_window_deviation_matches_dense_window_on_random_stacks(case, data):
                 _dense_window_deviation(profile, dense, window)
 
 
-@pytest.mark.parametrize("layers, N", [(4, 16), (9, 512)])
+@pytest.mark.parametrize("layers, N", [(1, 16), (2, 16), (3, 16), (4, 16),
+                                       (5, 32), (9, 512)])
 def test_window_deviation_reads_partial_blocks(layers, N):
-    # 2^layers rows per block, more than the N / 2 + 1 window rows: only
-    # the blocks cut by the window's ends, at every placement on the ring
+    # every half-width up to 8 (and N / 4), at centres 1 .. N / 32 apart: on
+    # the small rings the window's ends fall on every row r mod P, so the
+    # runs of rows that share a column range (cut at lo mod P and at
+    # hi mod P + 1) take every size and order; at 9 layers a block holds
+    # more rows than the window
     stack = build_stack(Harmonic(0.0), DesignParams(1, 1), layers)
-    half = N // 4
-    profile = np.random.default_rng(layers).standard_normal(2 * half + 1)
-    for row in waverg.mera._covariance_rows(stack, N):
+    rng = np.random.default_rng(layers)
+    rows = [*waverg.mera._covariance_rows(stack, N),
+            rng.standard_normal((1 << layers, N))]
+    for row in rows:
         dense = waverg.mera._roll_out(row)
-        for centre in range(-N, N, max(1, N // 32)):
-            window = np.arange(centre - half, centre + half + 1)
-            assert waverg.mera._window_deviation(profile, row, window) == \
-                _dense_window_deviation(profile, dense, window)
-
-
-def test_single_entry_read_copies_no_rows():
-    row = np.random.default_rng(7).standard_normal((4, 1 << 14))
-    tracemalloc.start()
-    try:
-        value = waverg.mera._row_reader(row)(-5, 3 << 14)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert value[0] == _entry(row, -5, 3 << 14)
-    assert peak < row.nbytes // 64
+        for half in sorted({*range(min(N // 4, 8) + 1), N // 4}):
+            profile = rng.standard_normal(2 * half + 1)
+            for centre in range(-N, N, max(1, N // 32)):
+                window = np.arange(centre - half, centre + half + 1)
+                assert waverg.mera._window_deviation(profile, row, window) \
+                    == _dense_window_deviation(profile, dense, window)
 
 
 @settings(max_examples=40, deadline=None)
@@ -764,6 +748,33 @@ def test_certified_operator_bound_fixed_cases(case, monkeypatch, haar,
         assert _outcome(stack_operator_bound, stack, N) == want
 
 
+def test_overflowing_gram_walk_is_refused_by_each_finisher():
+    # taps 1e200 normalize, but their Gram rows overflow, and so does the
+    # level filter that composes two layers: the walk itself warns of
+    # nothing, and each finisher refuses the rows with its stage
+    r = 0.5 ** 0.5
+    big = FilterPair(FirFilter(0, np.array([1e200, 1e200])),
+                     FirFilter(0, np.array([r, r])))
+    stack = LayerStack((big, big), (1.0, r), Harmonic(0.0))
+    N = 64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for channel in "gh":
+            finite = [np.isfinite(rows).all() for rows, _ in
+                      waverg.mera._gram_block_rows(
+                          stack.pairs, channel, N,
+                          waverg.mera._channel_scales(stack.squeezes,
+                                                      channel))]
+            assert not all(finite)
+        for channel in "gh":
+            with pytest.raises(NonFiniteFilter) as err:
+                waverg.mera._channel_rows(stack, channel, N)
+            assert err.value.stage == f"{channel}-channel Gram walk"
+        with pytest.raises(NonFiniteFilter) as err:
+            stack_operator_bound(stack, N)
+        assert err.value.stage == "operator-bound g-channel Gram walk"
+
+
 def test_operator_bound_eigvalsh_calls(monkeypatch, massless_k2l4_8):
     # one walk per channel holds 30 symbol batches; the one that attains the
     # maximum gets eigvalsh, and Cholesky factorizations rule out the rest
@@ -888,6 +899,33 @@ def test_below_screen_reads_the_lower_triangle(monkeypatch):
     lower[0, 3, 0] = np.nan  # a NaN sum is not below: no screen
     assert not waverg.mera._below(lower, 1e300)
     assert not waverg.mera._below(np.zeros((1, 2, 2)), 0.0)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_below_screen_sums_match_tril_bit_for_bit(dtype, monkeypatch):
+    # with a zero margin and every factorization failing, _below(S, t) is
+    # True just when the largest screen row sum is below t: the maximum of
+    # each symbol's sums is the np.tril reference's bit for bit, with inf
+    # and NaN above the diagonal (a 0/1 mask would make them NaN)
+    def fail(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("screen only")
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    monkeypatch.setattr(waverg.mera, "_CERTIFY_MARGIN", 0.0)
+    rng = np.random.default_rng(3)
+    S = rng.standard_normal((4, 37, 37)).astype(dtype)
+    if dtype is complex:
+        S += 1j * rng.standard_normal(S.shape)
+    upper = np.triu_indices(37, 1)
+    S[1][upper] = np.inf
+    S[2][upper] = np.nan
+    S[3][upper] = -np.inf
+    lower = np.tril(np.abs(S), -1)
+    sums = (np.abs(S.diagonal(axis1=1, axis2=2).real)
+            + lower.sum(axis=2) + lower.sum(axis=1))
+    for symbol, top in zip(S, sums.max(axis=1)):
+        assert np.isfinite(top)
+        assert not waverg.mera._below(symbol[None], top)
+        assert waverg.mera._below(symbol[None], np.nextafter(top, np.inf))
 
 
 def test_covariance_rows_peak_memory(massless_k2l4_8):

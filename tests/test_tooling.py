@@ -140,3 +140,30 @@ def test_every_option_is_set_somewhere():
                  ast.parse(path.read_text()))
              if not any(_sets(c, option, index) for c in calls.get(name, ()))]
     assert not unset, unset
+
+
+def test_private_helpers_are_used_in_the_package():
+    # a module-level private function or class that the package reads
+    # nowhere outside its own definition is dead code, even if a test
+    # calls it
+    package = Path(waverg.__file__).parent
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+
+    def reads(node, name):
+        return (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and node.name == name)
+
+    unused = []
+    for module, tree in trees.items():
+        for definition in tree.body:
+            name = getattr(definition, "name", "")
+            if not (isinstance(definition, (ast.FunctionDef, ast.ClassDef))
+                    and name.startswith("_") and not name.endswith("__")):
+                continue
+            inside = {id(n) for n in ast.walk(definition)}
+            if not any(reads(n, name) for t in trees.values()
+                       for n in ast.walk(t) if id(n) not in inside):
+                unused.append(f"{module}: {name}")
+    assert not unused, unused
