@@ -28,9 +28,6 @@ import numpy as np
 from .errors import DegenerateFactorization, LatticeTooSmall
 from .filters import FilterPair, FirFilter, LatticeMap
 
-ALPHA_2X2 = np.array([[0.0, -1.0], [1.0, 0.0]])  # x[n] -> (-1)^(1-n) x[1-n]
-
-
 @dataclass(frozen=True, eq=False)
 class Gate2:
     """Unit-determinant 2x2 gate acting on one sublattice pairing.
@@ -56,14 +53,6 @@ class Gate2:
         """(a^T)^{-1} via the determinant-1 inversion formula."""
         m = self.entries
         return np.array([[m[1, 1], -m[1, 0]], [-m[0, 1], m[0, 0]]])
-
-
-def gate_alpha_identity_check(g: Gate2) -> float:
-    """max-abs defect of a^{-1} = alpha a^T alpha^{-1}, zero for det = 1."""
-    m = g.entries
-    inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / g.det
-    conj = ALPHA_2X2 @ m.T @ np.linalg.inv(ALPHA_2X2)
-    return float(np.max(np.abs(inv - conj)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,6 +21,7 @@ import argparse
 import json
 import re
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -307,7 +308,10 @@ def cmd_flow(args) -> int:
 # wiring
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> _Parser:
+    """The waverg parser, built once per process: parsing leaves it as it
+    was, and its messages go to the sys.stdout and sys.stderr of the call."""
     top = _Parser(prog="waverg", description=__doc__,
                   formatter_class=argparse.RawDescriptionHelpFormatter)
     common = _Parser(add_help=False)

@@ -113,18 +113,6 @@ def thiran_allpass(L: int) -> FirFilter:
     return FirFilter(0, d)
 
 
-def allpass_response(d: FirFilter, L: int, k: np.ndarray) -> np.ndarray:
-    """A(k) = e^{-iLk} d(-k)/d(k); unit modulus for real d."""
-    dk = d(k)
-    return np.exp(-1j * L * k) * np.conj(dk) / dk
-
-
-def allpass_phase_error(d: FirFilter, L: int,
-                        kmax: float = 0.9 * np.pi) -> float:
-    k = np.linspace(-kmax, kmax, 2048)
-    return float(np.max(np.abs(allpass_response(d, L, k) - np.exp(-0.5j * k))))
-
-
 def rational_approx_massless(L: int) -> tuple[FirFilter, FirFilter]:
     """Symmetric (a, b) on [-L, L] with a/b = Re A(k) ~ cos(k/2).
 

@@ -18,10 +18,14 @@ public ring API, rolls it out to N x N.  No N x N array is formed on the
 report path; multi_layer_map remains the dense reference.
 
 The exact oracle evaluates the translation-invariant ground-state covariance
-gamma_p(k) = omega/2, gamma_q(k) = 1/(2 omega) by periodic quadrature with
-Richardson extrapolation from one transform per integrand for all profiles and
-norms of a report; for gapless dispersions the q-block exists only in the
-regulated form gamma_q[n,m] - gamma_q[n,n].  The rigorous error bound is
+gamma_p(k) = omega/2, gamma_q(k) = 1/(2 omega).  On the massless shape
+omega = b |sin(k/2)|, b > 0 (Harmonic(0) and each of its levels), it reads
+elementary closed forms and samples nothing; any other dispersion takes
+periodic quadrature with Richardson extrapolation, from one transform per
+integrand for all profiles and norms of a report.  Either certifies its
+error: the closed forms their rounding, the quadrature its truncation.  For
+gapless dispersions the q-block exists only in the regulated form
+gamma_q[n,m] - gamma_q[n,n].  The rigorous error bound is
 delta_p <= D^2 (C 2^{-L/2} + 3 eps D log2(C/eps)) with C = 4 B^2 M^{3/2}
 Omega, and 2x that expression times ||gamma_q (delta_n - delta_m)|| for the
 regulated q entries.
@@ -37,7 +41,8 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .design import DesignParams, design_pair, layer_epsilons
+from .design import (DesignParams, _is_massless_shape, design_pair,
+                     layer_epsilons)
 from .dispersion import Dispersion, fitted_mass, flow, flow_report
 from .errors import (GaplessUnregulated, LatticeTooSmall, NonFiniteFilter,
                      NormalizationFailure, OutOfHypothesis, WavergError)
@@ -301,6 +306,23 @@ def _riemann_sums(f: np.ndarray, alternate: bool = True):
     return read
 
 
+def _integer_offsets(offsets, quad_points: int) -> np.ndarray:
+    """``offsets`` as int64, refused unless they are integers with
+    quad_points > 2 max|offset|: the quadrature's coarse grid kgrid(q) would
+    alias them.  Both oracles check it, so --quad-points keeps one contract."""
+    offsets = np.asarray(offsets)
+    if not np.all(np.isfinite(offsets)) or np.any(
+            offsets != np.rint(offsets)):
+        raise ValueError("profile offsets must be integers")
+    offsets = offsets.astype(np.int64)
+    reach = 2 * int(np.max(np.abs(offsets), initial=0))
+    if not quad_points > reach:
+        raise ValueError(
+            f"quad_points = {quad_points} must exceed "
+            f"2 max|offset| = {reach}: the grid would alias the offsets")
+    return offsets
+
+
 class _Quadrature:
     """Periodic quadrature of functions of omega, Richardson-extrapolated.
 
@@ -327,19 +349,6 @@ class _Quadrature:
     def omega(self) -> np.ndarray:
         return np.asarray(self.d(self.k), dtype=np.float64)
 
-    def _offsets(self, offsets) -> np.ndarray:
-        offsets = np.asarray(offsets)
-        if not np.all(np.isfinite(offsets)) or np.any(
-                offsets != np.rint(offsets)):
-            raise ValueError("profile offsets must be integers")
-        offsets = offsets.astype(np.int64)
-        reach = 2 * int(np.max(np.abs(offsets), initial=0))
-        if not self.quad_points > reach:
-            raise ValueError(
-                f"quad_points = {self.quad_points} must exceed "
-                f"2 max|offset| = {reach}: the grid would alias the offsets")
-        return offsets
-
     def _extrapolated(self, S, offsets: np.ndarray,
                       regulated: bool) -> tuple[np.ndarray, np.ndarray]:
         """The Richardson value S(d) - (-1)^q S(d + q) / 3 of fine sums S
@@ -356,12 +365,12 @@ class _Quadrature:
         """(1/2pi) integral of integrand(omega(k)) cos(k d) per offset d, and
         its certified error.  ``regulated`` returns the differences
         value(d) - value(0), and certifies those."""
-        offsets = self._offsets(offsets)
+        offsets = _integer_offsets(offsets, self.quad_points)
         if integrand not in self._sums:
             self._sums[integrand] = _riemann_sums(integrand(self.omega))
         values, err = self._extrapolated(self._sums[integrand], offsets,
                                          regulated)
-        return values, float(np.max(err))
+        return values, float(np.max(err, initial=0.0))
 
     def q_difference_norms(self, deltas) -> tuple[np.ndarray, float]:
         """||gamma_q (delta_n - delta_m)|| for |n - m| = delta, per delta, and
@@ -380,7 +389,7 @@ class _Quadrature:
         remainder h - g(0) s on the fine grid gives the rest, extrapolated
         as the regulated profile -(S(delta) - S(0)) is.
         """
-        deltas = self._offsets(deltas)
+        deltas = np.abs(_integer_offsets(deltas, self.quad_points))
         if np.any(deltas == 0):
             raise ValueError("delta must be nonzero")
         k, w, i = self.k, self.omega, self.quad_points
@@ -398,13 +407,80 @@ class _Quadrature:
         norms = np.sqrt(np.maximum(g0 * deltas / 2.0 - values, 0.0))
         # |sqrt(a) - sqrt(b)| <= min(sqrt(|a - b|), |a - b| / sqrt(a))
         return norms, float(np.max(np.minimum(
-            np.sqrt(err), err / np.maximum(norms, 1e-300))))
+            np.sqrt(err), err / np.maximum(norms, 1e-300)), initial=0.0))
+
+
+#: the unit roundoff u of float64, and the closed forms' certified error in
+#: units of u times the value: each rounds pi (0.35 u) and at most four
+#: operations past the exact integers it reads, and a regulated q sum of |n|
+#: rounded terms added in order adds |n| u more
+_ROUNDOFF = np.finfo(np.float64).eps / 2.0
+_FORM_ROUNDINGS = 5
+
+
+class _MasslessForms:
+    """The exact oracle of omega = b |sin(k/2)|, b > 0, in closed form, with
+    the two methods of _Quadrature the package reads.
+
+    (1/2pi) integral of (omega/2) cos(k n) is gamma_p(n) = -b / (pi (4 n^2
+    - 1)), and of (cos(k n) - 1) / (2 omega) it is the regulated
+    gamma_q(n) - gamma_q(0) = -(2 / (pi b)) sum_{j=1}^{|n|} 1 / (2j - 1),
+    one cumsum up to max|n|; the q-difference norm is sqrt(|delta|) / b,
+    since (1 - cos k delta) / (2 sin^2(k/2)) is delta times the Fejer
+    kernel.  Nothing is sampled, and the certified errors bound the
+    rounding of these formulas, relative to each value: _FORM_ROUNDINGS u
+    (u = _ROUNDOFF), and (|n| + _FORM_ROUNDINGS) u for the sum of |n| terms.
+    Offsets are checked against quad_points as the quadrature checks them
+    (_integer_offsets).
+    """
+
+    def __init__(self, b: float, quad_points: int):
+        self.b = b
+        self.quad_points = quad_points
+
+    def profile(self, integrand, offsets,
+                regulated: bool = False) -> tuple[np.ndarray, float]:
+        """gamma_p (``_half``) or the regulated gamma_q (``_half_inverse``,
+        ``regulated``) per offset, and its certified error."""
+        n = np.abs(_integer_offsets(offsets, self.quad_points))
+        if (integrand, regulated) == (_half, False):
+            values = -self.b / (np.pi * (4.0 * n * n - 1.0))
+            err = _FORM_ROUNDINGS * _ROUNDOFF * np.abs(values)
+        elif (integrand, regulated) == (_half_inverse, True):
+            top = int(np.max(n, initial=0))
+            sums = np.zeros(top + 1)
+            np.cumsum(1.0 / (2.0 * np.arange(1, top + 1) - 1.0), out=sums[1:])
+            values = -2.0 / (np.pi * self.b) * sums[n]
+            err = (n + _FORM_ROUNDINGS) * _ROUNDOFF * np.abs(values)
+        else:
+            raise ValueError("the closed forms give gamma_p and the "
+                             "regulated gamma_q")
+        return values, float(np.max(err, initial=0.0))
+
+    def q_difference_norms(self, deltas) -> tuple[np.ndarray, float]:
+        """||gamma_q (delta_n - delta_m)|| = sqrt(delta) / b for
+        |n - m| = delta, per delta, and the certified error of the norms."""
+        deltas = np.abs(_integer_offsets(deltas, self.quad_points))
+        if np.any(deltas == 0):
+            raise ValueError("delta must be nonzero")
+        norms = np.sqrt(deltas) / self.b
+        return norms, float(np.max(_FORM_ROUNDINGS * _ROUNDOFF * norms,
+                                   initial=0.0))
+
+
+def _oracle(d: Dispersion, quad_points: int) -> _Quadrature | _MasslessForms:
+    """The exact oracle of d: the closed forms on the massless shape
+    hypot(0, b sin(k/2)), b > 0 (design._is_massless_shape), and periodic
+    quadrature on quad_points otherwise."""
+    if _is_massless_shape(d):
+        return _MasslessForms(d.harmonic_form[1], quad_points)
+    return _Quadrature(d, quad_points)
 
 
 def exact_p_profile(d: Dispersion, offsets: np.ndarray,
                     quad_points: int = 1 << 16) -> tuple[np.ndarray, float]:
     """gamma_p at lattice offsets: (1/2pi) integral of (omega/2) cos(k d)."""
-    return _Quadrature(d, quad_points).profile(_half, offsets)
+    return _oracle(d, quad_points).profile(_half, offsets)
 
 
 def exact_q_profile(d: Dispersion, offsets: np.ndarray,
@@ -418,8 +494,7 @@ def exact_q_profile(d: Dispersion, offsets: np.ndarray,
             "plain q covariance diverges for a gapless dispersion; "
             "request the regulated profile")
     # the offset-0 term diverges; its differences converge, so certify those
-    return _Quadrature(d, quad_points).profile(_half_inverse, offsets,
-                                               regulated)
+    return _oracle(d, quad_points).profile(_half_inverse, offsets, regulated)
 
 
 def _toeplitz(profile: np.ndarray, rows: int, cols: int,
@@ -451,7 +526,7 @@ def q_difference_norm(d: Dispersion, delta: int,
     finite for gapless omega ~ |k| when delta != 0
     (see _Quadrature.q_difference_norms).
     """
-    norms, _ = _Quadrature(d, quad_points).q_difference_norms([delta])
+    norms, _ = _oracle(d, quad_points).q_difference_norms([delta])
     return float(norms[0])
 
 
@@ -733,8 +808,9 @@ class ErrorReport:
     #: serialized)
     stack: LayerStack = field(repr=False)
     measured_rows: tuple = field(repr=False)
-    #: the oracle and its samples of omega, for later profiles (not serialized)
-    oracle: _Quadrature = field(repr=False)
+    #: the oracle (_oracle) and any samples of omega it took, for later
+    #: profiles (not serialized)
+    oracle: _Quadrature | _MasslessForms = field(repr=False)
 
     @cached_property
     def covariance_rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -852,10 +928,13 @@ def error_report(stack: LayerStack, N: int, quad_points: int = 1 << 16,
     or ``covariance`` is read.  No N x N array is formed unless
     ``covariance`` is read, and that roll-out is made exactly symmetric
     where it is formed.
-    The oracle samples the dispersion once, on its fine grid, for all its
+    The oracle (_oracle) reads closed forms on the massless shape and
+    otherwise samples the dispersion once, on its fine grid, for all its
     profiles and norms; quad_points must exceed N, so that the grid does not
-    alias the window's offsets.  ``quad_error`` is the largest certified
-    error of the oracle profiles and norms.
+    alias the window's offsets, and is checked on both routes.
+    ``quad_error`` is the largest certified error of the oracle profiles and
+    norms: the rounding of the closed forms, or the quadrature's Richardson
+    truncation.
     The operator bound uses the lattice min(N, max(512, 2^depth)).
     """
     d = stack.base_dispersion
@@ -872,7 +951,7 @@ def error_report(stack: LayerStack, N: int, quad_points: int = 1 << 16,
     half = N // 4
     window = np.arange(-half, half + 1)
     offsets = np.arange(2 * half + 1)
-    oracle = _Quadrature(d, quad_points)
+    oracle = _oracle(d, quad_points)
     p_prof, quad_error = oracle.profile(_half, offsets)
     delta_p = _window_deviation(p_prof, p_rows, window)
 

@@ -13,7 +13,7 @@ from waverg import (BinaryCircuit, DegenerateFactorization, DesignParams,
                     compose, composed_wavelets, decompose, design_pair,
                     WavergError, to_lattice_symplectic)
 from waverg import circuit
-from waverg.circuit import canonicalize_support, gate_alpha_identity_check
+from waverg.circuit import canonicalize_support
 
 import circuit_reference
 from stack_references import random_gate
@@ -133,6 +133,18 @@ def test_lattice_symplectic_squeeze(haar):
 def test_lattice_too_small(haar):
     with pytest.raises(LatticeTooSmall):
         to_lattice_symplectic(decompose(haar), 1)
+
+
+#: x[n] -> (-1)^(1-n) x[1-n] on a gate's two sites
+ALPHA_2X2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def gate_alpha_identity_check(g: Gate2) -> float:
+    """max-abs defect of a^{-1} = alpha a^T alpha^{-1}, zero for det = 1."""
+    m = g.entries
+    inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / g.det
+    conj = ALPHA_2X2 @ m.T @ np.linalg.inv(ALPHA_2X2)
+    return float(np.max(np.abs(inv - conj)))
 
 
 @given(st.floats(-3, 3, allow_nan=False), st.floats(-3, 3, allow_nan=False),

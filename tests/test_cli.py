@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from waverg import (FilterPair, FirFilter, Flat, Harmonic, flow, kgrid,
                     mass_flow)
+from waverg import cli
 from waverg.cli import main
 
 
@@ -208,18 +209,21 @@ def test_simulate_ten_layers_is_dominated(tmp_path, capsys):
 
 def test_simulate_csv_reads_the_report_oracle(tmp_path, pair_file,
                                              monkeypatch):
-    # the CSV's exact columns reuse the dispersion samples of the report
+    # the CSV's exact columns reuse the dispersion samples of the report:
+    # the massless chain's closed forms take none, the quadrature its grid
     points = []
     call = Harmonic.__call__
     monkeypatch.setattr(Harmonic, "__call__",
                         lambda h, k: points.append(np.size(k)) or call(h, k))
-    counts = []
-    for extra in ([], ["--csv", str(tmp_path / "c.csv")]):
-        points.clear()
-        assert main(["simulate", "--pair", pair_file, "--layers", "3",
-                     "--N", "128", "--quad-points", "8192"] + extra) == 0
-        counts.append(sum(points))
-    assert counts[0] == counts[1] > 0
+    for dispersion in ("harmonic:m=0", "harmonic:m=0.5"):
+        counts = []
+        for extra in ([], ["--csv", str(tmp_path / "c.csv")]):
+            points.clear()
+            assert main(["simulate", "--pair", pair_file, "--layers", "3",
+                         "--N", "128", "--quad-points", "8192",
+                         "--dispersion", dispersion] + extra) == 0
+            counts.append(sum(points))
+        assert counts[0] == counts[1] > 0
 
 
 def test_simulate_deterministic(tmp_path, pair_file):
@@ -432,6 +436,33 @@ def test_usage_error_json_flag(tmp_path, capsys):
         assert captured.out == ""
         last = captured.err.strip().splitlines()[-1]
         assert json.loads(last)["error"] == error
+
+
+def test_parser_built_once_prints_what_fresh_parsers_print(capsys):
+    # main reads one cached parser: a refused call leaves nothing in it
+    # that changes a later call, and each call prints to the streams that
+    # are current when it runs
+    calls = [["flow", "--levels", "-1"], ["flow", "--levels", "2"],
+             ["design", "--K", "x", "--L", "1", "--json-errors"]]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    cached = [run(argv) for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [1, 0, 1]
+    assert "usage: waverg flow" in cached[0][2]
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert main(calls[0]) == 1
+    assert err.getvalue() == cached[0][2]
 
 
 @pytest.mark.parametrize("argv, message", [

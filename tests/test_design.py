@@ -13,10 +13,19 @@ from waverg import (DesignParams, Dispersion, Harmonic, NonFiniteFilter,
                     haar_pair, halfband_solve, kgrid, rational_approx_fit,
                     rational_approx_massless, spectral_factorize,
                     stability_spectrum, thiran_allpass)
-from waverg.design import _binom_factor, allpass_phase_error, layer_epsilons
+from waverg.design import _binom_factor, layer_epsilons
 from waverg.filters import HAAR_SCALING, FirFilter
 
 ROOT2 = np.sqrt(2.0)
+
+
+def allpass_phase_error(d: FirFilter, L: int, kmax: float) -> float:
+    """max |A(k) - e^{-ik/2}| on |k| <= kmax of the all-pass
+    A(k) = e^{-iLk} d(-k)/d(k), unit modulus for real d."""
+    k = np.linspace(-kmax, kmax, 2048)
+    dk = d(k)
+    return float(np.max(np.abs(np.exp(-1j * L * k) * np.conj(dk) / dk
+                               - np.exp(-0.5j * k))))
 
 
 def test_thiran_phase_property():

@@ -3,6 +3,7 @@
 import tracemalloc
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,12 +18,13 @@ from waverg import (DesignParams, FilterPair, FirFilter, Flat,
                     mass_flow, mera_covariance, multi_layer_map,
                     q_difference_norm, ring_covariance,
                     stack_amplitude_bound, stack_operator_bound,
-                    theorem_bound, wavelet_channel_deviation)
+                    Tabulated, theorem_bound, wavelet_channel_deviation)
 from waverg.design import layer_epsilons
 from waverg.errors import LatticeTooSmall
 from waverg.filters import (HAAR_SCALING, decomposition_map, kgrid,
                             level_walk, placed_gram_rows)
 
+import oracle_reference
 from stack_references import pr_stacks, reference_chain
 
 
@@ -168,11 +170,13 @@ def test_regulated_q_massless_known_value(massless):
 
 
 def test_regulated_q_certified_error_is_finite(massless):
-    # the offset-0 term diverges, its differences converge: the certificate
-    # covers the differences, so it shrinks with the quadrature size
-    _, err_small = exact_q_profile(massless, np.array([1, 4, 16]),
-                                   quad_points=1 << 12)
-    _, err = exact_q_profile(massless, np.array([1, 4, 16]))
+    # the offset-0 term diverges, its differences converge: the quadrature's
+    # certificate covers the differences, so it shrinks with its size
+    offsets = np.array([1, 4, 16])
+    _, err_small = waverg.mera._Quadrature(massless, 1 << 12).profile(
+        waverg.mera._half_inverse, offsets, regulated=True)
+    _, err = waverg.mera._Quadrature(massless, 1 << 16).profile(
+        waverg.mera._half_inverse, offsets, regulated=True)
     assert err < 1e-7
     assert err < err_small
 
@@ -187,6 +191,16 @@ def test_q_difference_norm_massless_unit(massless):
         q_difference_norm(massless, 0)
 
 
+@pytest.mark.parametrize("d", [Harmonic(0.0), Harmonic(0.3),
+                               Tabulated(kgrid(4096),
+                                         np.abs(np.sin(kgrid(4096) / 2)))])
+def test_q_difference_norm_is_even_in_delta(d):
+    # |n - m| is what matters: a gapless chain's g(0) delta / 2 term read a
+    # negative delta as a norm of 0
+    for delta in (1, 4, 16):
+        assert q_difference_norm(d, -delta) == q_difference_norm(d, delta) > 0
+
+
 @pytest.mark.parametrize("quad_points", [-4, 0, 1, 2, 32])
 def test_profile_refuses_aliasing_grid(massless, quad_points):
     # the coarse grid must hold more than 2 max|offset| points
@@ -198,6 +212,88 @@ def test_profile_refuses_aliasing_grid(massless, quad_points):
         q_difference_norm(massless, 16, quad_points)
     vals, _ = exact_p_profile(massless, np.array([0, 16]), 33)
     assert np.all(np.isfinite(vals))
+
+
+_MASSLESS_LEVELS = [(Harmonic(0.0), 1.0), (flow(Harmonic(0.0), 1)[1], 0.5)]
+
+
+@pytest.mark.parametrize("d, b", _MASSLESS_LEVELS)
+def test_closed_forms_match_40_digit_quadrature(d, b):
+    # Harmonic(0) and its first level, hypot(0, sin(k/2) / 2), read closed
+    # forms; each value lies within its own certificate of mp.quad
+    assert d.harmonic_form == (0.0, b)
+    oracle = waverg.mera._oracle(d, 1 << 16)
+    assert isinstance(oracle, waverg.mera._MasslessForms)
+    series = oracle_reference.series(b, 64)
+    for n in (0, 1, 2, 3, 16, 64):
+        p, q, norm = oracle_reference.quadrature(b, n)
+        got = [exact_p_profile(d, [n]), exact_q_profile(d, [n])]
+        want = [p, q]
+        if n:
+            got.append(oracle.q_difference_norms([n]))
+            want.append(norm)
+        for (value, err), ref, closed in zip(got, want, series):
+            with mp.workdps(50):
+                # the reference's two routes confirm the closed forms
+                assert abs(ref - closed[n]) < mp.mpf(10) ** -40
+                assert abs(mp.mpf(float(value[0])) - ref) <= err <= 1e-12
+
+
+@pytest.mark.parametrize("d, b", _MASSLESS_LEVELS)
+def test_closed_forms_match_40_digit_series(d, b):
+    # every offset up to 1024 alone, against its own certificate, and all
+    # of them in one call, against the largest
+    top = 1024
+    oracle = waverg.mera._oracle(d, 1 << 16)
+    reads = [
+        lambda n: oracle.profile(waverg.mera._half, n),
+        lambda n: oracle.profile(waverg.mera._half_inverse, n, True),
+        lambda n: oracle.q_difference_norms(n)]
+    for read, ref in zip(reads, oracle_reference.series(b, top)):
+        first = 1 if ref[0] is None else 0
+        offsets = np.arange(first, top + 1)
+        values, largest = read(offsets)
+        assert largest <= 1e-12
+        with mp.workdps(50):
+            for n, value in zip(offsets, values):
+                (alone,), err = read([n])
+                assert alone == value
+                assert abs(mp.mpf(float(value)) - ref[n]) <= err <= largest
+
+
+@pytest.mark.parametrize("d", [Harmonic(1e-12), Harmonic(0.3), Flat(1.0),
+                               Tabulated(kgrid(64),
+                                         np.abs(np.sin(kgrid(64) / 2)))])
+def test_oracle_quadrature_serves_every_other_dispersion(d):
+    # the closed forms take the exact massless shape only; a tabulated
+    # |sin(k/2)| has no harmonic form
+    assert isinstance(waverg.mera._oracle(d, 1 << 12),
+                      waverg.mera._Quadrature)
+
+
+def test_closed_forms_refuse_what_they_do_not_give(massless):
+    oracle = waverg.mera._oracle(massless, 64)
+    with pytest.raises(ValueError, match="alias"):
+        oracle.profile(waverg.mera._half, [32])
+    with pytest.raises(ValueError, match="integers"):
+        oracle.q_difference_norms([1.5])
+    with pytest.raises(ValueError, match="nonzero"):
+        oracle.q_difference_norms([0, 1])
+    for integrand, regulated in ((waverg.mera._half, True),
+                                 (waverg.mera._half_inverse, False)):
+        with pytest.raises(ValueError, match="closed forms"):
+            oracle.profile(integrand, [1], regulated)
+
+
+@pytest.mark.parametrize("m", [0.0, 0.3])
+def test_empty_offsets_read_nothing(m):
+    # both routes: no offset has no value and no error
+    d = Harmonic(m)
+    oracle = waverg.mera._oracle(d, 1 << 12)
+    none = np.array([], dtype=int)
+    for values, err in (exact_p_profile(d, none), exact_q_profile(d, none),
+                        oracle.q_difference_norms([])):
+        assert values.shape == (0,) and err == 0.0
 
 
 class _TwoGridQuadrature:
@@ -320,8 +416,12 @@ def test_error_report_transforms_each_integrand_once(which, monkeypatch,
     monkeypatch.setattr(np.fft, "rfft", counting_rfft)
     monkeypatch.setattr(Harmonic, "__call__", counting_call)
     rep = error_report(stack, N, quad_points=quad)
-    assert transforms == [2 * quad] * 3
-    assert [n for n in samples if n >= quad] == [2 * quad]
+    if which == "gapless":  # the closed forms sample nothing
+        assert transforms == []
+        assert [n for n in samples if n >= quad] == []
+    else:
+        assert transforms == [2 * quad] * 3
+        assert [n for n in samples if n >= quad] == [2 * quad]
     transforms.clear()
     rep.exact_profiles(np.arange(1, 33))
     assert transforms == []

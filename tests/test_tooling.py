@@ -143,9 +143,9 @@ def test_every_option_is_set_somewhere():
 
 
 def test_private_helpers_are_used_in_the_package():
-    # a module-level private function or class that the package reads
-    # nowhere outside its own definition is dead code, even if a test
-    # calls it
+    # a module-level function or class, private or public, that the package
+    # reads nowhere outside its own definition, and that __init__ does not
+    # export, is dead code or test-only code, even if a test calls it
     package = Path(waverg.__file__).parent
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(package.glob("*.py"))}
@@ -160,7 +160,7 @@ def test_private_helpers_are_used_in_the_package():
         for definition in tree.body:
             name = getattr(definition, "name", "")
             if not (isinstance(definition, (ast.FunctionDef, ast.ClassDef))
-                    and name.startswith("_") and not name.endswith("__")):
+                    and not name.endswith("__")):
                 continue
             inside = {id(n) for n in ast.walk(definition)}
             if not any(reads(n, name) for t in trees.values()
