@@ -95,10 +95,15 @@ class Tabulated(Dispersion):
         self._ks = np.asarray(ks, dtype=np.float64)[order]
         self._values = np.asarray(values, dtype=np.float64)[order]
         steps = np.diff(self._ks)
-        if not (np.all(np.isfinite(self._ks))
+        if not (np.all(np.isfinite(self._ks)) and np.all(steps > 0)
                 and np.allclose(steps, steps[:1], rtol=1e-3, atol=0)):
-            raise ValueError("tabulated dispersion needs finite k on a "
-                             "uniform grid")
+            raise ValueError("tabulated dispersion needs finite, distinct k "
+                             "on a uniform grid")
+        # a k past one period would land inside the table when wrapped
+        span = self._ks[-1] - self._ks[0] if self._ks.size else 0.0
+        if not span <= 2 * np.pi * (1 + 1e-12):
+            raise ValueError(f"tabulated k spans {float(span)!r}, more "
+                             "than one period 2 pi")
         # the flow divides by omega(pi)^2, so every square must be finite
         if not np.all((self._values >= 0)
                       & (self._values <= np.sqrt(np.finfo(float).max))):

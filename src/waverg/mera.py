@@ -43,7 +43,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .design import (DesignParams, _is_massless_shape, design_pair,
                      layer_epsilons)
-from .dispersion import Dispersion, fitted_mass, flow, flow_report
+from .dispersion import Dispersion, fitted_mass, flow
 from .errors import (GaplessUnregulated, LatticeTooSmall, NonFiniteFilter,
                      NormalizationFailure, OutOfHypothesis, WavergError)
 from .filters import (FilterPair, FirFilter, check_lattice, kgrid, level_walk,
@@ -279,17 +279,6 @@ def mera_covariance(stack: LayerStack, N: int) -> CovariancePair:
                                   _covariance_rows(stack, N)))
 
 
-def _half(w: np.ndarray) -> np.ndarray:
-    """gamma_p(k) = omega / 2."""
-    return w / 2.0
-
-
-def _half_inverse(w: np.ndarray) -> np.ndarray:
-    """gamma_q(k) = 1 / (2 omega), set to 0 where omega = 0."""
-    with np.errstate(divide="ignore"):
-        return np.where(w > 0, 1.0 / (2.0 * np.maximum(w, 1e-300)), 0.0)
-
-
 def _riemann_sums(f: np.ndarray, alternate: bool = True):
     """S(d) = sum_j f_j cos(k_j d) / n on k = kgrid(n), n = len(f), as a
     function of integer offsets d.  S is a DFT, (-1)^d Re rfft(f)[d'] / n
@@ -306,31 +295,42 @@ def _riemann_sums(f: np.ndarray, alternate: bool = True):
     return read
 
 
-def _integer_offsets(offsets, quad_points: int) -> np.ndarray:
-    """``offsets`` as int64, refused unless they are integers with
-    quad_points > 2 max|offset|: the quadrature's coarse grid kgrid(q) would
-    alias them.  Both oracles check it, so --quad-points keeps one contract."""
+def _integer_offsets(offsets, quad_points: int,
+                     nonzero: bool = False) -> np.ndarray:
+    """|offsets| as int64, refused unless they are integers with
+    quad_points > 2 max|offset| (the quadrature's coarse grid kgrid(q) would
+    alias them) and, for the q-difference deltas (``nonzero``), unless none
+    is 0.  Every profile is even in the offset, and both oracles check
+    here, so --quad-points keeps one contract."""
     offsets = np.asarray(offsets)
     if not np.all(np.isfinite(offsets)) or np.any(
             offsets != np.rint(offsets)):
         raise ValueError("profile offsets must be integers")
-    offsets = offsets.astype(np.int64)
-    reach = 2 * int(np.max(np.abs(offsets), initial=0))
+    offsets = np.abs(offsets.astype(np.int64))
+    reach = 2 * int(np.max(offsets, initial=0))
     if not quad_points > reach:
         raise ValueError(
             f"quad_points = {quad_points} must exceed "
             f"2 max|offset| = {reach}: the grid would alias the offsets")
+    if nonzero and np.any(offsets == 0):
+        raise ValueError("delta must be nonzero")
     return offsets
+
+
+#: both oracles refuse the plain q profile of a gapless chain
+_PLAIN_Q_DIVERGES = ("plain q covariance diverges for a gapless dispersion; "
+                     "request the regulated profile")
 
 
 class _Quadrature:
     """Periodic quadrature of functions of omega, Richardson-extrapolated.
 
     omega is sampled once, on the fine grid kgrid(2q), q = quad_points; the
-    coarse grid kgrid(q) is its even samples.  Each integrand is transformed
-    once per instance, and its fine sums S (_riemann_sums) give both grids:
-    the odd samples cancel in S(d) + (-1)^q S(d + q), the coarse sum at d.
-    So fine + (fine - coarse) / 3, which cancels the h^2 term, is
+    coarse grid kgrid(q) is its even samples.  gamma_p(k) = omega / 2 and
+    gamma_q(k) = 1 / (2 omega) are each transformed once per instance, on
+    first read, and their fine sums S (_riemann_sums) give both grids: the
+    odd samples cancel in S(d) + (-1)^q S(d + q), the coarse sum at d.  So
+    fine + (fine - coarse) / 3, which cancels the h^2 term, is
     S(d) - (-1)^q S(d + q) / 3 (_extrapolated), certified by |S(d + q)| / 3.
     An offset with 2|d| >= q is refused, since the coarse grid aliases it.
     """
@@ -338,7 +338,6 @@ class _Quadrature:
     def __init__(self, d: Dispersion, quad_points: int):
         self.d = d
         self.quad_points = quad_points
-        self._sums = {}  # integrand -> its _riemann_sums on the fine grid
 
     @cached_property
     def k(self) -> np.ndarray:
@@ -348,6 +347,17 @@ class _Quadrature:
     @cached_property
     def omega(self) -> np.ndarray:
         return np.asarray(self.d(self.k), dtype=np.float64)
+
+    @cached_property
+    def _p_sums(self):
+        return _riemann_sums(self.omega / 2.0)
+
+    @cached_property
+    def _q_sums(self):
+        """Fine sums of 1 / (2 omega), with 0 where omega = 0."""
+        w = self.omega
+        return _riemann_sums(
+            np.where(w > 0, 1.0 / (2.0 * np.maximum(w, 1e-300)), 0.0))
 
     def _extrapolated(self, S, offsets: np.ndarray,
                       regulated: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -360,16 +370,23 @@ class _Quadrature:
             values, alias = values - S(0), alias - S(q)
         return values - (-1) ** q * alias / 3.0, np.abs(alias) / 3.0
 
-    def profile(self, integrand, offsets,
-                regulated: bool = False) -> tuple[np.ndarray, float]:
-        """(1/2pi) integral of integrand(omega(k)) cos(k d) per offset d, and
-        its certified error.  ``regulated`` returns the differences
-        value(d) - value(0), and certifies those."""
-        offsets = _integer_offsets(offsets, self.quad_points)
-        if integrand not in self._sums:
-            self._sums[integrand] = _riemann_sums(integrand(self.omega))
-        values, err = self._extrapolated(self._sums[integrand], offsets,
-                                         regulated)
+    def p(self, offsets) -> tuple[np.ndarray, float]:
+        """gamma_p per offset, and its certified error."""
+        values, err = self._extrapolated(
+            self._p_sums, _integer_offsets(offsets, self.quad_points), False)
+        return values, float(np.max(err, initial=0.0))
+
+    def q(self, offsets, regulated: bool) -> tuple[np.ndarray, float]:
+        """gamma_q per offset, or with ``regulated`` the differences
+        gamma_q(d) - gamma_q(0), and their certified error.  The plain
+        profile of a gapless chain diverges and is refused; the gap test
+        runs only for a plain read, so a regulated one samples omega on the
+        fine grid alone."""
+        if not regulated and self.d.gapless:
+            raise GaplessUnregulated(_PLAIN_Q_DIVERGES)
+        values, err = self._extrapolated(
+            self._q_sums, _integer_offsets(offsets, self.quad_points),
+            regulated)
         return values, float(np.max(err, initial=0.0))
 
     def q_difference_norms(self, deltas) -> tuple[np.ndarray, float]:
@@ -389,9 +406,7 @@ class _Quadrature:
         remainder h - g(0) s on the fine grid gives the rest, extrapolated
         as the regulated profile -(S(delta) - S(0)) is.
         """
-        deltas = np.abs(_integer_offsets(deltas, self.quad_points))
-        if np.any(deltas == 0):
-            raise ValueError("delta must be nonzero")
+        deltas = _integer_offsets(deltas, self.quad_points, nonzero=True)
         k, w, i = self.k, self.omega, self.quad_points
         w2 = w * w
         h = np.where(w2 > 0, 1.0 / (2.0 * np.maximum(w2, 1e-300)), 0.0)
@@ -420,7 +435,7 @@ _FORM_ROUNDINGS = 5
 
 class _MasslessForms:
     """The exact oracle of omega = b |sin(k/2)|, b > 0, in closed form, with
-    the two methods of _Quadrature the package reads.
+    the three reads of _Quadrature.
 
     (1/2pi) integral of (omega/2) cos(k n) is gamma_p(n) = -b / (pi (4 n^2
     - 1)), and of (cos(k n) - 1) / (2 omega) it is the regulated
@@ -438,32 +453,31 @@ class _MasslessForms:
         self.b = b
         self.quad_points = quad_points
 
-    def profile(self, integrand, offsets,
-                regulated: bool = False) -> tuple[np.ndarray, float]:
-        """gamma_p (``_half``) or the regulated gamma_q (``_half_inverse``,
-        ``regulated``) per offset, and its certified error."""
-        n = np.abs(_integer_offsets(offsets, self.quad_points))
-        if (integrand, regulated) == (_half, False):
-            values = -self.b / (np.pi * (4.0 * n * n - 1.0))
-            err = _FORM_ROUNDINGS * _ROUNDOFF * np.abs(values)
-        elif (integrand, regulated) == (_half_inverse, True):
-            top = int(np.max(n, initial=0))
-            sums = np.zeros(top + 1)
-            np.cumsum(1.0 / (2.0 * np.arange(1, top + 1) - 1.0), out=sums[1:])
-            values = -2.0 / (np.pi * self.b) * sums[n]
-            err = (n + _FORM_ROUNDINGS) * _ROUNDOFF * np.abs(values)
-        else:
-            raise ValueError("the closed forms give gamma_p and the "
-                             "regulated gamma_q")
+    def p(self, offsets) -> tuple[np.ndarray, float]:
+        """gamma_p per offset, and its certified error."""
+        n = _integer_offsets(offsets, self.quad_points)
+        values = -self.b / (np.pi * (4.0 * n * n - 1.0))
+        err = _FORM_ROUNDINGS * _ROUNDOFF * np.abs(values)
+        return values, float(np.max(err, initial=0.0))
+
+    def q(self, offsets, regulated: bool) -> tuple[np.ndarray, float]:
+        """The regulated gamma_q per offset, and its certified error; the
+        plain profile diverges and is refused."""
+        if not regulated:
+            raise GaplessUnregulated(_PLAIN_Q_DIVERGES)
+        n = _integer_offsets(offsets, self.quad_points)
+        top = int(np.max(n, initial=0))
+        sums = np.zeros(top + 1)
+        np.cumsum(1.0 / (2.0 * np.arange(1, top + 1) - 1.0), out=sums[1:])
+        values = -2.0 / (np.pi * self.b) * sums[n]
+        err = (n + _FORM_ROUNDINGS) * _ROUNDOFF * np.abs(values)
         return values, float(np.max(err, initial=0.0))
 
     def q_difference_norms(self, deltas) -> tuple[np.ndarray, float]:
         """||gamma_q (delta_n - delta_m)|| = sqrt(delta) / b for
         |n - m| = delta, per delta, and the certified error of the norms."""
-        deltas = np.abs(_integer_offsets(deltas, self.quad_points))
-        if np.any(deltas == 0):
-            raise ValueError("delta must be nonzero")
-        norms = np.sqrt(deltas) / self.b
+        norms = np.sqrt(_integer_offsets(deltas, self.quad_points,
+                                         nonzero=True)) / self.b
         return norms, float(np.max(_FORM_ROUNDINGS * _ROUNDOFF * norms,
                                    initial=0.0))
 
@@ -471,7 +485,9 @@ class _MasslessForms:
 def _oracle(d: Dispersion, quad_points: int) -> _Quadrature | _MasslessForms:
     """The exact oracle of d: the closed forms on the massless shape
     hypot(0, b sin(k/2)), b > 0 (design._is_massless_shape), and periodic
-    quadrature on quad_points otherwise."""
+    quadrature on quad_points otherwise.  Either reads p(offsets),
+    q(offsets, regulated) and q_difference_norms(deltas), each returning
+    (values, certified error)."""
     if _is_massless_shape(d):
         return _MasslessForms(d.harmonic_form[1], quad_points)
     return _Quadrature(d, quad_points)
@@ -480,21 +496,19 @@ def _oracle(d: Dispersion, quad_points: int) -> _Quadrature | _MasslessForms:
 def exact_p_profile(d: Dispersion, offsets: np.ndarray,
                     quad_points: int = 1 << 16) -> tuple[np.ndarray, float]:
     """gamma_p at lattice offsets: (1/2pi) integral of (omega/2) cos(k d)."""
-    return _oracle(d, quad_points).profile(_half, offsets)
+    return _oracle(d, quad_points).p(offsets)
 
 
 def exact_q_profile(d: Dispersion, offsets: np.ndarray,
                     quad_points: int = 1 << 16,
                     regulated: bool | None = None) -> tuple[np.ndarray, float]:
-    """gamma_q profile; regulated entries use (cos(k d) - 1) / (2 omega)."""
+    """gamma_q profile; regulated entries use (cos(k d) - 1) / (2 omega).
+    Regulated by default on a gapless chain, whose plain profile diverges
+    and is refused (GaplessUnregulated)."""
     if regulated is None:
         regulated = d.gapless
-    if d.gapless and not regulated:
-        raise GaplessUnregulated(
-            "plain q covariance diverges for a gapless dispersion; "
-            "request the regulated profile")
     # the offset-0 term diverges; its differences converge, so certify those
-    return _oracle(d, quad_points).profile(_half_inverse, offsets, regulated)
+    return _oracle(d, quad_points).q(offsets, regulated)
 
 
 def _toeplitz(profile: np.ndarray, rows: int, cols: int,
@@ -504,14 +518,15 @@ def _toeplitz(profile: np.ndarray, rows: int, cols: int,
     return sliding_window_view(line, cols)[::-1]
 
 
-def exact_covariance(d: Dispersion, N: int,
-                     regulated: bool | None = None) -> CovariancePair:
-    """Toeplitz ground-state covariance of the infinite chain, rows 0..N-1."""
-    if regulated is None:
-        regulated = d.gapless
+def exact_covariance(d: Dispersion, N: int) -> CovariancePair:
+    """Toeplitz ground-state covariance of the infinite chain, rows 0..N-1,
+    with p and q read from one oracle; the q block is regulated exactly
+    when d is gapless."""
+    regulated = d.gapless
+    oracle = _oracle(d, 1 << 16)
     offsets = np.arange(N)
-    p_prof, p_err = exact_p_profile(d, offsets)
-    q_prof, q_err = exact_q_profile(d, offsets, regulated=regulated)
+    p_prof, p_err = oracle.p(offsets)
+    q_prof, q_err = oracle.q(offsets, regulated)
     return CovariancePair(N, _toeplitz(q_prof, N, N, 0).copy(),
                           _toeplitz(p_prof, N, N, 0).copy(),
                           regulated=regulated, quad_error=max(p_err, q_err))
@@ -639,15 +654,13 @@ def _gram_symbols(block_row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The blocks are real, so symbols at theta and -theta are conjugate and
     share their eigenvalues: an rfft gives all of them, and the symbols at
     theta = 0 and pi are real.  The complex batch is empty when N/P <= 2.
-    There the real symbols are the one block B_0 (N/P = 1, the block row
-    itself) or B_0 + B_1 and B_0 - B_1 (N/P = 2), pocketfft's sums bit for
-    bit.  From N/P = 4 on, block sums match it only in its own butterfly
-    order, so the rfft stays there.
+    At N/P = 2 the real symbols are B_0 + B_1 and B_0 - B_1, pocketfft's
+    sums bit for bit.  Otherwise the rfft runs: at N/P = 1 it returns the
+    block row itself, and from N/P = 4 on block sums match it only in its
+    own butterfly order.
     """
     P, N = block_row.shape
     n = N // P
-    if n == 1:
-        return block_row[None], np.empty((0, P, P), dtype=complex)
     if n == 2:
         B0, B1 = block_row[:, :P], block_row[:, P:]
         real = np.empty((2, P, P))
@@ -802,39 +815,18 @@ class ErrorReport:
     q_norms: dict
     constants: dict
     quad_error: float
-    #: the stack and the first block rows (q, p) of its MERA covariance that
-    #: the deviations were measured on, as built: p is P x N, and so is q on
-    #: a gapped chain; a gapless report holds the q rows it read (not
+    #: the first block rows (q, p) of the MERA covariance that the
+    #: deviations were measured on, as built: p is P x N, and so is q on a
+    #: gapped chain; a gapless report holds the two q rows it walked (not
     #: serialized)
-    stack: LayerStack = field(repr=False)
     measured_rows: tuple = field(repr=False)
     #: the oracle (_oracle) and any samples of omega it took, for later
     #: profiles (not serialized)
     oracle: _Quadrature | _MasslessForms = field(repr=False)
 
-    @cached_property
-    def covariance_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """First block rows (q, p) of the MERA covariance, P x N each, as
-        built: the measured rows, with a gapless report's q block walked
-        here (_channel_rows) on first read."""
-        q_rows, p_rows = self.measured_rows
-        P, N = p_rows.shape
-        if len(q_rows) < P:
-            q_rows = _channel_rows(self.stack, "h", N)
-        return q_rows, p_rows
-
-    @cached_property
-    def covariance(self) -> CovariancePair:
-        """The MERA covariance on Z_N, rolled out from ``covariance_rows``
-        and made exactly symmetric (_symmetric_roll_out)."""
-        q_rows, p_rows = self.covariance_rows
-        return CovariancePair(q_rows.shape[1], _symmetric_roll_out(q_rows),
-                              _symmetric_roll_out(p_rows))
-
     def exact_profiles(self, offsets) -> tuple[np.ndarray, np.ndarray]:
         """Exact gamma_p and regulated gamma_q at ``offsets``."""
-        return (self.oracle.profile(_half, offsets)[0],
-                self.oracle.profile(_half_inverse, offsets, regulated=True)[0])
+        return self.oracle.p(offsets)[0], self.oracle.q(offsets, True)[0]
 
     def dominated(self) -> bool:
         """True when every measured deviation sits below its bound."""
@@ -910,24 +902,26 @@ def _window_deviation(profile: np.ndarray, row: np.ndarray,
     return float(np.max(maxima))
 
 
-def error_report(stack: LayerStack, N: int, quad_points: int = 1 << 16,
-                 pairs_to_check: tuple = ((0, 1), (0, 4), (0, 16))) -> ErrorReport:
+#: the regulated q entries (n, m) every report checks
+_REGULATED_PAIRS = ((0, 1), (0, 4), (0, 16))
+
+
+def error_report(stack: LayerStack, N: int,
+                 quad_points: int = 1 << 16) -> ErrorReport:
     """Measure MERA-vs-exact deviations in the bulk and the theorem bounds.
 
     delta_p is the max entrywise deviation over the centered window
-    |n|, |m| <= N/4; regulated q deviations are evaluated at the requested
-    (n, m) pairs.  The window keeps its own ends apart on the ring.  The
-    MERA covariance is built on Z_N, where a composed top filter longer than
-    N folds onto the ring (the 20-tap K=2/L=4 massless pair spans 4846 sites
-    at depth 8); the folded layers stay circulant and biorthogonal, and
-    depth-8 delta_p at N = 2048 (1.194548273e-3) agrees with the
-    infinite-lattice value (1.194548259e-3) to about 1e-11.  The entries
-    are read from the covariance's first block rows (P x N, P = 2^depth)
-    as built; on a gapless chain only the q rows the regulated pairs read
-    are built, and the full q block is walked only when ``covariance_rows``
-    or ``covariance`` is read.  No N x N array is formed unless
-    ``covariance`` is read, and that roll-out is made exactly symmetric
-    where it is formed.
+    |n|, |m| <= N/4; regulated q deviations are evaluated at the pairs
+    _REGULATED_PAIRS, all in row 0.  The window keeps its own ends apart on
+    the ring.  The MERA covariance is built on Z_N, where a composed top
+    filter longer than N folds onto the ring (the 20-tap K=2/L=4 massless
+    pair spans 4846 sites at depth 8); the folded layers stay circulant and
+    biorthogonal, and depth-8 delta_p at N = 2048 (1.194548273e-3) agrees
+    with the infinite-lattice value (1.194548259e-3) to about 1e-11.  The
+    entries are read from the covariance's first block rows (P x N,
+    P = 2^depth) as built, and no N x N array is formed; on a gapless
+    chain only the first two q rows are walked, since a one-row product
+    sums in another order (placed_gram_rows).
     The oracle (_oracle) reads closed forms on the massless shape and
     otherwise samples the dispersion once, on its fine grid, for all its
     profiles and norms; quad_points must exceed N, so that the grid does not
@@ -935,58 +929,49 @@ def error_report(stack: LayerStack, N: int, quad_points: int = 1 << 16,
     ``quad_error`` is the largest certified error of the oracle profiles and
     norms: the rounding of the closed forms, or the quadrature's Richardson
     truncation.
-    The operator bound uses the lattice min(N, max(512, 2^depth)).
+    The operator bound uses the lattice min(N, max(512, 2^depth)), and
+    Omega is the largest omega of the stack's levels on kgrid().
     """
     d = stack.base_dispersion
+    gapless = d.gapless
     L = stack.depth
     # first: it refuses a scaling filter that no rescaling normalizes, whose
     # taps the Gram walk would overflow on
     B = stack_amplitude_bound(stack)
-    P = 1 << L
-    # a gapless report reads q at rows n mod P only; two rows at least, since
-    # a one-row product sums in another order (placed_gram_rows)
-    q_count = max(2, 1 + max((n % P for n, _ in pairs_to_check), default=0)) \
-        if d.gapless else None
-    q_rows, p_rows = _covariance_rows(stack, N, q_count)
+    q_rows, p_rows = _covariance_rows(stack, N, 2 if gapless else None)
     half = N // 4
     window = np.arange(-half, half + 1)
     offsets = np.arange(2 * half + 1)
     oracle = _oracle(d, quad_points)
-    p_prof, quad_error = oracle.profile(_half, offsets)
+    p_prof, quad_error = oracle.p(offsets)
     delta_p = _window_deviation(p_prof, p_rows, window)
 
     delta_q = None
-    if not d.gapless:
-        q_prof, q_err = oracle.profile(_half_inverse, offsets)
+    if not gapless:
+        q_prof, q_err = oracle.q(offsets, False)
         quad_error = max(quad_error, q_err)
         delta_q = _window_deviation(q_prof, q_rows, window)
 
-    deltas = sorted({abs(n - m) for n, m in pairs_to_check if n != m})
-    reg_prof, norm_of = {}, {}
-    if deltas:
-        vals, reg_err = oracle.profile(_half_inverse, deltas, regulated=True)
-        norms, norm_err = oracle.q_difference_norms(deltas)
-        quad_error = max(quad_error, reg_err, norm_err)
-        reg_prof = dict(zip(deltas, vals))
-        norm_of = dict(zip(deltas, norms.tolist()))
-    delta_q_reg, q_norms = {}, {}
-    for n, m in pairs_to_check:
-        if n == m:
-            continue
-        r = n % P  # G[n, m] is q_rows[n mod P, (m - n + n mod P) mod N]
-        mera_reg = q_rows[r, (m - n + r) % N] - q_rows[r, r]
-        delta_q_reg[(n, m)] = float(abs(reg_prof[abs(n - m)] - mera_reg))
-        q_norms[(n, m)] = norm_of[abs(n - m)]
+    # every pair lies in row 0, at offset m
+    deltas = np.array([m for _, m in _REGULATED_PAIRS])
+    reg_prof, reg_err = oracle.q(deltas, True)
+    norms, norm_err = oracle.q_difference_norms(deltas)
+    quad_error = max(quad_error, reg_err, norm_err)
+    mera_reg = q_rows[0, deltas % N] - q_rows[0, 0]
+    delta_q_reg = dict(zip(_REGULATED_PAIRS,
+                           np.abs(reg_prof - mera_reg).tolist()))
+    q_norms = dict(zip(_REGULATED_PAIRS, norms.tolist()))
 
     D = stack_operator_bound(stack, N=min(N, max(512, 2 ** L)))
     M = stack.max_support
-    Omega = flow_report(d, L - 1).omega_bound
+    k = kgrid()
+    Omega = max(float(np.asarray(dl(k)).max()) for dl in stack.levels)
     eps = max(stack.epsilons)
     bound_p, q_prefactor = theorem_bound(B, D, M, Omega, eps, L)
     bound_q_entries = {key: q_prefactor * val for key, val in q_norms.items()}
-    bound_q = max(bound_q_entries.values()) if bound_q_entries else q_prefactor
+    bound_q = max(bound_q_entries.values())
     constants = {"B": B, "D": D, "M": M, "Omega": Omega, "epsilon": eps,
                  "C": 4.0 * B ** 2 * M ** 1.5 * Omega, "L_layers": L, "N": N}
     return ErrorReport(delta_p, delta_q, delta_q_reg, bound_p, bound_q,
                        bound_q_entries, q_norms, constants, quad_error,
-                       stack, (q_rows, p_rows), oracle)
+                       (q_rows, p_rows), oracle)

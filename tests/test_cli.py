@@ -511,6 +511,22 @@ def test_tabulated_overflow_is_usage_error(tmp_path, capsys):
     assert "finite square" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows, match", [
+    ("0.5,1\n0.5,3\n0.5,2\n", "distinct k"),
+    ("-3,1\n-1,2\n1,3\n3,4\n5,5\n", "more than one period"),
+])
+def test_tabulated_table_it_cannot_interpolate_is_usage_error(
+        tmp_path, capsys, rows, match):
+    disp = tmp_path / "bad.csv"
+    disp.write_text(rows)
+    code = main(["flow", "--dispersion", f"tabulated:{disp}", "--levels", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and match in captured.err
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--pair", "DIR"], ["circuit", "--in", "DIR"],
     ["design", "--K", "1", "--L", "1", "--out", "DIR"],

@@ -70,6 +70,15 @@ def test_tabulated_rejects_nonuniform_grid():
         Tabulated(np.array([-3.0, -1.0, 0.0, 0.5, 3.0]), np.ones(5))
 
 
+@pytest.mark.parametrize("ks, match", [
+    ([0.5, 0.5, 0.5], "distinct"),  # every step 0: one k
+    ([-3.0, -1.0, 1.0, 3.0, 5.0], "period"),  # 5 wraps to 5 - 2 pi
+])
+def test_tabulated_rejects_tables_it_cannot_interpolate(ks, match):
+    with pytest.raises(ValueError, match=match):
+        Tabulated(np.array(ks), np.arange(1.0, len(ks) + 1))
+
+
 def test_tabulated_rejects_overflowing_square():
     ks = np.linspace(-np.pi, np.pi, 8, endpoint=False)
     Tabulated(ks, np.full(8, 1e154))

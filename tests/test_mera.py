@@ -158,9 +158,23 @@ def test_gapless_plain_q_raises(massless):
     with pytest.raises(GaplessUnregulated):
         exact_q_profile(massless, np.array([1.0]), regulated=False)
     with pytest.raises(GaplessUnregulated):
-        exact_covariance(massless, 16, regulated=False)
-    with pytest.raises(GaplessUnregulated):
         ring_covariance(massless, 16)
+
+
+def test_gapless_plain_q_raises_on_the_quadrature_route(monkeypatch):
+    # a tabulated |sin(k/2)| takes the quadrature, which refuses the plain
+    # profile itself, before sampling its grid
+    k = kgrid(256)
+    d = Tabulated(k, np.abs(np.sin(k / 2)))
+    assert isinstance(waverg.mera._oracle(d, 1 << 12),
+                      waverg.mera._Quadrature)
+    points = []
+    call = Tabulated.__call__
+    monkeypatch.setattr(Tabulated, "__call__",
+                        lambda t, k: points.append(np.size(k)) or call(t, k))
+    with pytest.raises(GaplessUnregulated, match="request the regulated"):
+        exact_q_profile(d, np.array([1, 4]), 1 << 12, regulated=False)
+    assert max(points) == 1  # the gap test's omega(0) and omega(pi) only
 
 
 def test_regulated_q_massless_known_value(massless):
@@ -173,10 +187,8 @@ def test_regulated_q_certified_error_is_finite(massless):
     # the offset-0 term diverges, its differences converge: the quadrature's
     # certificate covers the differences, so it shrinks with its size
     offsets = np.array([1, 4, 16])
-    _, err_small = waverg.mera._Quadrature(massless, 1 << 12).profile(
-        waverg.mera._half_inverse, offsets, regulated=True)
-    _, err = waverg.mera._Quadrature(massless, 1 << 16).profile(
-        waverg.mera._half_inverse, offsets, regulated=True)
+    _, err_small = waverg.mera._Quadrature(massless, 1 << 12).q(offsets, True)
+    _, err = waverg.mera._Quadrature(massless, 1 << 16).q(offsets, True)
     assert err < 1e-7
     assert err < err_small
 
@@ -245,10 +257,7 @@ def test_closed_forms_match_40_digit_series(d, b):
     # of them in one call, against the largest
     top = 1024
     oracle = waverg.mera._oracle(d, 1 << 16)
-    reads = [
-        lambda n: oracle.profile(waverg.mera._half, n),
-        lambda n: oracle.profile(waverg.mera._half_inverse, n, True),
-        lambda n: oracle.q_difference_norms(n)]
+    reads = [oracle.p, lambda n: oracle.q(n, True), oracle.q_difference_norms]
     for read, ref in zip(reads, oracle_reference.series(b, top)):
         first = 1 if ref[0] is None else 0
         offsets = np.arange(first, top + 1)
@@ -274,15 +283,13 @@ def test_oracle_quadrature_serves_every_other_dispersion(d):
 def test_closed_forms_refuse_what_they_do_not_give(massless):
     oracle = waverg.mera._oracle(massless, 64)
     with pytest.raises(ValueError, match="alias"):
-        oracle.profile(waverg.mera._half, [32])
+        oracle.p([32])
     with pytest.raises(ValueError, match="integers"):
         oracle.q_difference_norms([1.5])
     with pytest.raises(ValueError, match="nonzero"):
         oracle.q_difference_norms([0, 1])
-    for integrand, regulated in ((waverg.mera._half, True),
-                                 (waverg.mera._half_inverse, False)):
-        with pytest.raises(ValueError, match="closed forms"):
-            oracle.profile(integrand, [1], regulated)
+    with pytest.raises(GaplessUnregulated):
+        oracle.q([1], False)
 
 
 @pytest.mark.parametrize("m", [0.0, 0.3])
@@ -311,7 +318,16 @@ class _TwoGridQuadrature:
         sign = np.where(offsets % 2 == 0, 1.0, -1.0)
         return sign * spectrum[np.minimum(folded, n - folded)]
 
-    def profile(self, integrand, offsets, regulated=False):
+    def p(self, offsets):
+        return self._profile(lambda w: w / 2.0, offsets, False)
+
+    def q(self, offsets, regulated):
+        return self._profile(
+            lambda w: np.where(w > 0, 1.0 / (2.0 * np.maximum(w, 1e-300)),
+                               0.0),
+            offsets, regulated)
+
+    def _profile(self, integrand, offsets, regulated):
         results = []
         for k, w in self.grids:
             f = integrand(w)
@@ -359,12 +375,12 @@ def test_oracle_matches_two_grid_reference(m, quad_points):
     deltas = np.array([1, 4, 16, 1000])
     oracle = waverg.mera._Quadrature(d, quad_points)
     ref = _TwoGridQuadrature(d, quad_points)
-    cases = [(waverg.mera._half, False), (waverg.mera._half_inverse, True)]
+    reads = [lambda o: o.p(offsets), lambda o: o.q(offsets, True)]
     if m > 0:
-        cases.append((waverg.mera._half_inverse, False))
-    for integrand, regulated in cases:
-        values, err = oracle.profile(integrand, offsets, regulated)
-        want, want_err = ref.profile(integrand, offsets, regulated)
+        reads.append(lambda o: o.q(offsets, False))
+    for read in reads:
+        values, err = read(oracle)
+        want, want_err = read(ref)
         np.testing.assert_allclose(values, want, rtol=0, atol=1e-15)
         # the reference's certificate carries the rounding of two transforms
         assert err == pytest.approx(want_err, rel=1e-6, abs=1e-16)
@@ -430,7 +446,7 @@ def test_error_report_transforms_each_integrand_once(which, monkeypatch,
 def test_ring_matches_infinite_chain_when_gapped():
     d = Harmonic(1.0)
     ring = ring_covariance(d, 64)
-    toep = exact_covariance(d, 64, regulated=False)
+    toep = exact_covariance(d, 64)
     # agreement up to exponentially small finite-size corrections
     assert np.max(np.abs(ring.q_block[:8, :8] - toep.q_block[:8, :8])) < 1e-10
     assert np.max(np.abs(ring.p_block[:8, :8] - toep.p_block[:8, :8])) < 1e-10
@@ -455,8 +471,26 @@ def test_ring_covariance_matches_dense_cosine_sum():
 
 
 def test_exact_covariance_is_valid_state():
-    cov = exact_covariance(Harmonic(0.8), 32, regulated=False)
+    cov = exact_covariance(Harmonic(0.8), 32)
     assert cov.uncertainty_min() >= 0.25 - 1e-9
+
+
+@pytest.mark.parametrize("d", [Harmonic(0.3), Harmonic(0.0)])
+def test_exact_covariance_reads_one_oracle(monkeypatch, d):
+    # p and q from one oracle: a gapped chain samples one 2^17-point grid,
+    # the massless closed forms none; the q block is regulated when gapless
+    points = []
+    call = Harmonic.__call__
+    monkeypatch.setattr(Harmonic, "__call__",
+                        lambda h, k: points.append(np.size(k)) or call(h, k))
+    cov = exact_covariance(d, 200)
+    grids = [n for n in points if n > 1]
+    assert grids == ([1 << 17] if d.m else [])
+    assert cov.regulated == d.gapless
+    for block, (profile, _) in (
+            (cov.p_block, exact_p_profile(d, np.arange(200))),
+            (cov.q_block, exact_q_profile(d, np.arange(200)))):
+        assert np.array_equal(block[0], profile)
 
 
 # -- MERA covariance -------------------------------------------------------
@@ -1070,10 +1104,10 @@ def test_first_rows_walk_is_the_full_walk_bit_for_bit(designs):
 
 
 @pytest.mark.parametrize("which", ["massless", "massive"])
-def test_report_covariance_rows_are_full_blocks(which, monkeypatch,
-                                                massive_stack):
-    # a gapless report walks the q rows its pairs read (n mod P < 2 here)
-    # and the full q block on the first read of covariance_rows, once
+def test_report_measures_the_covariance_rows(which, monkeypatch,
+                                             massive_stack):
+    # a gapless report walks the two q rows it reads, a gapped one the full
+    # q block; either holds _covariance_rows' first rows as built
     N = 256
     if which == "massless":
         stack = build_stack(Harmonic(0.0), DesignParams(2, 2), 5)
@@ -1093,14 +1127,14 @@ def test_report_covariance_rows_are_full_blocks(which, monkeypatch,
     rep = error_report(stack, N, quad_points=1 << 12)
     q_count = 2 if which == "massless" else None
     assert calls == [("h", q_count), ("g", None)]
-    assert rep.measured_rows[0].shape == (q_count or P, N)
-    for _ in range(2):
-        rows = rep.covariance_rows
-        assert [r.shape for r in rows] == [(P, N)] * 2
-        assert all(np.array_equal(a, b) for a, b in zip(rows, want))
-    assert np.array_equal(rep.covariance.q_block, ref.q_block)
-    assert np.array_equal(rep.covariance.p_block, ref.p_block)
-    assert calls[2:] == ([("h", None)] if which == "massless" else [])
+    assert [r.shape for r in rep.measured_rows] == [(q_count or P, N),
+                                                    (P, N)]
+    assert [r.shape for r in want] == [(P, N)] * 2
+    for got, full in zip(rep.measured_rows, want):
+        assert np.array_equal(got, full[:len(got)])
+    # mera_covariance is the symmetric roll-out of those rows
+    for block, rows in zip((ref.q_block, ref.p_block), want):
+        assert np.array_equal(block, waverg.mera._symmetric_roll_out(rows))
 
 
 def test_gapless_report_covariance_stage_peak_memory(monkeypatch,
@@ -1199,10 +1233,10 @@ def test_error_report_builds_no_dense_map(monkeypatch, massive_stack):
     assert peak < N * N * 8  # less than one N x N float64 array
     assert rep.delta_q is not None
     monkeypatch.undo()
-    want = mera_covariance(massive_stack, N)
-    assert np.array_equal(rep.covariance.q_block, want.q_block)
-    assert np.array_equal(rep.covariance.p_block, want.p_block)
-    assert np.array_equal(rep.covariance.p_block, rep.covariance.p_block.T)
+    want = waverg.mera._covariance_rows(massive_stack, N)
+    assert all(np.array_equal(a, b) for a, b in zip(rep.measured_rows, want))
+    cov = mera_covariance(massive_stack, N)
+    assert np.array_equal(cov.p_block, cov.p_block.T)
 
 
 def test_error_report_forms_no_zero_stuffed_filter(monkeypatch,
@@ -1233,11 +1267,12 @@ def test_error_report_deviations_match_rolled_out_covariance(
         stack = massive_stack
     else:  # P = 16 rows per block, more than the 9 window rows
         stack, N = build_stack(Harmonic(0.0), DesignParams(1, 1), 4), 16
-    pairs = ((0, 1), (0, 4), (0, 16), (3, -5), (-7, 2), (40, 41))
-    rep = error_report(stack, N, quad_points=quad, pairs_to_check=pairs)
+    pairs = waverg.mera._REGULATED_PAIRS
+    rep = error_report(stack, N, quad_points=quad)
     d = stack.base_dispersion
     # the report reads the rows as built, not their symmetrized roll-out
-    q, p = map(waverg.mera._roll_out, rep.covariance_rows)
+    q, p = map(waverg.mera._roll_out,
+               waverg.mera._covariance_rows(stack, N))
     window = np.arange(-(N // 4), N // 4 + 1)
     offsets = np.arange(N // 2 + 1)
     p_prof, _ = exact_p_profile(d, offsets, quad)

@@ -1,6 +1,8 @@
 """Source hygiene checks that need no linter."""
 
 import ast
+import importlib
+import importlib.util
 import inspect
 import sys
 from pathlib import Path
@@ -167,3 +169,30 @@ def test_private_helpers_are_used_in_the_package():
                        for n in ast.walk(t) if id(n) not in inside):
                 unused.append(f"{module}: {name}")
     assert not unused, unused
+
+
+def test_traced_functions_resolve_with_their_counted_parameters():
+    # perfbench/tracing.py wraps each TRACED (module, function) by name and
+    # binds its counters' arguments by parameter name, so a rename in the
+    # package would leave --trace 1 counting nothing; read, not changed
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    bound = {tracing._count_dense_map: {"N"},
+             tracing._count_profile: {"d", "offsets", "quad_points"},
+             tracing._count_q_norm: {"quad_points"},
+             tracing._count_cascade: set()}  # reads the result only
+    missing = []
+    for targets in tracing.TRACED.values():
+        for module, name, counter in targets:
+            fn = getattr(importlib.import_module(f"waverg.{module}"), name,
+                         None)
+            if not callable(fn):
+                missing.append(f"waverg.{module}.{name}")
+            elif counter is not None:
+                assert counter in bound, counter.__name__
+                missing += [f"waverg.{module}.{name}({param})"
+                            for param in sorted(bound[counter])
+                            if param not in inspect.signature(fn).parameters]
+    assert not missing, missing
