@@ -20,10 +20,13 @@ report path; multi_layer_map remains the dense reference.
 The exact oracle evaluates the translation-invariant ground-state covariance
 gamma_p(k) = omega/2, gamma_q(k) = 1/(2 omega).  On the massless shape
 omega = b |sin(k/2)|, b > 0 (Harmonic(0) and each of its levels), it reads
-elementary closed forms and samples nothing; any other dispersion takes
-periodic quadrature with Richardson extrapolation, from one transform per
-integrand for all profiles and norms of a report.  Either certifies its
-error: the closed forms their rounding, the quadrature its truncation.  For
+elementary closed forms, and on a gapped harmonic form hypot(a, b sin(k/2)),
+a, b > 0 (Harmonic(m > 0) and its levels), Legendre functions
+Q_{n-1/2}(cosh eta) by their three-term recurrence; neither samples
+anything.  Any other dispersion takes periodic quadrature with Richardson
+extrapolation, from one transform per integrand for all profiles and norms
+of a report.  Each certifies its error: the closed forms their rounding
+(and the recurrence its truncation), the quadrature its truncation.  For
 gapless dispersions the q-block exists only in the regulated form
 gamma_q[n,m] - gamma_q[n,n].  The rigorous error bound is
 delta_p <= D^2 (C 2^{-L/2} + 3 eps D log2(C/eps)) with C = 4 B^2 M^{3/2}
@@ -34,6 +37,7 @@ regulated q entries.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -482,14 +486,218 @@ class _MasslessForms:
                                    initial=0.0))
 
 
-def _oracle(d: Dispersion, quad_points: int) -> _Quadrature | _MasslessForms:
+#: the smallest subnormal float64
+_SUBNORMAL = 2.0 ** -1074
+#: the forward recurrence runs while eta times the largest admissible offset
+#: is at most this, so its errors grow by at most about e^2
+_FORWARD_REACH = 2.0
+#: the q-difference norm's certified error in units of u times the norm:
+#: counting a libm function (hypot, asinh, expm1) as 2u, eta rounds 3u,
+#: eta delta 4u and its expm1 6u; a h rounds 3u and the quotient u, and the
+#: root halves the 10u and adds u
+_NORM_ROUNDINGS = 6
+
+
+class _HarmonicForms:
+    """The exact oracle of omega = hypot(a, b sin(k/2)), a, b > 0, gapped,
+    in closed form, with the three reads of _Quadrature.
+
+    omega^2 = A - B cos k with A = a^2 + b^2 / 2 and B = b^2 / 2, so by
+    Heine's integral gamma_q(n) = Q_{n-1/2}(z) / (pi b), a Legendre function
+    of the second kind at z = A / B = cosh eta, eta = 2 asinh(a / b), and
+    gamma_q(0) = K(b / h) / (pi h) = 1 / (2 h M) with h = hypot(a, b) and M
+    the AGM of 1 and a / h.  gamma_p follows exactly from the stencil
+    gamma_p(n) = A gamma_q(n) - (B/2)(gamma_q(n-1) + gamma_q(n+1)), and
+    1 / omega^2 has the Fourier coefficients e^{-eta |n|} / (a h), so the
+    q-difference norm is sqrt(-expm1(-eta delta) / (2 a h)).
+
+    gamma_q(n) solves (n + 1/2) y_{n+1} = 2 n z y_n - (n - 1/2) y_{n-1},
+    written with z - 1 = w = 2 (a/b)^2, since rounding z would lose w's
+    digits on a light chain.  It is the recessive solution, and
+    Q_{nu+1} <= e^{-eta} Q_nu (Q_nu(cosh eta) = int_eta^inf
+    e^{-(nu+1/2)t} (2 cosh t - 2 cosh eta)^{-1/2} dt), so the ratios
+    r_n = gamma_q(n) / gamma_q(n-1) are run backward (Miller), from r = 0 a
+    distance S past each block of B offsets, and gamma_q is gamma_q(0) times
+    their cumulative product (_backward).  Where eta (quad_points // 2) <=
+    _FORWARD_REACH, so that the backward start would lie about 1 / eta past
+    every admissible offset, the recurrence runs forward instead, on the
+    differences d_n = gamma_q(n) - gamma_q(n-1) (_forward).  The direction,
+    S and B depend on eta and quad_points alone, so each value depends on
+    its offset alone: a lone read equals the same offset in a batch read,
+    bit for bit.
+
+    Nothing is sampled.  The certified errors bound, to first order, the
+    rounding of the AGM, of the recurrence (backward: a priori, with its
+    truncation; forward: a running bound carried along), and of the stencil
+    and the formulas.  Offsets are checked against quad_points as the
+    quadrature checks them (_integer_offsets).
+    """
+
+    def __init__(self, a: float, b: float, quad_points: int):
+        self.quad_points = quad_points
+        self.a, self.b, self.h = a, b, math.hypot(a, b)
+        ratio = a / b
+        self.w = 2.0 * ratio * ratio
+        self.eta = 2.0 * math.asinh(ratio)
+        self.forward = self.eta * (quad_points // 2) <= _FORWARD_REACH
+        self._table = np.zeros(0), np.zeros(0)
+
+    @cached_property
+    def _agm(self) -> tuple[float, float, float, float]:
+        """gamma_q(0) = 1 / (2 h M) and T = E / K = 1 - sum_{j >= 0}
+        2^{j-1} c_j^2 (c_0 = b / h, c_{j+1} = (x_j - y_j) / 2) from the AGM
+        M of 1 and a / h, with the certified absolute error of each."""
+        u = _ROUNDOFF
+        x, y = 1.0, self.a / self.h
+        c0 = self.b / self.h
+        terms, rel = [c0 * c0 / 2.0], 3.0 * u  # a / h: hypot and divide
+        sum_err = 7.0 * u * terms[0]  # c0 = b / h: 3u, squared: 7u
+        weight = 0.5
+        while x - y > 4.0 * u * x:
+            c = (x - y) / 2.0
+            weight *= 2.0
+            # x and y each carry rel; their difference, halved, adds u
+            sum_err += weight * (2.0 * c * (2.0 * rel * x + u * c)
+                                 + u * c * c)
+            terms.append(weight * c * c)
+            x, y = (x + y) / 2.0, math.sqrt(x * y)
+            rel += 1.5 * u  # the mean u, the root of the product 1.5 u
+        M = (x + y) / 2.0
+        rel += 3.0 * u  # stopping within 4u x, and the last mean
+        total = math.fsum(terms)
+        T = 1.0 - total
+        g0 = 1.0 / (2.0 * self.h * M)
+        g0_err = (rel + 4.0 * u) * g0  # hypot, 2 h M, the quotient
+        T_err = sum_err + len(terms) * u * total + u * T
+        return g0, g0_err, T, T_err
+
+    def _gamma_q(self, top: int) -> tuple[np.ndarray, np.ndarray]:
+        """gamma_q at offsets 0 .. top and the certified error of each,
+        computed on first need and extended, never changed, after."""
+        values, errors = self._table
+        if top >= len(values):
+            self._table = (self._forward(top) if self.forward
+                           else self._backward(top))
+            values, errors = self._table
+        return values[:top + 1], errors[:top + 1]
+
+    def _forward(self, top: int) -> tuple[np.ndarray, np.ndarray]:
+        """The forward recurrence on the differences, (n + 1/2) d_{n+1} =
+        (n - 1/2) d_n + 2nw gamma_q(n), from d_1 = gamma_q(0) (w (1 - T) -
+        2T), which no cancellation spoils, with a running bound on the
+        absolute error of each gamma_q(n) and d_n."""
+        u, w = _ROUNDOFF, self.w
+        g0, g0_err, T, T_err = self._agm
+        q, q_err = g0, g0_err
+        d = g0 * (w * (1.0 - T) - 2.0 * T)
+        # gamma_q(0)'s error, T's through the slope -(w + 2) gamma_q(0), and
+        # the rounding of w (3u) and of each operation
+        d_err = (g0_err / g0 * abs(d) + g0 * (w + 2.0) * T_err
+                 + 4.0 * u * abs(d) + 6.0 * u * g0 * w)
+        values, errors = [q], [q_err]
+        for n in range(1, top + 1):
+            q += d
+            q_err += d_err + u * abs(q)
+            values.append(q)
+            errors.append(q_err)
+            lower, upper = (n - 0.5) * d, 2.0 * n * w * q
+            d = (lower + upper) / (n + 0.5)
+            # w rounds thrice, each product and the sum and quotient once
+            d_err = ((n - 0.5) * d_err + 2.0 * n * w * q_err
+                     + 7.0 * u * (abs(lower) + upper)) / (n + 0.5)
+        return np.array(values), np.array(errors)
+
+    def _backward(self, top: int) -> tuple[np.ndarray, np.ndarray]:
+        """Miller's backward ratio recurrence, block by block, and the a
+        priori bound on each ratio's relative error.
+
+        With s_n = 1 - r_n the recurrence is N = 2nw + (n + 1/2) s_{n+1},
+        t = (n - 1/2) / N, s_n = 1 / (1 + t) and r_n = t s_n: every term
+        is positive, so nothing cancels however light the chain."""
+        u, w, eta = _ROUNDOFF, self.w, self.eta
+        x, one_minus_x = math.exp(-2.0 * eta), -math.expm1(-2.0 * eta)
+        # a start S past a block of B <= 2S ratios leaves them a truncation
+        # of at most x^S (3S + 1) 2 / (1 - x), relative: make that u
+        S = 1
+        for _ in range(8):
+            S = max(1, math.ceil(math.log(2.0 * (3 * S + 1)
+                                          / (one_minus_x * u)) / (2.0 * eta)))
+        B = 1 << max(6, (S - 1).bit_length())
+        ratios, starts, two_w = [1.0], [0], 2.0 * w
+        for lo in range(0, top, B):
+            s, block = 1.0, []  # s = 1: r = 0 past the start
+            for n in range(lo + B + S, lo, -1):
+                t = (n - 0.5) / (two_w * n + (n + 0.5) * s)
+                s = 1.0 / (1.0 + t)
+                block.append(t * s)
+            ratios += block[:-B - 1:-1]
+            starts += [lo + B + S + 1] * B
+        r = np.array(ratios)
+        n = np.arange(1, len(r))
+        # s_n's rounding sigma <= e^{-eta} (sigma + 6u) + 2u, and r_n errs
+        # by s_n (sigma + 5u) + 4u, and u more in the cumulative product;
+        # the start's relative error 1 contracts by at most
+        # (n + 1/2) e^{-2 eta} / (n - 1/2) per step
+        y = math.exp(-eta)
+        sigma = (6.0 * y + 2.0) * u / -math.expm1(-eta)
+        start = np.array(starts[1:], dtype=np.float64)
+        rel = (1.0 - r[1:] + u) * (sigma + 5.0 * u) + 5.0 * u \
+            + np.exp(-2.0 * eta * (start - n)) * (start - 0.5) / (n - 0.5)
+        g0, g0_err, _, _ = self._agm
+        values = np.cumprod(r) * g0
+        # a product that underflows errs by half a subnormal, times g0
+        errors = ((g0_err / g0 + u + np.concatenate(([0.0], np.cumsum(rel))))
+                  * values + (np.arange(len(values)) * g0 + 1.0) * _SUBNORMAL)
+        return values, errors
+
+    def p(self, offsets) -> tuple[np.ndarray, float]:
+        """gamma_p per offset, and its certified error."""
+        n = _integer_offsets(offsets, self.quad_points)
+        q, q_err = self._gamma_q(int(np.max(n, initial=0)) + 1)
+        A = self.a * self.a + self.b * self.b / 2.0
+        half_B = self.b * self.b / 4.0
+        outer = q[np.abs(n - 1)] + q[n + 1]
+        values = A * q[n] - half_B * outer
+        err = (A * (q_err[n] + 4.0 * _ROUNDOFF * q[n])
+               + half_B * (q_err[np.abs(n - 1)] + q_err[n + 1]
+                           + 4.0 * _ROUNDOFF * outer))
+        return values, float(np.max(err, initial=0.0))
+
+    def q(self, offsets, regulated: bool) -> tuple[np.ndarray, float]:
+        """gamma_q per offset, or with ``regulated`` the differences
+        gamma_q(d) - gamma_q(0), and their certified error."""
+        n = _integer_offsets(offsets, self.quad_points)
+        q, q_err = self._gamma_q(int(np.max(n, initial=0)))
+        values, err = q[n], q_err[n]
+        if regulated:
+            values = values - q[0]
+            err = err + q_err[0] + _ROUNDOFF * np.abs(values)
+        return values, float(np.max(err, initial=0.0))
+
+    def q_difference_norms(self, deltas) -> tuple[np.ndarray, float]:
+        """||gamma_q (delta_n - delta_m)|| = sqrt(-expm1(-eta delta) /
+        (2 a h)) for |n - m| = delta, per delta, and the certified error of
+        the norms."""
+        deltas = _integer_offsets(deltas, self.quad_points, nonzero=True)
+        norms = np.sqrt(-np.expm1(-self.eta * deltas)
+                        / (2.0 * self.a * self.h))
+        return norms, float(np.max(_NORM_ROUNDINGS * _ROUNDOFF * norms,
+                                   initial=0.0))
+
+
+def _oracle(d: Dispersion, quad_points: int
+            ) -> _Quadrature | _MasslessForms | _HarmonicForms:
     """The exact oracle of d: the closed forms on the massless shape
-    hypot(0, b sin(k/2)), b > 0 (design._is_massless_shape), and periodic
-    quadrature on quad_points otherwise.  Either reads p(offsets),
+    hypot(0, b sin(k/2)), b > 0 (design._is_massless_shape), and on a
+    gapped harmonic form hypot(a, b sin(k/2)), a, b > 0, and periodic
+    quadrature on quad_points otherwise.  Each reads p(offsets),
     q(offsets, regulated) and q_difference_norms(deltas), each returning
     (values, certified error)."""
     if _is_massless_shape(d):
         return _MasslessForms(d.harmonic_form[1], quad_points)
+    if d.harmonic_form is not None and min(d.harmonic_form) > 0 \
+            and not d.gapless:
+        return _HarmonicForms(*d.harmonic_form, quad_points)
     return _Quadrature(d, quad_points)
 
 
@@ -822,7 +1030,7 @@ class ErrorReport:
     measured_rows: tuple = field(repr=False)
     #: the oracle (_oracle) and any samples of omega it took, for later
     #: profiles (not serialized)
-    oracle: _Quadrature | _MasslessForms = field(repr=False)
+    oracle: _Quadrature | _MasslessForms | _HarmonicForms = field(repr=False)
 
     def exact_profiles(self, offsets) -> tuple[np.ndarray, np.ndarray]:
         """Exact gamma_p and regulated gamma_q at ``offsets``."""
@@ -922,13 +1130,13 @@ def error_report(stack: LayerStack, N: int,
     P = 2^depth) as built, and no N x N array is formed; on a gapless
     chain only the first two q rows are walked, since a one-row product
     sums in another order (placed_gram_rows).
-    The oracle (_oracle) reads closed forms on the massless shape and
-    otherwise samples the dispersion once, on its fine grid, for all its
-    profiles and norms; quad_points must exceed N, so that the grid does not
-    alias the window's offsets, and is checked on both routes.
-    ``quad_error`` is the largest certified error of the oracle profiles and
-    norms: the rounding of the closed forms, or the quadrature's Richardson
-    truncation.
+    The oracle (_oracle) reads closed forms on the massless shape and on a
+    gapped harmonic form, and otherwise samples the dispersion once, on its
+    fine grid, for all its profiles and norms; quad_points must exceed N, so
+    that the grid does not alias the window's offsets, and is checked on
+    every route.  ``quad_error`` is the largest certified error of the
+    oracle profiles and norms: the rounding of the closed forms (with the
+    recurrence's truncation), or the quadrature's Richardson truncation.
     The operator bound uses the lattice min(N, max(512, 2^depth)), and
     Omega is the largest omega of the stack's levels on kgrid().
     """

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from waverg import (FilterPair, FirFilter, Flat, Harmonic, flow, kgrid,
-                    mass_flow)
+from waverg import (FilterPair, FirFilter, Flat, Harmonic, Tabulated, flow,
+                    kgrid, mass_flow)
 from waverg import cli
 from waverg.cli import main
 
@@ -210,12 +210,17 @@ def test_simulate_ten_layers_is_dominated(tmp_path, capsys):
 def test_simulate_csv_reads_the_report_oracle(tmp_path, pair_file,
                                              monkeypatch):
     # the CSV's exact columns reuse the dispersion samples of the report:
-    # the massless chain's closed forms take none, the quadrature its grid
+    # the closed forms of the harmonic chains take none, the quadrature of
+    # a gapped table its grid
+    table = tmp_path / "m05.csv"
+    k = kgrid(4096)
+    np.savetxt(table, np.column_stack([k, Harmonic(0.5)(k)]), delimiter=",")
     points = []
-    call = Harmonic.__call__
-    monkeypatch.setattr(Harmonic, "__call__",
-                        lambda h, k: points.append(np.size(k)) or call(h, k))
-    for dispersion in ("harmonic:m=0", "harmonic:m=0.5"):
+    for omega in (Harmonic, Tabulated):
+        monkeypatch.setattr(omega, "__call__",
+                            lambda h, k, call=omega.__call__:
+                            points.append(np.size(k)) or call(h, k))
+    for dispersion in ("harmonic:m=0", "harmonic:m=0.5", f"tabulated:{table}"):
         counts = []
         for extra in ([], ["--csv", str(tmp_path / "c.csv")]):
             points.clear()

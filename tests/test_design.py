@@ -231,6 +231,9 @@ def assert_spectra_agree(got, want):
        st.integers(-6, 6))
 @example([float(np.float32(1e-6)), 0.0, 0.0, float(np.float32(1e-6)),
           float(np.float32(1e-6))], 0)  # a triple eigenvalue 1/9
+# the least-squares reference misses this radius by 1.9e-8 of it
+@example([float(np.float32(1e-6)), 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 2.0 ** -8],
+         0)
 @settings(max_examples=60, deadline=None)
 def test_stability_spectrum_matches_least_squares_restriction(q, offset):
     # admissible filters sqrt(2)-normalized (1 + z) q
@@ -238,7 +241,13 @@ def test_stability_spectrum_matches_least_squares_restriction(q, offset):
     assume(abs(q.sum()) >= 0.1 * np.max(np.abs(q)) > 0)
     a_s = FirFilter(offset, np.convolve([1.0, 1.0], q))
     a_s = a_s.scale(ROOT2 / a_s(0.0).real)
-    assert_spectra_agree(stability_spectrum(a_s), lstsq_stability_spectrum(a_s))
+    got = stability_spectrum(a_s)
+    try:
+        assert_spectra_agree(got, lstsq_stability_spectrum(a_s))
+    except AssertionError:
+        # the reference rounds too; where it disagrees, the restriction in
+        # 30-digit arithmetic decides, at the same tolerances
+        assert_spectra_agree(got, exact_stability_spectrum(a_s))
 
 
 def test_stability_spectrum_matches_least_squares_on_designs(designs):

@@ -270,14 +270,103 @@ def test_closed_forms_match_40_digit_series(d, b):
                 assert abs(mp.mpf(float(value)) - ref[n]) <= err <= largest
 
 
-@pytest.mark.parametrize("d", [Harmonic(1e-12), Harmonic(0.3), Flat(1.0),
+_LIGHT_TO_HEAVY = [1.0, 0.3, 0.05, 1e-2, 1e-3, 1e-4, 1e-6]
+
+
+@pytest.mark.parametrize("quad_points", [1 << 11, 1 << 16])
+@pytest.mark.parametrize("m", _LIGHT_TO_HEAVY)
+def test_harmonic_forms_match_40_digit_legendre(m, quad_points):
+    # each value of the massive closed forms lies within its own
+    # certificate of mpmath's Legendre functions, on both recurrence
+    # directions (at 2^11 points m <= 1e-4 runs forward, at 2^16 only 1e-6);
+    # the quadrature missed gamma_q of Harmonic(1e-6) by 1.57, past its
+    # certified 1.20
+    d = Harmonic(m)
+    oracle = waverg.mera._oracle(d, quad_points)
+    assert isinstance(oracle, waverg.mera._HarmonicForms)
+    assert oracle.forward == (m <= (1e-4 if quad_points == 1 << 11 else 1e-6))
+    reads = [oracle.p, lambda n: oracle.q(n, False),
+             lambda n: oracle.q(n, True), oracle.q_difference_norms]
+    for n in (0, 1, 2, 3, 16, 64, 512):
+        q, p, norm = oracle_reference.legendre(m, n)
+        q0 = oracle_reference.legendre(m, 0)[0]
+        for read, ref in zip(reads, (p, q, q - q0, norm)):
+            if ref is None:
+                continue
+            (value,), err = read([n])
+            with mp.workdps(50):
+                assert abs(mp.mpf(float(value)) - ref) <= err <= 1e-11
+    if m >= 0.05:  # the references' two routes agree
+        for n in (0, 1, 3, 16):
+            q, _, norm = oracle_reference.legendre(m, n)
+            want_q, want_norm = oracle_reference.harmonic_quadrature(m, n)
+            with mp.workdps(50):
+                assert abs(q - want_q) < mp.mpf(10) ** -40
+                assert n == 0 or abs(norm - want_norm) < mp.mpf(10) ** -40
+
+
+@pytest.mark.parametrize("m", [0.05, 1e-6])
+def test_harmonic_forms_lone_reads_equal_batch(m):
+    # the backward (0.05) and forward (1e-6) recurrences: a value depends
+    # on its offset alone, so each offset read alone by a fresh oracle
+    # equals the batch read bit for bit
+    d, quad_points, top = Harmonic(m), 1 << 12, 1024
+    batch = waverg.mera._oracle(d, quad_points)
+    assert batch.forward == (m < 0.05)
+    offsets = np.arange(top + 1)
+    reads = [lambda o, n: o.p(n), lambda o, n: o.q(n, False)]
+    for read in reads:
+        values, largest = read(batch, offsets)
+        for n in offsets:
+            (alone,), err = read(waverg.mera._oracle(d, quad_points), [n])
+            assert alone == values[n] and err <= largest
+
+
+@pytest.mark.parametrize("m", [1e3, 1e150])
+def test_harmonic_forms_agree_with_quadrature_on_heavy_chains(m):
+    # far from the recurrence's home: finite, and within both certificates
+    # of the quadrature
+    d, quad_points = Harmonic(m), 1 << 12
+    offsets = np.arange(8)
+    closed = waverg.mera._oracle(d, quad_points)
+    quadrature = waverg.mera._Quadrature(d, quad_points)
+    for read in (lambda o: o.p(offsets), lambda o: o.q(offsets, False),
+                 lambda o: o.q(offsets, True),
+                 lambda o: o.q_difference_norms(offsets[1:])):
+        (values, err), (want, want_err) = read(closed), read(quadrature)
+        assert np.all(np.isfinite(values))
+        assert np.max(np.abs(values - want)) <= err + want_err
+
+
+#: a gapped table, which takes the quadrature: Harmonic(0.5) on kgrid(4096)
+_GAPPED_TABLE = Tabulated(kgrid(4096), Harmonic(0.5)(kgrid(4096)))
+
+
+@pytest.mark.parametrize("d", [Harmonic(1e-12), _GAPPED_TABLE, Flat(1.0),
                                Tabulated(kgrid(64),
                                          np.abs(np.sin(kgrid(64) / 2)))])
 def test_oracle_quadrature_serves_every_other_dispersion(d):
-    # the closed forms take the exact massless shape only; a tabulated
-    # |sin(k/2)| has no harmonic form
+    # the closed forms take harmonic forms (a, b), b > 0, that are exactly
+    # massless or gapped: Harmonic(1e-12) is gapless by the gap test, Flat
+    # has b = 0, and a table has no harmonic form
     assert isinstance(waverg.mera._oracle(d, 1 << 12),
                       waverg.mera._Quadrature)
+
+
+@pytest.mark.parametrize("d", [Harmonic(0.3), flow(Harmonic(0.3), 2)[2],
+                               Harmonic(1e-6), flow(Harmonic(1e-6), 1)[1],
+                               Harmonic(1e150)])
+def test_oracle_harmonic_forms_serve_gapped_harmonic_forms(d):
+    # Harmonic(m > 0) and its renormalized levels, with the offset checks
+    # of every route
+    oracle = waverg.mera._oracle(d, 64)
+    assert isinstance(oracle, waverg.mera._HarmonicForms)
+    with pytest.raises(ValueError, match="alias"):
+        oracle.p([32])
+    with pytest.raises(ValueError, match="integers"):
+        oracle.q([1.5], False)
+    with pytest.raises(ValueError, match="nonzero"):
+        oracle.q_difference_norms([0, 1])
 
 
 def test_closed_forms_refuse_what_they_do_not_give(massless):
@@ -292,10 +381,9 @@ def test_closed_forms_refuse_what_they_do_not_give(massless):
         oracle.q([1], False)
 
 
-@pytest.mark.parametrize("m", [0.0, 0.3])
-def test_empty_offsets_read_nothing(m):
-    # both routes: no offset has no value and no error
-    d = Harmonic(m)
+@pytest.mark.parametrize("d", [Harmonic(0.0), Harmonic(0.3), _GAPPED_TABLE])
+def test_empty_offsets_read_nothing(d):
+    # every route: no offset has no value and no error
     oracle = waverg.mera._oracle(d, 1 << 12)
     none = np.array([], dtype=int)
     for values, err in (exact_p_profile(d, none), exact_q_profile(d, none),
@@ -408,17 +496,22 @@ def test_gapped_norms_match_two_grid_reference(m, quad_points, deltas):
     np.testing.assert_allclose(norms, want, rtol=1e-15, atol=0)
 
 
-@pytest.mark.parametrize("which", ["gapless", "gapped"])
+@pytest.mark.parametrize("which", ["gapless", "gapped", "tabulated"])
 def test_error_report_transforms_each_integrand_once(which, monkeypatch,
                                                      massless_k2l4_8,
                                                      massive_stack):
-    # the report_gapless and report_gapped stacks: p, q (plain and regulated
-    # share a transform) and one q-difference remainder on the fine grid
+    # the report_gapless and report_gapped stacks read closed forms; the
+    # massive stack's filters on a gapped table take the quadrature: p, q
+    # (plain and regulated share a transform) and one q-difference
+    # remainder on the fine grid
     stack, N = ((massless_k2l4_8, 2048) if which == "gapless"
                 else (massive_stack, 1024))
+    if which == "tabulated":
+        stack = LayerStack(stack.pairs, stack.squeezes, _GAPPED_TABLE)
     quad = 1 << 16
     transforms, samples = [], []
-    rfft, call = np.fft.rfft, Harmonic.__call__
+    omega = type(stack.base_dispersion)
+    rfft, call = np.fft.rfft, omega.__call__
 
     def counting_rfft(a, *args, **kwargs):
         if np.ndim(a) == 1 and len(a) >= quad:
@@ -430,9 +523,9 @@ def test_error_report_transforms_each_integrand_once(which, monkeypatch,
         return call(self, k)
 
     monkeypatch.setattr(np.fft, "rfft", counting_rfft)
-    monkeypatch.setattr(Harmonic, "__call__", counting_call)
+    monkeypatch.setattr(omega, "__call__", counting_call)
     rep = error_report(stack, N, quad_points=quad)
-    if which == "gapless":  # the closed forms sample nothing
+    if which != "tabulated":  # the closed forms sample nothing
         assert transforms == []
         assert [n for n in samples if n >= quad] == []
     else:
@@ -475,17 +568,17 @@ def test_exact_covariance_is_valid_state():
     assert cov.uncertainty_min() >= 0.25 - 1e-9
 
 
-@pytest.mark.parametrize("d", [Harmonic(0.3), Harmonic(0.0)])
+@pytest.mark.parametrize("d", [_GAPPED_TABLE, Harmonic(0.3), Harmonic(0.0)])
 def test_exact_covariance_reads_one_oracle(monkeypatch, d):
-    # p and q from one oracle: a gapped chain samples one 2^17-point grid,
-    # the massless closed forms none; the q block is regulated when gapless
+    # p and q from one oracle: the quadrature samples one 2^17-point grid,
+    # the closed forms none; the q block is regulated when gapless
     points = []
-    call = Harmonic.__call__
-    monkeypatch.setattr(Harmonic, "__call__",
+    call = type(d).__call__
+    monkeypatch.setattr(type(d), "__call__",
                         lambda h, k: points.append(np.size(k)) or call(h, k))
     cov = exact_covariance(d, 200)
     grids = [n for n in points if n > 1]
-    assert grids == ([1 << 17] if d.m else [])
+    assert grids == ([1 << 17] if isinstance(d, Tabulated) else [])
     assert cov.regulated == d.gapless
     for block, (profile, _) in (
             (cov.p_block, exact_p_profile(d, np.arange(200))),

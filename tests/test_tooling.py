@@ -196,3 +196,20 @@ def test_traced_functions_resolve_with_their_counted_parameters():
                             for param in sorted(bound[counter])
                             if param not in inspect.signature(fn).parameters]
     assert not missing, missing
+
+
+def test_oracles_share_one_interface():
+    # every exact oracle reads p, q and q_difference_norms with the same
+    # parameters, and _oracle is the one chooser among them
+    from waverg import Flat, Harmonic, Tabulated, kgrid, mera
+    classes = (mera._Quadrature, mera._MasslessForms, mera._HarmonicForms)
+    for read in ("p", "q", "q_difference_norms"):
+        signatures = {tuple(inspect.signature(getattr(c, read)).parameters)
+                      for c in classes}
+        assert len(signatures) == 1, (read, signatures)
+    k = kgrid(256)
+    for d, want in ((Harmonic(0.0), mera._MasslessForms),
+                    (Harmonic(0.3), mera._HarmonicForms),
+                    (Flat(1.0), mera._Quadrature),
+                    (Tabulated(k, Harmonic(0.3)(k)), mera._Quadrature)):
+        assert type(mera._oracle(d, 1 << 12)) is want, d
